@@ -29,7 +29,6 @@ from .arrangement import (
     braid_arrangement,
     canonicalize,
     codim2_flats,
-    is_good_line,
     is_y_closed,
     split_parallel,
     y_closure,

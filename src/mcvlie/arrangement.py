@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .exactcore import ExactMatrix, rat, rat_str
+from .exactcore import ExactMatrix, int_from_json, rat, rat_str
 
 _ZERO = Fraction(0)
 
@@ -74,23 +74,28 @@ class Line:
 
 
 class Arrangement:
-    """Ordered list of pairwise distinct canonical hyperplanes in Q^dim."""
+    """Ordered tuple of pairwise distinct canonical hyperplanes in Q^dim.
 
-    __slots__ = ("dim", "hyperplanes", "_by_id")
+    The hyperplanes are fixed at construction, so derived data (the key set
+    and the codimension-2 flats) is computed at most once per arrangement.
+    """
+
+    __slots__ = ("dim", "hyperplanes", "_by_id", "_keys", "_flats")
 
     def __init__(self, dim: int, hyperplanes):
         self.dim = dim
-        self.hyperplanes = list(hyperplanes)
-        seen_keys = set()
+        self.hyperplanes = tuple(hyperplanes)
+        self._keys = set()
         self._by_id = {}
+        self._flats = None
         for h in self.hyperplanes:
             if len(h.normal) != dim:
                 raise InputError(f"hyperplane {h.id!r} has wrong dimension")
-            if h.key in seen_keys:
+            if h.key in self._keys:
                 raise InputError(f"duplicate hyperplane {h.id!r}")
             if h.id in self._by_id:
                 raise InputError(f"duplicate hyperplane id {h.id!r}")
-            seen_keys.add(h.key)
+            self._keys.add(h.key)
             self._by_id[h.id] = h
 
     def __len__(self):
@@ -109,11 +114,10 @@ class Arrangement:
         return [h.id for h in self.hyperplanes]
 
     def has_key(self, key) -> bool:
-        return any(h.key == key for h in self.hyperplanes)
+        return key in self._keys
 
     def contains_arrangement(self, other: "Arrangement") -> bool:
-        mine = {h.key for h in self.hyperplanes}
-        return other.dim == self.dim and all(h.key in mine for h in other)
+        return other.dim == self.dim and other._keys <= self._keys
 
     def __eq__(self, other):
         return (
@@ -143,11 +147,17 @@ class Arrangement:
     @staticmethod
     def from_json(data) -> "Arrangement":
         try:
-            dim = int(data["dim"])
-            planes = [
-                canonicalize(str(h["id"]), h["normal"], h.get("offset", 0))
-                for h in data["hyperplanes"]
-            ]
+            dim = int_from_json(data["dim"])
+            hyperplanes = data["hyperplanes"]
+            if not isinstance(hyperplanes, list):
+                raise TypeError("hyperplanes must be an array")
+            planes = []
+            for h in hyperplanes:
+                if not isinstance(h, dict) or not isinstance(h["normal"], list):
+                    raise TypeError("each hyperplane must be an object with a normal array")
+                planes.append(
+                    canonicalize(str(h["id"]), h["normal"], h.get("offset", 0))
+                )
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed arrangement JSON: {exc}") from exc
         return Arrangement(dim, planes)
@@ -167,13 +177,6 @@ class Flat2:
         rows = [n + (o,) for n, o in self.equations]
         rows.append(tuple(normal) + (rat(offset),))
         return ExactMatrix(rows).rank() == 2
-
-    def direction_contains(self, direction) -> bool:
-        """Whether a vector lies in the flat's direction space."""
-        return all(
-            sum((a * b for a, b in zip(n, direction)), _ZERO) == 0
-            for n, _ in self.equations
-        )
 
     @property
     def key(self) -> str:
@@ -199,24 +202,27 @@ def _flat_from_pair(h1: Hyperplane, h2: Hyperplane):
 
 def codim2_flats(arr: Arrangement) -> list:
     """Every codimension-2 flat of the intersection poset, each with its
-    maximal family of containing hyperplanes."""
-    found = {}
-    order = []
-    n = len(arr.hyperplanes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            eqs = _flat_from_pair(arr.hyperplanes[i], arr.hyperplanes[j])
-            if eqs is None:
-                continue
-            if eqs not in found:
-                found[eqs] = None
-                order.append(eqs)
-    flats = []
-    for eqs in order:
-        probe = Flat2(equations=eqs, family=())
-        family = tuple(h.id for h in arr.hyperplanes if h.contains_flat(probe))
-        flats.append(Flat2(equations=eqs, family=family))
-    return flats
+    maximal family of containing hyperplanes, as a new list.
+
+    Two distinct hyperplanes containing a codimension-2 flat X meet in
+    exactly X, so the family of X is the set of hyperplanes in the pairs
+    whose canonical equations are X's.  Flats come in the order of their
+    first pair (i < j, lexicographic), families in arrangement order.  The
+    flats are computed once per arrangement and cached on it.
+    """
+    if arr._flats is None:
+        members = {}  # equations -> indices of the hyperplanes containing X
+        planes = arr.hyperplanes
+        for i, h1 in enumerate(planes):
+            for j in range(i + 1, len(planes)):
+                eqs = _flat_from_pair(h1, planes[j])
+                if eqs is not None:
+                    members.setdefault(eqs, set()).update((i, j))
+        arr._flats = tuple(
+            Flat2(equations=eqs, family=tuple(planes[k].id for k in sorted(idx)))
+            for eqs, idx in members.items()
+        )
+    return list(arr._flats)
 
 
 def split_parallel(arr: Arrangement, line: Line):
@@ -260,10 +266,6 @@ def is_y_closed(arr: Arrangement, line: Line) -> bool:
         if not arr.has_key(form):
             return False
     return True
-
-
-# a line is good exactly when the arrangement is closed along it
-is_good_line = is_y_closed
 
 
 def _closure_pass(arr: Arrangement, line: Line):

@@ -110,6 +110,8 @@ def _load_matrix_tuple(data):
         system = _load_system(data)
         return [system.residue(h) for h in system.arrangement.ids()]
     if isinstance(data, dict) and "matrices" in data:
+        if not isinstance(data["matrices"], list):
+            raise InputError("'matrices' must be an array of matrices")
         mats = [matrix_from_json(m) for m in data["matrices"]]
         if not mats:
             raise InputError("matrix tuple is empty")

@@ -27,7 +27,7 @@ from .exactcore import (
     right_inverse,
     subspace_sum,
 )
-from .holonomy import PfaffianSystem, check_integrability, zero_extend
+from .holonomy import PfaffianSystem, _zero_extend, check_integrability
 
 
 def _validate_tuple(mats):
@@ -217,13 +217,18 @@ def haraoka_convolution(system: PfaffianSystem, line: Line, lam) -> ConvolvedSys
     transverse H_j sees the codimension-2 flat cut on the parallel
     hyperplane by H_j, whose family fixes a diagonal contribution and the
     off-diagonal drains onto the other transverse members of that family.
-    The output is asserted integrable over the closure.
+
+    Integrability is certified twice: on the input (a PreconditionError if
+    it fails) and on the output over the closure (the runtime certificate
+    that convolution preserves integrability).  The zero extension in
+    between is not re-checked: an integrable input extends to an integrable
+    system.
     """
     lam = rat(lam)
     if check_integrability(system):
         raise PreconditionError("input system is not integrable")
     closure = y_closure(system.arrangement, line)
-    ext = zero_extend(system, closure)
+    ext = _zero_extend(system, closure)
     parallel, transverse = split_parallel(closure, line)
     order = transverse.ids()
     n = len(order)

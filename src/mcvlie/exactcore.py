@@ -21,10 +21,11 @@ _ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, Fractions and strings like "-3/7" or "5" to Fraction."""
+    """Coerce ints, Fractions and strings like "-3/7" or "5" to Fraction;
+    anything else, booleans included, is an InputError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -793,7 +794,22 @@ def matrix_to_json(m: ExactMatrix):
     return [[rat_str(x) for x in row] for row in m.data]
 
 
+def int_from_json(value) -> int:
+    """A JSON integer, or a string holding one; booleans and floats are
+    rejected rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise InputError(f"not an integer: {value!r}")
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise InputError(f"not an integer: {value!r}") from exc
+
+
 def matrix_from_json(data, shape=None) -> ExactMatrix:
-    if not isinstance(data, list) or (not data and shape is None):
+    if (
+        not isinstance(data, list)
+        or (not data and shape is None)
+        or not all(isinstance(row, list) for row in data)
+    ):
         raise InputError("matrix JSON must be a non-empty array of arrays")
     return ExactMatrix(data, shape=shape)

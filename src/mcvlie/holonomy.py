@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .arrangement import Arrangement, codim2_flats
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .exactcore import ExactMatrix, matrix_from_json, matrix_to_json
+from .exactcore import ExactMatrix, int_from_json, matrix_from_json, matrix_to_json
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,9 @@ class PfaffianSystem:
     def from_json(data) -> "PfaffianSystem":
         try:
             arr = Arrangement.from_json(data["arrangement"])
-            rank = int(data["rank"])
+            rank = int_from_json(data["rank"])
+            if not isinstance(data["residues"], dict):
+                raise TypeError("residues must be an object")
             residues = {
                 str(hid): matrix_from_json(m, shape=(rank, rank))
                 for hid, m in data["residues"].items()
@@ -89,22 +91,26 @@ class IntegrabilityViolation:
 
 def check_integrability(system: PfaffianSystem) -> list:
     """All failures of the relations [A_H, sum of the family] = 0, one per
-    family member; an empty list means the system is integrable.
+    failing family member, in family order; an empty list means the system
+    is integrable.
 
-    Checking every member (rather than all but the last) is redundant but
-    gives a per-member diagnostic.
+    Over a family the commutators with the family sum T add up to [T, T] = 0,
+    so when all but the last vanish the last does too: it is computed only
+    when an earlier member has failed.  The list is then the same as if
+    every member had been checked.
     """
     violations = []
     for flat in codim2_flats(system.arrangement):
-        total = _sum_matrices([system.residue(hid) for hid in flat.family],
-                              system.rank)
-        for hid in flat.family:
-            a = system.residue(hid)
+        mats = [system.residue(hid) for hid in flat.family]
+        total = _sum_matrices(mats, system.rank)
+        failed = []
+        for k, (hid, a) in enumerate(zip(flat.family, mats)):
+            if k == len(mats) - 1 and not failed:
+                break  # the commutators sum to [T, T] = 0
             comm = a * total - total * a
             if not comm.is_zero():
-                violations.append(
-                    IntegrabilityViolation(flat.family, hid, comm)
-                )
+                failed.append(IntegrabilityViolation(flat.family, hid, comm))
+        violations.extend(failed)
     return violations
 
 
@@ -116,26 +122,33 @@ def zero_extend(system: PfaffianSystem, target: Arrangement) -> PfaffianSystem:
     """Extend along an inclusion of arrangements by assigning the zero
     residue to every new hyperplane (the restriction functor of modules).
 
-    Matching is geometric, so the target may relabel hyperplanes.  The
-    output is re-checked: a violation would contradict the fact that the
-    extension is induced by a Lie algebra homomorphism.
+    Matching is geometric, so the target may relabel hyperplanes.  The input
+    must be integrable, and the output is re-checked: a violation would
+    contradict the fact that the extension is induced by a Lie algebra
+    homomorphism.
     """
     if not target.contains_arrangement(system.arrangement):
         raise PreconditionError("target arrangement does not contain the source")
     if check_integrability(system):
         raise PreconditionError("zero_extend requires an integrable system")
+    out = _zero_extend(system, target)
+    if check_integrability(out):
+        raise InternalInvariantError(
+            "zero-extension broke integrability; this should be impossible"
+        )
+    return out
+
+
+def _zero_extend(system: PfaffianSystem, target: Arrangement) -> PfaffianSystem:
+    """zero_extend without its checks, for callers that certify their own
+    input and output; the target must contain the source arrangement."""
     by_key = {h.key: h.id for h in system.arrangement}
     zero = ExactMatrix.zeros(system.rank, system.rank)
     residues = {}
     for h in target:
         src = by_key.get(h.key)
         residues[h.id] = system.residues[src] if src is not None else zero
-    out = PfaffianSystem(target, system.rank, residues)
-    if check_integrability(out):
-        raise InternalInvariantError(
-            "zero-extension broke integrability; this should be impossible"
-        )
-    return out
+    return PfaffianSystem(target, system.rank, residues)
 
 
 def residue_sum(system: PfaffianSystem, ids) -> ExactMatrix:

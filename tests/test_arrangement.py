@@ -5,7 +5,9 @@ import pytest
 
 from mcvlie.arrangement import (
     Arrangement,
+    Flat2,
     Line,
+    _flat_from_pair,
     braid_arrangement,
     canonicalize,
     codim2_flats,
@@ -99,10 +101,89 @@ def test_every_intersecting_pair_lands_in_one_family():
                     for f in flats
                     if h1.id in f.family and h2.id in f.family
                 ]
-                from mcvlie.arrangement import _flat_from_pair
-
                 expected = 0 if _flat_from_pair(h1, h2) is None else 1
                 assert len(hits) == expected
+
+
+def _probe_flats(arr):
+    """Reference construction: equations from every intersecting pair in
+    first-occurrence order, each family found by a rank probe of every
+    hyperplane against the flat's equations."""
+    order = []
+    for i, h1 in enumerate(arr.hyperplanes):
+        for h2 in arr.hyperplanes[i + 1 :]:
+            eqs = _flat_from_pair(h1, h2)
+            if eqs is not None and eqs not in order:
+                order.append(eqs)
+    flats = []
+    for eqs in order:
+        probe = Flat2(equations=eqs, family=())
+        family = tuple(h.id for h in arr.hyperplanes if h.contains_flat(probe))
+        flats.append(Flat2(equations=eqs, family=family))
+    return flats
+
+
+def _oracle_arrangement(rng, dim):
+    """Random planes with small integer normals, rational offsets, and
+    deliberate parallel copies and concurrent triples."""
+    planes, seen = [], set()
+
+    def add(normal, offset):
+        if all(x == 0 for x in normal):
+            return
+        h = canonicalize(f"H{len(planes) + 1}", normal, offset)
+        if h.key not in seen:
+            seen.add(h.key)
+            planes.append(h)
+
+    for _ in range(rng.randint(2, 5)):
+        normal = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
+        add(normal, F(rng.randint(-3, 3), rng.randint(1, 3)))
+        if planes and rng.random() < 0.3:  # a parallel copy
+            add(planes[-1].normal, planes[-1].offset + F(rng.randint(1, 3), 2))
+        if len(planes) >= 2 and rng.random() < 0.3:  # through the last flat
+            a, b = planes[-1], planes[-2]
+            s, t = F(rng.randint(1, 3)), F(rng.randint(-3, -1), rng.randint(1, 2))
+            add(
+                tuple(s * x + t * y for x, y in zip(a.normal, b.normal)),
+                s * a.offset + t * b.offset,
+            )
+    return Arrangement(dim, planes)
+
+
+def test_flats_match_probe_oracle_random():
+    rng = random.Random(2024)
+    multi = 0
+    for k in range(180):
+        arr = _oracle_arrangement(rng, dim=2 + k % 3)
+        flats = codim2_flats(arr)
+        assert flats == _probe_flats(arr)
+        multi += sum(len(f.family) > 2 for f in flats)
+    assert multi > 50  # the sample does exercise families beyond pairs
+
+
+def test_flats_match_probe_oracle_braid():
+    for n in range(3, 8):
+        arr = braid_arrangement(n)
+        assert codim2_flats(arr) == _probe_flats(arr)
+
+
+def test_flats_cached_result_is_not_shared():
+    arr = braid_arrangement(4)
+    first = codim2_flats(arr)
+    expected = list(first)
+    first.clear()
+    assert codim2_flats(arr) == expected
+    again = codim2_flats(arr)
+    again.append(None)
+    assert codim2_flats(arr) == expected
+
+
+def test_hyperplanes_are_immutable():
+    arr = braid_arrangement(3)
+    assert isinstance(arr.hyperplanes, tuple)
+    assert arr.has_key(arr.hyperplanes[0].key)
+    assert not arr.has_key(canonicalize("X", (1, 0, 0), 0).key)
 
 
 # -- parallel split -----------------------------------------------------------

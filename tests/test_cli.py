@@ -187,3 +187,44 @@ def test_env_seed_override(monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["isomorphic"] is True
+
+
+def _run_stdin(monkeypatch, payload, *argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run_cli(*argv, "--input", "-")
+    assert "Traceback" not in err
+    return code, json.loads(out)  # exactly one JSON document
+
+
+def test_matrices_not_an_array_exits_1(monkeypatch):
+    code, doc = _run_stdin(monkeypatch, {"matrices": 5}, "analyze")
+    assert code == 1 and "matrices" in doc["error"]
+
+
+def test_residues_not_an_object_exits_1(monkeypatch):
+    system = json.loads((DATA / "threelines.json").read_text(encoding="utf-8"))
+    system["residues"] = [[["1/5"]], [["1/2"]], [["1/3"]]]
+    code, doc = _run_stdin(monkeypatch, system, "check")
+    assert code == 1 and "residues" in doc["error"]
+
+
+def test_normal_given_as_string_exits_1(monkeypatch):
+    arr = {"dim": 2, "hyperplanes": [{"id": "H1", "normal": "10", "offset": "0"}]}
+    code, doc = _run_stdin(monkeypatch, arr, "closure", "--line", "1,1")
+    assert code == 1 and "normal" in doc["error"]
+
+
+def test_json_boolean_is_not_a_number(monkeypatch):
+    code, doc = _run_stdin(monkeypatch, {"matrices": [[[True]]]}, "analyze")
+    assert code == 1 and "not a rational" in doc["error"]
+
+
+def test_json_boolean_or_float_is_not_a_count(monkeypatch):
+    system = json.loads((DATA / "threelines.json").read_text(encoding="utf-8"))
+    system["rank"] = True
+    code, doc = _run_stdin(monkeypatch, system, "check")
+    assert code == 1 and "not an integer" in doc["error"]
+    arr = json.loads((DATA / "two_axes.json").read_text(encoding="utf-8"))
+    arr["dim"] = 2.5
+    code, doc = _run_stdin(monkeypatch, arr, "closure", "--line", "1,1")
+    assert code == 1 and "not an integer" in doc["error"]

@@ -419,8 +419,28 @@ def test_haraoka_rejects_non_integrable_input():
             "H23": ExactMatrix.zeros(2, 2),
         },
     )
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^input system is not integrable$"):
         haraoka_convolution(bad, Line.of((0, 0, 1)), F(1, 2))
+
+
+def test_haraoka_checks_integrability_twice(monkeypatch):
+    import mcvlie.convolution
+    import mcvlie.holonomy
+
+    seen = []
+    original = mcvlie.holonomy.check_integrability
+
+    def counting(system):
+        seen.append(system.arrangement)
+        return original(system)
+
+    for module in (mcvlie.convolution, mcvlie.holonomy):
+        monkeypatch.setattr(module, "check_integrability", counting)
+    two_axes = Arrangement(2, [canonicalize("H1", (1, 0), 0), canonicalize("H2", (0, 1), 0)])
+    system = PfaffianSystem(two_axes, 1, {"H1": ExactMatrix([[F(1, 3)]]), "H2": ExactMatrix([[F(2, 5)]])})
+    conv = haraoka_convolution(system, Line.of((1, 1)), F(1, 2))
+    assert len(conv.closure) == 3
+    assert seen == [two_axes, conv.closure]
 
 
 def test_haraoka_rejects_all_parallel():

@@ -9,6 +9,7 @@ from mcvlie.arrangement import (
     Line,
     braid_arrangement,
     canonicalize,
+    codim2_flats,
     y_closure,
 )
 from mcvlie.errors import InputError, PreconditionError
@@ -132,6 +133,64 @@ def test_kz_residues_integrable_braid3_and_braid4():
     assert is_integrable(kz_residues(4))
 
 
+def _all_members_violations(system):
+    """Reference check: the commutator of every family member with the
+    family sum, each computed, in flat and family order."""
+    out = []
+    for flat in codim2_flats(system.arrangement):
+        total = residue_sum(system, flat.family)
+        for hid in flat.family:
+            a = system.residue(hid)
+            comm = a * total - total * a
+            if not comm.is_zero():
+                out.append((flat.family, hid, comm))
+    return out
+
+
+def _violation_tuples(system):
+    return [(v.family, v.member, v.commutator) for v in check_integrability(system)]
+
+
+def _broken_braid(strands, rng):
+    """Rank-2 residues on braid(strands): commuting (a polynomial in one
+    matrix) except for a few perturbed ones, some of them zeroed so that a
+    family's last commutator can vanish while earlier ones do not."""
+    arr = braid_arrangement(strands)
+    m = ExactMatrix([[1, 2], [0, -1]])
+    residues = {
+        hid: m.scale(F(rng.randint(-2, 2))).add_scaled_identity(F(rng.randint(-2, 2)))
+        for hid in arr.ids()
+    }
+    for hid in rng.sample(arr.ids(), 2):
+        residues[hid] = ExactMatrix([[F(rng.randint(-2, 2)) for _ in range(2)] for _ in range(2)])
+    residues[rng.choice(arr.ids())] = ExactMatrix.zeros(2, 2)
+    return PfaffianSystem(arr, 2, residues)
+
+
+def test_violations_match_all_members_oracle():
+    rng = random.Random(77)
+    systems = [_broken_braid(strands, rng) for strands in (4, 5) for _ in range(12)]
+    kz = kz_residues(3)
+    for hid in kz.arrangement.ids():
+        bumped = kz.residue(hid).to_lists()
+        bumped[0][1] += 1
+        residues = dict(kz.residues)
+        residues[hid] = ExactMatrix(bumped)
+        systems.append(PfaffianSystem(kz.arrangement, kz.rank, residues))
+    failing = last_failing = last_passing = 0
+    for system in systems:
+        expected = _all_members_violations(system)
+        assert _violation_tuples(system) == expected
+        failing += bool(expected)
+        for flat in codim2_flats(system.arrangement):
+            hits = [v[1] for v in expected if v[0] == flat.family]
+            if hits:
+                last_failing += hits[-1] == flat.family[-1]
+                last_passing += hits[-1] != flat.family[-1]
+    # both outcomes of the last member's commutator after an earlier failure
+    assert failing >= 20 and last_failing >= 5 and last_passing >= 1
+
+
 # -- zero extension -----------------------------------------------------------
 
 
@@ -166,6 +225,22 @@ def test_zero_extend_requires_containment():
     two = Arrangement(2, [canonicalize("A", (1, 0), 0), canonicalize("B", (0, 1), 0)])
     with pytest.raises(PreconditionError):
         zero_extend(sys1, two)
+
+
+def test_zero_extend_rejects_non_integrable_input():
+    arr = braid_arrangement(3)
+    bad = PfaffianSystem(
+        arr,
+        2,
+        {
+            "H12": ExactMatrix([[0, 1], [0, 0]]),
+            "H13": ExactMatrix([[0, 0], [1, 0]]),
+            "H23": ExactMatrix.zeros(2, 2),
+        },
+    )
+    bigger = Arrangement(3, list(arr.hyperplanes) + [canonicalize("X", (1, 0, 0), -1)])
+    with pytest.raises(PreconditionError, match="requires an integrable system"):
+        zero_extend(bad, bigger)
 
 
 def test_zero_extend_never_breaks_integrability_random():
