@@ -65,7 +65,6 @@ from .freelie import (
     DKWord,
     LieElement,
     adjoint_witness,
-    apply_derivation,
     bracket,
     lyndon_basis,
     theta,

@@ -8,6 +8,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from .arrangement import Line, split_parallel
 from .convolution import (
@@ -22,6 +24,7 @@ from .exactcore import (
     ExactMatrix,
     Poly,
     PolyMatrix,
+    _cleared,
     integer_spectrum_hits,
     kernel,
     pencil_full_rank,
@@ -145,21 +148,26 @@ def check_star_conditions(mats) -> StarReport:
 def is_irreducible(mats) -> bool:
     """Absolute irreducibility: the unital algebra generated by the tuple
     has full dimension d^2 (Burnside), computed by closing a spanning set
-    under right multiplication by the generators."""
+    under right multiplication by the generators.
+
+    Each generator is scaled to an integer matrix first: a word in the
+    scaled generators is a nonzero multiple of the same word in the
+    originals, so the span, and every membership answer, is unchanged."""
     mats = [m for m in mats]
     if not mats:
         raise PreconditionError("need at least one matrix")
     d = mats[0].rows
     if d == 1:
         return True
+    gens = [tuple(zip(*_integer_rows(a))) for a in mats]  # columns
     span = _IncrementalSpan(d * d)
-    frontier = [ExactMatrix.identity(d)]
+    frontier = [tuple(tuple(int(i == j) for j in range(d)) for i in range(d))]
     span.add(_vec(frontier[0]))
     while frontier:
         nxt = []
         for m in frontier:
-            for a in mats:
-                p = m * a
+            for cols in gens:
+                p = tuple(tuple(sum(map(mul, row, c)) for c in cols) for row in m)
                 if span.add(_vec(p)):
                     nxt.append(p)
                     if span.dim == d * d:
@@ -168,12 +176,19 @@ def is_irreducible(mats) -> bool:
     return span.dim == d * d
 
 
-def _vec(m: ExactMatrix):
-    return [x for row in m.data for x in row]
+def _integer_rows(a: ExactMatrix):
+    """The rows of c·a as integer tuples, c the lcm of a's denominators."""
+    ints, _ = _cleared(_vec(a.data))
+    return [tuple(ints[i:i + a.cols]) for i in range(0, len(ints), a.cols)]
+
+
+def _vec(m):
+    return [x for row in m for x in row]
 
 
 class _IncrementalSpan:
-    """Row space maintained in echelon form for cheap membership inserts."""
+    """Span of integer vectors, kept as primitive integer rows in echelon
+    form for cheap membership inserts."""
 
     def __init__(self, width: int):
         self.width = width
@@ -185,16 +200,21 @@ class _IncrementalSpan:
         return len(self.rows)
 
     def add(self, vec) -> bool:
+        """Insert an integer vector; True when it enlarges the span."""
         v = list(vec)
         for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
+            f = v[p]
+            if f:
+                a = row[p]
+                g = gcd(a, f)
+                a, f = a // g, f // g
+                v = [a * x - f * y for x, y in zip(v, row)]
         piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
             return False
-        inv = 1 / v[piv]
-        v = [x * inv for x in v]
+        g = gcd(*v)
+        if g > 1:
+            v = [x // g for x in v]
         at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
         self.rows.insert(at, v)
         self.pivots.insert(at, piv)

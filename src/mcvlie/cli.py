@@ -5,13 +5,14 @@ error, 2 precondition failure, 3 internal invariant breach)."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from . import analysis, convolution, freelie, holonomy
 from .arrangement import Arrangement, Line, y_closure
-from .errors import InputError, InternalInvariantError, MCVError, PreconditionError
+from .errors import InputError, MCVError, PreconditionError
 from .exactcore import matrix_to_json, rat, rat_str
 from .holonomy import PfaffianSystem
 
@@ -21,7 +22,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and then reused."""
     parser = _Parser(prog="mcvlie", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -78,7 +81,7 @@ def _load_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer too long
         raise InputError(f"cannot read input: {exc}") from exc
 
 
@@ -298,21 +301,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         payload, code = _COMMANDS[args.command](args)
-    except InputError as exc:
+    except MCVError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
-        print(f"mcvlie: input error: {exc}", file=sys.stderr)
-        return 1
-    except PreconditionError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        print(f"mcvlie: precondition failed: {exc}", file=sys.stderr)
-        return 2
-    except InternalInvariantError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        print(f"mcvlie: internal invariant breached: {exc}", file=sys.stderr)
-        return 3
-    except MCVError as exc:  # future error classes default to input errors
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return 1
+        if exc.label:
+            print(f"mcvlie: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     if args.format == "text":
         print(_render_text(payload))
     else:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import lcm
+from operator import mul
 
 from .errors import InputError, InternalInvariantError, PreconditionError
 
@@ -20,24 +22,42 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+# Python prints integers of at most 4300 digits by default; a decimal
+# exponent beyond that would build a number no output could show
+MAX_EXPONENT = 4300
+
+
 def rat(x) -> Fraction:
     """Coerce ints, Fractions and strings like "-3/7" or "5" to Fraction;
-    anything else, booleans included, is an InputError."""
+    anything else, booleans included, is an InputError, and so is a string
+    whose decimal exponent exceeds MAX_EXPONENT in size."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        text = x.replace("−", "-").strip()
+        if "e" in text or "E" in text:
+            try:
+                exponent = abs(int(text.lower().partition("e")[2]))
+            except ValueError:
+                exponent = 0  # malformed: Fraction rejects it below
+            if exponent > MAX_EXPONENT:
+                raise InputError(f"exponent larger than {MAX_EXPONENT} in {x!r}")
         try:
-            return Fraction(x.replace("−", "-").strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational: {x!r}") from exc
     raise InputError(f"not a rational: {x!r}")
 
 
 def rat_str(x: Fraction) -> str:
-    """Canonical string form: reduced, positive denominator, "p/q" or "p"."""
-    return str(x)
+    """Canonical string form: reduced, positive denominator, "p/q" or "p".
+    A number with more digits than Python prints is a PreconditionError."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise PreconditionError(f"result too large to print: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -65,17 +85,27 @@ class ExactMatrix:
                 raise InputError("ragged matrix rows")
         self.data = tuple(rows)
 
+    @classmethod
+    def _of(cls, data, rows: int, cols: int) -> "ExactMatrix":
+        """Trusted constructor for results computed here: data is already a
+        tuple of `rows` tuples of `cols` Fractions, so nothing is coerced or
+        checked.  Outside input goes through `ExactMatrix(data, shape)`."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.data = rows, cols, data
+        return m
+
     # -- constructors
 
     @staticmethod
     def zeros(r: int, c: int) -> "ExactMatrix":
-        return ExactMatrix([[_ZERO] * c for _ in range(r)], shape=(r, c))
+        return ExactMatrix._of(((_ZERO,) * c,) * r, r, c)
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(
-            [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)],
-            shape=(n, n),
+        return ExactMatrix._of(
+            tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)),
+            n,
+            n,
         )
 
     @staticmethod
@@ -83,9 +113,8 @@ class ExactMatrix:
         cols = [tuple(rat(x) for x in c) for c in cols]
         if any(len(c) != ambient for c in cols):
             raise InputError("column length does not match ambient dimension")
-        return ExactMatrix(
-            [[c[i] for c in cols] for i in range(ambient)],
-            shape=(ambient, len(cols)),
+        return ExactMatrix._of(
+            tuple(tuple(c[i] for c in cols) for i in range(ambient)), ambient, len(cols)
         )
 
     @staticmethod
@@ -94,9 +123,10 @@ class ExactMatrix:
         r = mats[0].rows
         if any(m.rows != r for m in mats):
             raise PreconditionError("hstack: row counts differ")
-        return ExactMatrix(
-            [sum((list(m.data[i]) for m in mats), []) for i in range(r)],
-            shape=(r, sum(m.cols for m in mats)),
+        return ExactMatrix._of(
+            tuple(tuple(x for m in mats for x in m.data[i]) for i in range(r)),
+            r,
+            sum(m.cols for m in mats),
         )
 
     @staticmethod
@@ -105,9 +135,8 @@ class ExactMatrix:
         c = mats[0].cols
         if any(m.cols != c for m in mats):
             raise PreconditionError("vstack: column counts differ")
-        return ExactMatrix(
-            [row for m in mats for row in m.data],
-            shape=(sum(m.rows for m in mats), c),
+        return ExactMatrix._of(
+            tuple(row for m in mats for row in m.data), sum(m.rows for m in mats), c
         )
 
     @staticmethod
@@ -142,33 +171,73 @@ class ExactMatrix:
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise PreconditionError("matrix addition: shape mismatch")
-        return ExactMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            shape=(self.rows, self.cols),
+        return ExactMatrix._of(
+            tuple(
+                tuple(a + b if a and b else a or b for a, b in zip(r1, r2))  # 0 + b is b
+                for r1, r2 in zip(self.data, other.data)
+            ),
+            self.rows,
+            self.cols,
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + (-other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise PreconditionError("matrix subtraction: shape mismatch")
+        return ExactMatrix._of(
+            tuple(
+                tuple(a - b if b else a for a, b in zip(r1, r2))
+                for r1, r2 in zip(self.data, other.data)
+            ),
+            self.rows,
+            self.cols,
+        )
 
     def __neg__(self) -> "ExactMatrix":
         return self.scale(-1)
 
     def scale(self, a) -> "ExactMatrix":
         a = rat(a)
-        return ExactMatrix(
-            [[a * x for x in row] for row in self.data], shape=(self.rows, self.cols)
+        return ExactMatrix._of(
+            tuple(tuple(a * x for x in row) for row in self.data), self.rows, self.cols
         )
 
     def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            if self.cols != other.rows:
-                raise PreconditionError("matrix product: inner dimensions differ")
-            bt = other.transpose().data
-            return ExactMatrix(
-                [[_dot(r, c) for c in bt] for r in self.data],
-                shape=(self.rows, other.cols),
+        """Matrix product on integers.  Each left row and right column is
+        cleared of denominators by their lcm; entry (i, j) is the integer
+        product of row i and column j divided by the two lcms.  A sparse left
+        row sums its multiples of the (column-scaled) right rows instead."""
+        if not isinstance(other, ExactMatrix):
+            return self.scale(other)
+        if self.cols != other.rows:
+            raise PreconditionError("matrix product: inner dimensions differ")
+        if not self.cols or not other.cols:
+            return ExactMatrix.zeros(self.rows, other.cols)
+        icols, dens = zip(*[_cleared(c) for c in zip(*other.data)])
+        irows = list(zip(*icols))
+        zero_row = (_ZERO,) * other.cols
+        out = []
+        for row in self.data:
+            ints, da = _cleared(row)
+            nz = [k for k, x in enumerate(ints) if x]
+            if not nz:
+                out.append(zero_row)
+                continue
+            if 2 * len(nz) > len(ints):
+                sums = [sum(map(mul, ints, c)) for c in icols]
+            else:
+                k = nz[0]
+                a = ints[k]
+                sums = [a * y for y in irows[k]]
+                for k in nz[1:]:
+                    a = ints[k]
+                    sums = [x + a * y for x, y in zip(sums, irows[k])]
+            out.append(
+                tuple(
+                    _ZERO if not s else Fraction(s) if da * db == 1 else Fraction(s, da * db)
+                    for s, db in zip(sums, dens)
+                )
             )
-        return self.scale(other)
+        return ExactMatrix._of(tuple(out), self.rows, other.cols)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -181,21 +250,21 @@ class ExactMatrix:
         return tuple(_dot(row, v) for row in self.data)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            shape=(self.cols, self.rows),
-        )
+        if not self.rows:
+            return ExactMatrix.zeros(self.cols, 0)
+        return ExactMatrix._of(tuple(zip(*self.data)), self.cols, self.rows)
 
     def add_scaled_identity(self, a) -> "ExactMatrix":
         if not self.is_square:
             raise PreconditionError("shifted identity needs a square matrix")
         a = rat(a)
-        return ExactMatrix(
-            [
-                [x + a if i == j else x for j, x in enumerate(row)]
+        return ExactMatrix._of(
+            tuple(
+                tuple(x + a if i == j else x for j, x in enumerate(row))
                 for i, row in enumerate(self.data)
-            ],
-            shape=(self.rows, self.cols),
+            ),
+            self.rows,
+            self.cols,
         )
 
     def trace(self) -> Fraction:
@@ -223,57 +292,97 @@ class ExactMatrix:
     # -- eliminations
 
     def rref(self):
-        """Reduced row echelon form; returns (matrix, pivot column indices)."""
-        m = [list(row) for row in self.data]
+        """Reduced row echelon form; returns (matrix, pivot column indices).
+
+        Fraction-free Gauss-Jordan: rows are cleared of denominators and
+        kept primitive, a row is reduced as p·row − f·pivot_row, and the
+        Fractions are made at the end by dividing each pivot row by its
+        pivot.  The reduced form is unique, so it equals the one reached by
+        elimination over Q."""
         nr, nc = self.rows, self.cols
+        m = [_primitive(_cleared(row)[0]) for row in self.data]
         pivots = []
         r = 0
         for c in range(nc):
-            pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
+            pr = next((i for i in range(r, nr) if m[i][c]), None)
             if pr is None:
                 continue
             m[r], m[pr] = m[pr], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
+            prow = m[r]
+            p = prow[c]
             for i in range(nr):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                f = m[i][c]
+                if f and i != r:
+                    g = int_gcd(p, f)
+                    a, b = p // g, f // g
+                    m[i] = _primitive([a * x - b * y for x, y in zip(m[i], prow)])
             pivots.append(c)
             r += 1
             if r == nr:
                 break
-        return ExactMatrix(m, shape=(nr, nc)), tuple(pivots)
+        data = [
+            tuple(_ZERO if not x else Fraction(x, p) for x in row)
+            for row, p in ((m[k], m[k][c]) for k, c in enumerate(pivots))
+        ]
+        data += [(_ZERO,) * nc] * (nr - r)
+        return ExactMatrix._of(tuple(data), nr, nc), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def det(self) -> Fraction:
-        """Determinant by fraction-free Bareiss elimination."""
+        """Determinant by fraction-free Bareiss elimination on the rows
+        cleared of denominators, divided back by the row scales."""
         if not self.is_square:
             raise PreconditionError("determinant needs a square matrix")
         n = self.rows
         if n == 0:
             return _ONE
-        m = [list(row) for row in self.data]
+        m = []
+        num = den = 1
+        for row in self.data:
+            ints, d = _cleared(row)
+            g = int_gcd(*ints)
+            if not g:
+                return _ZERO
+            m.append([x // g for x in ints])
+            num *= g
+            den *= d
         sign = 1
-        prev = _ONE
+        prev = 1
         for k in range(n - 1):
-            if m[k][k] == 0:
-                pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if not m[k][k]:
+                pr = next((i for i in range(k + 1, n) if m[i][k]), None)
                 if pr is None:
                     return _ZERO
                 m[k], m[pr] = m[pr], m[k]
                 sign = -sign
+            mk = m[k]
+            p = mk[k]
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-                m[i][k] = _ZERO
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+                mi = m[i]
+                f = mi[k]
+                mi[k + 1:] = [(x * p - f * y) // prev for x, y in zip(mi[k + 1:], mk[k + 1:])]
+                mi[k] = 0
+            prev = p
+        return Fraction(sign * m[n - 1][n - 1] * num, den)
 
     def is_invertible(self) -> bool:
         return self.is_square and self.det() != 0
+
+
+def _cleared(row):
+    """(integers, d): the row times the lcm d of its denominators."""
+    d = lcm(*[x.denominator for x in row])
+    if d == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _primitive(ints):
+    """The integer row divided by the gcd of its entries (a zero row as is)."""
+    g = int_gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def _dot(a, b) -> Fraction:
@@ -289,7 +398,7 @@ def solve_right(a: ExactMatrix, b: ExactMatrix):
     for r, p in enumerate(pivots):
         for j in range(b.cols):
             x[p][j] = aug.data[r][a.cols + j]
-    return ExactMatrix(x, shape=(a.cols, b.cols))
+    return ExactMatrix._of(tuple(map(tuple, x)), a.cols, b.cols)
 
 
 def right_inverse(m: ExactMatrix) -> ExactMatrix:
@@ -402,7 +511,7 @@ def quotient_map(ambient_dim: int, s: Subspace):
         for j, p in enumerate(s.pivots):
             row[p] = -s.basis.data[r][j]
         rows.append(row)
-    return ExactMatrix(rows, shape=(len(nonpivot), ambient_dim)), len(nonpivot)
+    return ExactMatrix._of(tuple(map(tuple, rows)), len(nonpivot), ambient_dim), len(nonpivot)
 
 
 def subspace_meet(s1: Subspace, s2: Subspace) -> Subspace:
@@ -578,30 +687,36 @@ class Poly:
         return out
 
     def rational_roots(self):
-        """All rational roots, via the rational root theorem."""
+        """All rational roots, sorted, found without factoring an integer.
+
+        Let h be the squarefree part of the polynomial with its factors x
+        removed, cleared to integer coefficients with leading coefficient a.
+        A rational root x of h has a·x ∈ Z, so the roots are y/a for the
+        integer roots y of the monic integer G(y) = a^(n−1)·h(y/a); those are
+        isolated by bisecting integer intervals with a Sturm chain."""
         if self.is_zero():
             raise PreconditionError("the zero polynomial has every root")
-        cs = list(self.coeffs)
-        roots = []
+        cs = self.coeffs
         low = 0
         while cs[low] == 0:
             low += 1
-        if low > 0:
-            roots.append(_ZERO)
-            cs = cs[low:]
-        if len(cs) <= 1:
-            return sorted(set(roots))
-        den = 1
-        for c in cs:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        ints = [int(c * den) for c in cs]
-        p0, pn = abs(ints[0]), abs(ints[-1])
-        for p in _divisors(p0):
-            for q in _divisors(pn):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if self.eval(cand) == 0:
-                        roots.append(cand)
-        return sorted(set(roots))
+        roots = [_ZERO] if low else []
+        f = Poly(cs[low:])
+        if f.degree < 1:
+            return roots
+        h = f.exact_div(f.gcd(f.derivative()))
+        ints, _ = _cleared(h.coeffs)
+        n, a = h.degree, ints[-1]
+        if n == 1:
+            roots.append(Fraction(-ints[0], a))
+        else:
+            g = [c * a ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+            bound = abs(a) + max(abs(c) for c in ints[:-1])  # |y| = |a·x|, Cauchy
+            roots += [Fraction(y, a) for y in _integer_roots(g, bound)]
+        return sorted(roots)
+
+    def derivative(self) -> "Poly":
+        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -625,18 +740,54 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _divisors(n: int):
-    if n == 0:
-        return []
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _integer_roots(g, bound: int):
+    """Integer roots in [−bound, bound] of a squarefree monic integer
+    polynomial g (coefficients lowest degree first, degree at least 1).
+
+    A Sturm chain counts the distinct real roots in (lo, hi] as V(lo) − V(hi),
+    V the number of sign changes.  Intervals are halved until each holds one
+    root, which is simple, so g changes sign across it and its interval is
+    halved further on the sign of g alone.  A unit interval (k − 1, k] holds
+    an integer root only at k."""
+    chain = [Poly(g)]
+    chain.append(chain[0].derivative())
+    while chain[-1].degree > 0:
+        chain.append(-chain[-2].divmod(chain[-1])[1])
+    chain = [_cleared(p.coeffs)[0] for p in chain]  # positive scales keep signs
+
+    def changes(x):
+        signs = [s for s in (_horner(p, x) for p in chain) if s]
+        return sum((u < 0) != (v < 0) for u, v in zip(signs, signs[1:]))
+
+    roots = []
+    todo = [(-bound - 1, bound, changes(-bound - 1), changes(bound))]
+    while todo:
+        lo, hi, vlo, vhi = todo.pop()
+        if vlo - vhi > 1 and hi - lo > 1:
+            mid = (lo + hi) // 2
+            vmid = changes(mid)
+            todo += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+        elif vlo != vhi:  # one root, or a unit interval
+            ghi = _horner(g, hi)
+            while hi - lo > 1 and ghi:
+                mid = (lo + hi) // 2
+                gmid = _horner(g, mid)
+                if gmid and (gmid < 0) == (ghi < 0):
+                    hi, ghi = mid, gmid
+                elif gmid:
+                    lo = mid
+                else:
+                    hi, ghi = mid, 0
+            if not ghi:
+                roots.append(hi)
+    return roots
+
+
+def _horner(coeffs, x):
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
 
 def charpoly(a: ExactMatrix) -> Poly:

@@ -346,10 +346,6 @@ def theta(i: int, j: int, n: int) -> Derivation:
     return Derivation(n, {i: bracket(xi, xj), j: bracket(xj, xi)})
 
 
-def apply_derivation(d: Derivation, e: LieElement) -> LieElement:
-    return d.apply(e)
-
-
 # ---------------------------------------------------------------------------
 # Bracket words in the A_{i,j} generators
 

@@ -107,9 +107,9 @@ def check_integrability(system: PfaffianSystem) -> list:
         for k, (hid, a) in enumerate(zip(flat.family, mats)):
             if k == len(mats) - 1 and not failed:
                 break  # the commutators sum to [T, T] = 0
-            comm = a * total - total * a
-            if not comm.is_zero():
-                failed.append(IntegrabilityViolation(flat.family, hid, comm))
+            left, right = a * total, total * a
+            if left != right:
+                failed.append(IntegrabilityViolation(flat.family, hid, left - right))
         violations.extend(failed)
     return violations
 

@@ -1,10 +1,13 @@
 import io
 import json
 import os
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from mcvlie import cli
 from mcvlie.cli import main
+from mcvlie.errors import InternalInvariantError, MCVError
 
 DATA = Path(__file__).parent / "data"
 
@@ -228,3 +231,63 @@ def test_json_boolean_or_float_is_not_a_count(monkeypatch):
     arr["dim"] = 2.5
     code, doc = _run_stdin(monkeypatch, arr, "closure", "--line", "1,1")
     assert code == 1 and "not an integer" in doc["error"]
+
+
+def test_analyze_big_1x1_finds_planted_root_in_budget(monkeypatch):
+    # the root of the defect c - x is found without factoring the entry
+    for entry in (str(10**19 + 7), "-" + str(10**39 + 9) + "/7"):
+        start = time.perf_counter()
+        code, doc = _run_stdin(monkeypatch, {"matrices": [[[entry]]]}, "analyze")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert doc["stars"]["star_witnesses"] == [
+            {"generator": 0, "c": entry, "vector": ["1"]}
+        ]
+
+
+def _raise(exc):
+    def command(args):
+        raise exc
+    return command
+
+
+def test_error_classes_keep_exit_codes_and_stderr_prefixes(monkeypatch):
+    code, out, err = run_cli("mc", "--line", "0,1", "--input", str(DATA / "threelines.json"))
+    assert code == 1 and err.startswith("mcvlie: input error: ")
+    code, out, err = run_cli(
+        "rh-check", "--lambda", "0", "--line", "0,1", "--input", str(DATA / "threelines.json")
+    )
+    assert code == 2 and err == f"mcvlie: precondition failed: {json.loads(out)['error']}\n"
+    monkeypatch.setitem(cli._COMMANDS, "freelie", _raise(InternalInvariantError("broken")))
+    code, out, err = run_cli("freelie", "verify", "--n", "3", "--degree", "2")
+    assert (code, json.loads(out), err) == (
+        3, {"error": "broken"}, "mcvlie: internal invariant breached: broken\n"
+    )
+    monkeypatch.setitem(cli._COMMANDS, "freelie", _raise(MCVError("other")))
+    code, out, err = run_cli("freelie", "verify", "--n", "3", "--degree", "2")
+    assert (code, json.loads(out), err) == (1, {"error": "other"}, "")
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+    run_cli("freelie", "verify", "--n", "3", "--degree", "2")
+    code, out, _ = run_cli("freelie", "verify", "--n", "3", "--degree", "3")
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_numbers_beyond_the_printable_size_keep_the_contract(monkeypatch):
+    # a 5000-digit JSON integer cannot even be parsed: an input error
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"matrices": [[[' + "7" * 5000 + "]]]}"))
+    code, out, err = run_cli("analyze", "--input", "-")
+    assert code == 1 and "Traceback" not in err and "cannot read input" in json.loads(out)["error"]
+    # an exponent beyond the cap is refused before the number is built
+    code, doc = _run_stdin(monkeypatch, {"matrices": [[["1e9999999999"]]]}, "analyze")
+    assert code == 1 and "exponent larger than 4300" in doc["error"]
+    # a result with more digits than Python prints is a precondition failure:
+    # here the commutator [H1, H2] holds 10^4400
+    axes = json.loads((DATA / "two_axes.json").read_text(encoding="utf-8"))
+    big = "1e2200"
+    system = {"arrangement": axes, "rank": 2,
+              "residues": {"H1": [[big, big], ["0", "0"]], "H2": [["0", "0"], [big, big]]}}
+    code, doc = _run_stdin(monkeypatch, system, "check")
+    assert code == 2 and doc["error"].startswith("result too large to print")

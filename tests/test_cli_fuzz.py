@@ -1,0 +1,114 @@
+"""Property test of the CLI contract on arbitrary JSON input: every run of
+`analyze` and `check` exits 0, 1, 2 or 3, prints exactly one JSON document
+on stdout and no traceback, within a per-example deadline."""
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from mcvlie.cli import main  # noqa: E402
+
+BIG = 10**40
+
+# JSON numbers and strings that parse as rationals, huge ones included
+rationals = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-BIG, BIG),
+    st.integers(-BIG, BIG).map(str),
+    st.fractions(min_value=-BIG, max_value=BIG, max_denominator=10**30).map(str),
+)
+# anything JSON can hold, wrong types and malformed rationals included
+scalars = st.one_of(
+    rationals,
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+    st.sampled_from(
+        ["1/0", "1/", "-", "3/-7", " 2 ", "1e3", "−3/7", "0x10", "1e99999", "2e4300"]
+    ),
+)
+any_json = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+def _square(d, entries):
+    return st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d)
+
+
+tuples = st.integers(1, 3).flatmap(
+    lambda d: st.lists(_square(d, rationals), min_size=1, max_size=3)
+)
+
+
+@st.composite
+def systems(draw):
+    """Systems of 1-4 lines in the plane with random residues: sometimes
+    integrable, mostly not, with the occasional malformed field."""
+    n = draw(st.integers(1, 4))
+    rank = draw(st.integers(1, 2))
+    small = st.integers(-2, 2)
+    planes = [
+        {"id": f"H{i}", "normal": [draw(small), draw(small)], "offset": draw(small)}
+        for i in range(n)
+    ]
+    residues = {p["id"]: draw(_square(rank, rationals)) for p in planes}
+    doc = {"arrangement": {"dim": 2, "hyperplanes": planes}, "rank": rank,
+           "residues": residues}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(["rank", "residues", "arrangement"]))
+        doc[key] = draw(any_json)
+    return doc
+
+
+def _run(argv, payload):
+    out, err = io.StringIO(), io.StringIO()
+    old_stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(payload))
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["--input", "-"])
+    finally:
+        sys.stdin = old_stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_contract(code, out, err):
+    assert code in (0, 1, 2, 3)
+    json.loads(out)  # exactly one JSON document, nothing after it
+    assert "Traceback" not in err
+
+
+FUZZ = settings(
+    max_examples=120,
+    deadline=3000,  # milliseconds per example
+    derandomize=True,  # the same examples on every run: a stable gate
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@FUZZ
+@given(st.one_of(any_json, tuples.map(lambda m: {"matrices": m}),
+                 st.builds(lambda x: {"matrices": x}, any_json)))
+def test_analyze_contract(payload):
+    _check_contract(*_run(["analyze"], payload))
+
+
+@FUZZ
+@given(st.one_of(any_json, systems()))
+def test_check_contract(payload):
+    _check_contract(*_run(["check"], payload))

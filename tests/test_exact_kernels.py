@@ -1,0 +1,366 @@
+"""The integer kernels under ExactMatrix and the Burnside span against the
+plain Fraction algorithms they replaced, kept here as reference
+implementations, on seeded random rational inputs."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+from mcvlie.analysis import _IncrementalSpan, is_irreducible
+from mcvlie.exactcore import ExactMatrix, Poly
+
+F = Fraction
+_ZERO = F(0)
+
+
+# -- reference implementations (exact, over Fractions) -----------------------
+
+
+def ref_mul(a: ExactMatrix, b: ExactMatrix):
+    cols = [b.col(j) for j in range(b.cols)]
+    return [
+        [sum((x * y for x, y in zip(row, c) if x and y), _ZERO) for c in cols]
+        for row in a.data
+    ]
+
+
+def ref_rref(a: ExactMatrix):
+    m = [list(row) for row in a.data]
+    nr, nc = a.rows, a.cols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return m, tuple(pivots)
+
+
+def ref_det(a: ExactMatrix):
+    n = a.rows
+    if n == 0:
+        return F(1)
+    m = [list(row) for row in a.data]
+    sign, prev = 1, F(1)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pr is None:
+                return F(0)
+            m[k], m[pr] = m[pr], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+            m[i][k] = F(0)
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+class RefSpan:
+    """Echelon rows over Q, each scaled to pivot 1."""
+
+    def __init__(self):
+        self.rows, self.pivots = [], []
+
+    def add(self, vec) -> bool:
+        v = [F(x) for x in vec]
+        for row, p in zip(self.rows, self.pivots):
+            if v[p]:
+                f = v[p]
+                v = [x - f * y for x, y in zip(v, row)]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        v = [x / v[piv] for x in v]
+        at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
+        self.rows.insert(at, v)
+        self.pivots.insert(at, piv)
+        return True
+
+
+def ref_is_irreducible(mats) -> bool:
+    d = mats[0].rows
+    if d == 1:
+        return True
+    span = RefSpan()
+    frontier = [ExactMatrix.identity(d)]
+    span.add([x for row in frontier[0].data for x in row])
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for a in mats:
+                p = ExactMatrix(ref_mul(m, a), shape=(d, d))
+                if span.add([x for row in p.data for x in row]):
+                    nxt.append(p)
+        frontier = nxt
+    return len(span.rows) == d * d
+
+
+def ref_rational_roots(p: Poly):
+    """Rational root theorem by trial division (small coefficients only)."""
+    cs = list(p.coeffs)
+    roots = set()
+    low = 0
+    while cs[low] == 0:
+        low += 1
+    if low:
+        roots.add(F(0))
+        cs = cs[low:]
+    if len(cs) <= 1:
+        return sorted(roots)
+    den = 1
+    for c in cs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in cs]
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    for num in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            for cand in (F(num, q), F(-num, q)):
+                if p.eval(cand) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+# -- random inputs -----------------------------------------------------------
+
+COPRIME_DENS = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def rand_entry(rng, style):
+    if style == "small":
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+    if style == "coprime":  # negative and pairwise coprime denominators
+        return F(rng.randint(-9, 9), rng.choice(COPRIME_DENS) * rng.choice((1, -1)))
+    if style == "sparse":
+        return F(rng.choice((0, 0, 0, 0, 1, 1, 2, -1)))
+    if style == "big":  # 30-digit numerators and denominators
+        return F(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+    raise ValueError(style)
+
+
+STYLES = ("small", "coprime", "sparse", "big")
+
+
+def rand_matrix(rng, r, c, style):
+    rows = [[rand_entry(rng, style) for _ in range(c)] for _ in range(r)]
+    if r and c and rng.random() < 0.3:  # a zero row or a zero column
+        if rng.random() < 0.5:
+            rows[rng.randrange(r)] = [F(0)] * c
+        else:
+            j = rng.randrange(c)
+            for row in rows:
+                row[j] = F(0)
+    return ExactMatrix(rows, shape=(r, c))
+
+
+def rand_low_rank(rng, r, c, style):
+    """A product of two random factors, so that rank deficiency is common."""
+    k = rng.randint(0, min(r, c))
+    if k == 0:
+        return ExactMatrix.zeros(r, c)
+    left = rand_matrix(rng, r, k, style)
+    right = rand_matrix(rng, k, c, style)
+    return ExactMatrix(ref_mul(left, right), shape=(r, c))
+
+
+def all_fractions(m: ExactMatrix) -> bool:
+    return all(type(x) is Fraction for row in m.data for x in row)
+
+
+def assert_like_public(m: ExactMatrix):
+    """Entries are Fractions and the matrix is ==/hash-equal to the same data
+    given to the public constructor."""
+    assert all_fractions(m)
+    public = ExactMatrix([list(row) for row in m.data], shape=(m.rows, m.cols))
+    assert m == public and hash(m) == hash(public)
+    assert len(m.data) == m.rows and all(len(row) == m.cols for row in m.data)
+
+
+# -- products ----------------------------------------------------------------
+
+
+def test_product_matches_fraction_oracle():
+    rng = random.Random(101)
+    for t in range(240):
+        style = STYLES[t % len(STYLES)]
+        r, k, c = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a = rand_matrix(rng, r, k, style)
+        b = rand_matrix(rng, k, c, rng.choice(STYLES))
+        p = a * b
+        assert (p.rows, p.cols) == (r, c)
+        assert p == ExactMatrix(ref_mul(a, b), shape=(r, c))
+        assert_like_public(p)
+
+
+def test_product_on_empty_and_zero_shapes():
+    rng = random.Random(102)
+    for r, k, c in [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (0, 0, 3), (3, 0, 0)]:
+        a = rand_matrix(rng, r, k, "small")
+        b = rand_matrix(rng, k, c, "small")
+        p = a * b
+        assert p == ExactMatrix.zeros(r, c)
+        assert_like_public(p)
+
+
+def test_sums_scales_and_transposes_are_like_public():
+    rng = random.Random(103)
+    for t in range(60):
+        style = STYLES[t % len(STYLES)]
+        r, c = rng.randint(0, 4), rng.randint(0, 4)
+        a, b = rand_matrix(rng, r, c, style), rand_matrix(rng, r, c, style)
+        s = rand_entry(rng, style)
+        expected_sum = [[x + y for x, y in zip(u, v)] for u, v in zip(a.data, b.data)]
+        expected_diff = [[x - y for x, y in zip(u, v)] for u, v in zip(a.data, b.data)]
+        for got, want in [
+            (a + b, expected_sum),
+            (a - b, expected_diff),
+            (-a, [[-x for x in row] for row in a.data]),
+            (a.scale(s), [[s * x for x in row] for row in a.data]),
+            (a.transpose(), [list(a.col(j)) for j in range(c)]),
+        ]:
+            assert_like_public(got)
+            assert got == ExactMatrix(want, shape=(got.rows, got.cols))
+        assert a.transpose().transpose() == a
+        for m in (ExactMatrix.hstack([a, b]), ExactMatrix.vstack([a, b])):
+            assert_like_public(m)
+        if r == c:
+            assert_like_public(a.add_scaled_identity(s))
+            assert_like_public(ExactMatrix.identity(r))
+
+
+# -- elimination -------------------------------------------------------------
+
+
+def test_rref_matches_fraction_oracle():
+    rng = random.Random(104)
+    for t in range(240):
+        style = STYLES[t % len(STYLES)]
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        a = rand_low_rank(rng, r, c, style) if t % 3 == 0 else rand_matrix(rng, r, c, style)
+        red, pivots = a.rref()
+        ref_red, ref_pivots = ref_rref(a)
+        assert pivots == ref_pivots
+        assert red == ExactMatrix(ref_red, shape=(r, c))
+        assert_like_public(red)
+        assert a.rank() == len(ref_pivots)
+
+
+def test_rref_on_empty_shapes():
+    for r, c in [(0, 0), (0, 3), (3, 0)]:
+        red, pivots = ExactMatrix.zeros(r, c).rref()
+        assert pivots == () and red == ExactMatrix.zeros(r, c)
+
+
+def test_det_matches_fraction_oracle():
+    rng = random.Random(105)
+    for t in range(200):
+        style = STYLES[t % len(STYLES)]
+        n = rng.randint(0, 6)
+        a = rand_low_rank(rng, n, n, style) if t % 4 == 0 else rand_matrix(rng, n, n, style)
+        d = a.det()
+        assert type(d) is Fraction
+        assert d == ref_det(a)
+        assert a.is_invertible() == (d != 0)
+
+
+# -- Burnside span -----------------------------------------------------------
+
+
+def test_incremental_span_matches_fraction_oracle():
+    rng = random.Random(106)
+    for _ in range(60):
+        width = rng.randint(1, 9)
+        span, ref = _IncrementalSpan(width), RefSpan()
+        basis = [[rng.randint(-10**12, 10**12) for _ in range(width)]
+                 for _ in range(rng.randint(1, width))]
+        for _ in range(2 * width):
+            if rng.random() < 0.5:  # a combination of the basis: often dependent
+                coeffs = [rng.randint(-3, 3) for _ in basis]
+                vec = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(width)]
+            else:
+                vec = [rng.choice((0, 0, 1, -2, 7)) for _ in range(width)]
+            assert span.add(vec) == ref.add(vec)
+        assert span.pivots == ref.pivots
+        for row, ref_row, p in zip(span.rows, ref.rows, span.pivots):
+            assert all(type(x) is int for x in row)
+            assert [F(x, row[p]) for x in row] == ref_row
+
+
+def _block_triangular(rng, n, d, style):
+    k = rng.randint(1, d - 1)
+    mats = []
+    for _ in range(n):
+        m = [list(row) for row in rand_matrix(rng, d, d, style).data]
+        for i in range(k, d):
+            for j in range(k):
+                m[i][j] = F(0)
+        mats.append(ExactMatrix(m, shape=(d, d)))
+    return mats
+
+
+def test_is_irreducible_matches_fraction_oracle():
+    rng = random.Random(107)
+    for t in range(40):
+        style = ("small", "coprime", "sparse")[t % 3]
+        n, d = rng.randint(1, 3), rng.randint(1, 4)
+        if d > 1 and t % 2:
+            mats = _block_triangular(rng, n, d, style)
+        else:
+            mats = [rand_matrix(rng, d, d, style) for _ in range(n)]
+        assert is_irreducible(mats) == ref_is_irreducible(mats)
+
+
+# -- rational roots ----------------------------------------------------------
+
+
+def test_rational_roots_match_trial_division():
+    rng = random.Random(108)
+    for _ in range(300):
+        p = Poly([rng.choice((1, -1, 2, F(1, 2)))])
+        for _ in range(rng.randint(0, 4)):  # linear factors, repeats allowed
+            p = p * Poly([F(rng.randint(-6, 6), rng.randint(1, 4)), rng.choice((1, -1, 2, 3))])
+        if rng.random() < 0.5:  # an irreducible or real-rootless quadratic
+            p = p * Poly([rng.choice((2, 3, -2, 1)), 0, 1])
+        if rng.random() < 0.3:
+            p = p * Poly([F(rng.randint(-3, 3), rng.randint(1, 3)), 1, 1])
+        roots = p.rational_roots()
+        assert roots == ref_rational_roots(p)
+        assert all(type(x) is Fraction for x in roots)
+
+
+def test_rational_roots_of_big_planted_factors():
+    rng = random.Random(109)
+    for digits in (12, 20, 40, 60):
+        for _ in range(5):
+            planted = sorted({F(rng.randint(-10**digits, 10**digits), rng.randint(1, 10**6))
+                              for _ in range(rng.randint(1, 3))})
+            p = Poly([rng.randint(1, 10**digits), 0, 1])  # no real roots
+            for r in planted:
+                p = p * Poly([-r, 1]) * Poly([-r, 1])  # a double root
+            assert p.rational_roots() == planted
+
+
+def test_rational_roots_edge_cases():
+    assert Poly([5]).rational_roots() == []
+    assert Poly([0, 0, 3]).rational_roots() == [0]
+    assert Poly([F(-3, 7), 1]).rational_roots() == [F(3, 7)]
+    assert Poly([-2, 0, 1]).rational_roots() == []  # ±√2
+    assert Poly([0, -1, 0, 1]).rational_roots() == [-1, 0, 1]
+    # x³ − 2(10x − 1)²: two irrational roots inside (0, 1], near 1/10
+    assert Poly([-2, 40, -200, 1]).rational_roots() == []
+    assert (Poly([-2, 40, -200, 1]) * Poly([-1, 10])).rational_roots() == [F(1, 10)]
