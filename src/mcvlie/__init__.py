@@ -52,7 +52,6 @@ from .exactcore import (
     PolyMatrix,
     Subspace,
     charpoly,
-    induced_on_quotient,
     integer_spectrum_hits,
     kernel,
     pencil_full_rank,

@@ -13,7 +13,6 @@ from operator import mul
 
 from .arrangement import Line, split_parallel
 from .convolution import (
-    dr_convolution,
     dr_middle_convolution,
     induce_on_quotients,
     phi_compose,
@@ -23,11 +22,11 @@ from .errors import InternalInvariantError, PreconditionError
 from .exactcore import (
     ExactMatrix,
     Poly,
-    PolyMatrix,
+    Subspace,
     _cleared,
+    charpoly,
     integer_spectrum_hits,
     kernel,
-    pencil_full_rank,
     rat,
     rat_str,
 )
@@ -80,14 +79,37 @@ def _poly_json(p: Poly):
     return [rat_str(c) for c in p.coeffs]
 
 
-def _star_pencil(mats, i: int) -> PolyMatrix:
-    """Stacked pencil whose kernel at c is the common kernel of A_i - c and
-    the other generators."""
-    blocks = [PolyMatrix.from_pencil(mats[i], Poly([0, -1]))]
-    blocks += [
-        PolyMatrix.from_pencil(a, Poly.zero()) for j, a in enumerate(mats) if j != i
-    ]
-    return PolyMatrix.vstack(blocks)
+def _star_defect(mats, i: int) -> Poly:
+    """Gcd of the maximal minors of the pencil [A_i - c; A_j (j != i)], by
+    the Hautus reduction: the characteristic polynomial of A_i restricted
+    to N = ker [C; C·A_i; ...; C·A_i^(d-1)], C the stack of the other
+    generators (Hautus, Indag. Math. 31, 1969).  N is the largest
+    A_i-invariant subspace of ker C; the pencil loses rank at c exactly
+    when A_i - c has a kernel vector in N.
+
+    The kernels N_k of the partial stacks [C; ...; C·A_i^k] shrink until
+    N_k = N_(k+1); then A_i·N_k lies in N_k, so N_k is N and the remaining
+    blocks are not built."""
+    a = mats[i]
+    others = [m for j, m in enumerate(mats) if j != i]
+    if others:
+        block = stack = ExactMatrix.vstack(others)
+        n_space = kernel(stack)
+        while n_space.dim:
+            block = block * a
+            stack = ExactMatrix.vstack([stack, block])
+            smaller = kernel(stack)
+            if smaller == n_space:
+                break
+            n_space = smaller
+    else:
+        n_space = Subspace.full(a.rows)
+    if not n_space.dim:
+        return Poly.one()
+    # the basis has identity rows at its pivots and N is A_i-invariant, so
+    # the restriction is read off those rows of A_i·basis
+    image = a * n_space.basis
+    return charpoly(ExactMatrix([image.row(p) for p in n_space.pivots]))
 
 
 def check_star_conditions(mats) -> StarReport:
@@ -96,45 +118,28 @@ def check_star_conditions(mats) -> StarReport:
     The kernel condition for generator i is full column rank of the
     vertically stacked pencil [A_i - c·Id; A_j (j != i)]; the image
     condition is full row rank of the horizontal stack, decided on the
-    transpose.  Rank can only drop at roots of the defect polynomial, so
-    the quantifier over all complex c is eliminated exactly.
+    transposes.  Rank drops exactly at the roots of the defect polynomial
+    (`_star_defect`), so the quantifier over all complex c is eliminated
+    exactly.
     """
     mats = [m for m in mats]
     if not mats:
         raise PreconditionError("need at least one matrix")
+    transposes = [m.transpose() for m in mats]
     star_defects, dstar_defects, witnesses = [], [], []
-    for i in range(len(mats)):
-        pencil = _star_pencil(mats, i)
-        full, defect = pencil_full_rank(pencil)
+    for i, a in enumerate(mats):
+        defect = _star_defect(mats, i)
         star_defects.append(defect)
-        if not full:
-            for c in defect.rational_roots() if not defect.is_zero() else [Fraction(0)]:
-                ker = kernel(pencil.eval(c))
-                if ker.dim:
-                    witnesses.append(
-                        StarWitness(generator=i, c=c, vector=ker.basis.col(0))
-                    )
-                    break
-        _, defect_t = pencil_full_rank(
-            PolyMatrix.vstack(
-                [
-                    PolyMatrix.from_pencil(mats[i], Poly([0, -1])).transpose()
-                    if j == i
-                    else PolyMatrix.from_pencil(mats[j], Poly.zero()).transpose()
-                    for j in range(len(mats))
-                ]
-            )
-        )
-        dstar_defects.append(defect_t)
-    holds_star = all(
-        d.is_constant() and not d.is_zero() for d in star_defects
-    )
-    holds_dstar = all(
-        d.is_constant() and not d.is_zero() for d in dstar_defects
-    )
+        roots = defect.rational_roots()
+        if roots:
+            c = roots[0]
+            others = [m for j, m in enumerate(mats) if j != i]
+            ker = kernel(ExactMatrix.vstack([a.add_scaled_identity(-c)] + others))
+            witnesses.append(StarWitness(generator=i, c=c, vector=ker.basis.col(0)))
+        dstar_defects.append(_star_defect(transposes, i))
     return StarReport(
-        holds_star=holds_star,
-        holds_dstar=holds_dstar,
+        holds_star=all(d.is_constant() for d in star_defects),
+        holds_dstar=all(d.is_constant() for d in dstar_defects),
         star_defects=tuple(star_defects),
         dstar_defects=tuple(dstar_defects),
         star_witnesses=tuple(witnesses),
@@ -400,7 +405,7 @@ def composition_harness(mats, lam, mu, seed: int = DEFAULT_SEED) -> CompositionR
     if not stars.holds:
         bad = next(
             (p for p in stars.star_defects + stars.dstar_defects
-             if p.is_zero() or not p.is_constant()),
+             if not p.is_constant()),
             None,
         )
         return CompositionReport(

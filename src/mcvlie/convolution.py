@@ -4,8 +4,10 @@ the arrangement version along a line, which enlarges a Pfaffian system to
 its Y-closure.
 
 Both share the same skeleton: the convolution multiplies the rank by the
-number of (transverse) hyperplanes; the middle convolution quotients by the
-kernel-block subspace and the joint kernel of the convolved generators.
+number of (transverse) hyperplanes, and the transverse block rows of the
+arrangement version are the tuple construction; both middle convolutions
+quotient, through one routine, by the kernel-block subspace and the joint
+kernel of the convolved generators.
 """
 
 from __future__ import annotations
@@ -62,26 +64,27 @@ def dr_convolution(mats, lam) -> list:
 
 
 def dr_k_l(mats, lam):
-    """The two canonical subspaces of the convolved space: k collects the
-    kernels of the inputs blockwise, l is the joint kernel of the convolved
-    generators.  At lam = 0 the joint kernel coincides with the relation
-    space {(v_i): sum A_i v_i = 0}, which is cross-checked."""
+    """The two canonical subspaces of the convolved space, in closed form:
+    k is the direct sum of the kernels ker A_i, and l, the joint kernel of
+    the convolved generators, is the diagonal copy {(v, ..., v) :
+    (sum A_j + lam)v = 0} for lam != 0 and the relation space
+    {(v_i) : sum A_i v_i = 0} at lam = 0.  At lam = 0 the relation space is
+    cross-checked against the joint kernel of the convolution."""
     mats, n, d = _validate_tuple(mats)
     lam = rat(lam)
-    conv = dr_convolution(mats, lam)
+    pad = (Fraction(0),) * d
     cols = []
     for i, a in enumerate(mats):
         ker = kernel(a)
         for j in range(ker.dim):
-            v = [Fraction(0)] * (n * d)
-            col = ker.basis.col(j)
-            for r in range(d):
-                v[i * d + r] = col[r]
-            cols.append(v)
+            cols.append(pad * i + ker.basis.col(j) + pad * (n - 1 - i))
     k = Subspace(n * d, columns=cols)
-    l = kernel(ExactMatrix.vstack(conv))
-    if lam == 0:
-        if l != kernel(ExactMatrix.hstack(mats)):
+    if lam != 0:
+        ker = kernel(sum(mats[1:], mats[0]).add_scaled_identity(lam))
+        l = Subspace(n * d, columns=[ker.basis.col(j) * n for j in range(ker.dim)])
+    else:
+        l = kernel(ExactMatrix.hstack(mats))
+        if l != kernel(ExactMatrix.vstack(dr_convolution(mats, lam))):
             raise InternalInvariantError(
                 "joint kernel at lam = 0 disagrees with the relation space"
             )
@@ -158,28 +161,51 @@ class MiddleConvolvedSystem:
 
 
 def _verify_invariant(mat: ExactMatrix, sub: Subspace, generator, which: str):
+    images = mat * sub.basis
     for j in range(sub.dim):
-        v = sub.basis.col(j)
-        img = mat.apply(v)
+        img = images.col(j)
         if not sub.contains(img):
             raise InvarianceError(
                 f"{which} is not invariant", generator=generator,
-                witness_vector=v, image=img,
+                witness_vector=sub.basis.col(j), image=img,
             )
 
 
-def _quotient_all(matrices, k: Subspace, l: Subspace):
-    w = subspace_sum(k, l)
-    direct = k.dim + l.dim == w.dim
-    proj, qdim = quotient_map(k.ambient_dim, w)
+def _quotient_all(matrices, w: Subspace):
+    """The projection onto the canonical complement of w, the quotient
+    dimension, and the matrices induced by w-invariant `matrices`: the
+    complement's section puts the quotient coordinates at w's non-pivot
+    rows, so each induced matrix is projection · (non-pivot columns)."""
+    proj, qdim = quotient_map(w.ambient_dim, w)
     pivot_set = set(w.pivots)
     nonpivot = [r for r in range(w.ambient_dim) if r not in pivot_set]
-    section = ExactMatrix.zeros(w.ambient_dim, qdim).to_lists()
-    for c, r in enumerate(nonpivot):
-        section[r][c] = Fraction(1)
-    section = ExactMatrix(section, shape=(w.ambient_dim, qdim))
-    induced = [proj * m * section for m in matrices]
-    return proj, qdim, direct, induced
+    induced = [
+        proj * ExactMatrix.from_cols([m.col(c) for c in nonpivot], m.rows)
+        for m in matrices
+    ]
+    return proj, qdim, induced
+
+
+def _middle(conv, labelled_generators, residues, lam) -> MiddleConvolvedSystem:
+    """Quotient of a convolution by K + L (see `dr_k_l`, on the residues
+    whose kernels make up K), after verifying that every convolved
+    generator, given as (label, matrix), leaves K and L invariant."""
+    k, l = dr_k_l(residues, lam)
+    for label, m in labelled_generators:
+        _verify_invariant(m, k, label, "kernel-block space K")
+        _verify_invariant(m, l, label, "joint kernel L")
+    w = subspace_sum(k, l)
+    labels, generators = zip(*labelled_generators)
+    proj, qdim, induced = _quotient_all(generators, w)
+    return MiddleConvolvedSystem(
+        conv=conv,
+        k_space=k,
+        l_space=l,
+        projection=proj,
+        matrices=dict(zip(labels, induced)) if isinstance(conv, ConvolvedSystem) else induced,
+        dim=qdim,
+        direct_sum=k.dim + l.dim == w.dim,
+    )
 
 
 def dr_middle_convolution(mats, lam) -> MiddleConvolvedSystem:
@@ -188,19 +214,11 @@ def dr_middle_convolution(mats, lam) -> MiddleConvolvedSystem:
     mats, n, d = _validate_tuple(mats)
     lam = rat(lam)
     conv = dr_convolution(mats, lam)
-    k, l = dr_k_l(mats, lam)
-    for i, c in enumerate(conv):
-        _verify_invariant(c, k, f"generator {i + 1}", "kernel-block space")
-        _verify_invariant(c, l, f"generator {i + 1}", "joint kernel")
-    proj, qdim, direct, induced = _quotient_all(conv, k, l)
-    return MiddleConvolvedSystem(
-        conv=ConvolvedTuple(base=mats, lam=lam, matrices=conv),
-        k_space=k,
-        l_space=l,
-        projection=proj,
-        matrices=induced,
-        dim=qdim,
-        direct_sum=direct,
+    return _middle(
+        ConvolvedTuple(base=mats, lam=lam, matrices=conv),
+        [(f"generator {i + 1}", c) for i, c in enumerate(conv)],
+        mats,
+        lam,
     )
 
 
@@ -234,26 +252,9 @@ def haraoka_convolution(system: PfaffianSystem, line: Line, lam) -> ConvolvedSys
     n = len(order)
     if n == 0:
         raise PreconditionError("no hyperplane is transverse to the line")
-    d = system.rank
-    zero = ExactMatrix.zeros(d, d)
+    zero = ExactMatrix.zeros(system.rank, system.rank)
     pos = {hid: i for i, hid in enumerate(order)}
-    matrices = {}
-
-    for i, hid in enumerate(order):
-        grid = []
-        for r in range(n):
-            if r == i:
-                grid.append(
-                    [
-                        ext.residue(order[j]).add_scaled_identity(lam)
-                        if j == i
-                        else ext.residue(order[j])
-                        for j in range(n)
-                    ]
-                )
-            else:
-                grid.append([zero] * n)
-        matrices[hid] = ExactMatrix.block(grid)
+    matrices = dict(zip(order, dr_convolution([ext.residue(h) for h in order], lam)))
 
     flats = codim2_flats(closure)
     for h in parallel:
@@ -294,33 +295,11 @@ def haraoka_middle_convolution(
     and L under every convolved matrix is verified and a failure carries an
     exact witness."""
     conv = haraoka_convolution(system, line, lam)
-    n, d = len(conv.order), system.rank
-    cols = []
-    for i, hid in enumerate(conv.order):
-        ker = kernel(system.residue(hid))
-        for j in range(ker.dim):
-            v = [Fraction(0)] * (n * d)
-            col = ker.basis.col(j)
-            for r in range(d):
-                v[i * d + r] = col[r]
-            cols.append(v)
-    k = Subspace(n * d, columns=cols)
-    l = kernel(ExactMatrix.vstack([conv.matrices[hid] for hid in conv.order]))
-    for hid in conv.closure.ids():
-        _verify_invariant(conv.matrices[hid], k, hid, "kernel-block space K")
-        _verify_invariant(conv.matrices[hid], l, hid, "joint kernel L")
-    ids = conv.closure.ids()
-    proj, qdim, direct, induced = _quotient_all(
-        [conv.matrices[hid] for hid in ids], k, l
-    )
-    return MiddleConvolvedSystem(
-        conv=conv,
-        k_space=k,
-        l_space=l,
-        projection=proj,
-        matrices=dict(zip(ids, induced)),
-        dim=qdim,
-        direct_sum=direct,
+    return _middle(
+        conv,
+        [(hid, conv.matrices[hid]) for hid in conv.closure.ids()],
+        [system.residue(hid) for hid in conv.order],
+        conv.lam,
     )
 
 

@@ -529,32 +529,6 @@ def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
     return Subspace(s1.ambient_dim, basis=ExactMatrix.hstack([s1.basis, s2.basis]))
 
 
-def induced_on_quotient(a: ExactMatrix, s: Subspace) -> ExactMatrix:
-    """Matrix of the map induced by a on the canonical complement of s.
-
-    Requires a·s ⊆ s; a violation is reported with a witness basis column.
-    """
-    if not a.is_square or a.rows != s.ambient_dim:
-        raise PreconditionError("induced_on_quotient: size mismatch")
-    for j in range(s.dim):
-        img = a.apply(s.basis.col(j))
-        if not s.contains(img):
-            raise InvarianceError(
-                "subspace is not invariant",
-                witness_vector=s.basis.col(j),
-                image=img,
-            )
-    proj, qdim = quotient_map(s.ambient_dim, s)
-    # section of proj: place quotient coordinates at the non-pivot rows
-    pivot_set = set(s.pivots)
-    nonpivot = [i for i in range(s.ambient_dim) if i not in pivot_set]
-    sec = ExactMatrix.zeros(s.ambient_dim, qdim).to_lists()
-    for k, r in enumerate(nonpivot):
-        sec[r][k] = _ONE
-    section = ExactMatrix(sec, shape=(s.ambient_dim, qdim))
-    return proj * a * section
-
-
 class InvarianceError(InternalInvariantError):
     """A subspace expected to be invariant was not; carries an exact witness."""
 

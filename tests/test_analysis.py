@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from mcvlie.analysis import (
+    StarReport,
+    StarWitness,
     are_isomorphic,
     check_star_conditions,
     composition_harness,
@@ -14,7 +16,7 @@ from mcvlie.analysis import (
 from mcvlie.arrangement import Arrangement, Line, canonicalize
 from mcvlie.convolution import dr_middle_convolution
 from mcvlie.errors import PreconditionError
-from mcvlie.exactcore import ExactMatrix, inverse
+from mcvlie.exactcore import ExactMatrix, Poly, PolyMatrix, inverse, kernel, pencil_full_rank
 from mcvlie.holonomy import PfaffianSystem
 
 F = Fraction
@@ -84,6 +86,103 @@ def test_star_decision_matches_sampling_oracle():
         mats = [rand_matrix(rng, d) for _ in range(n)]
         report = check_star_conditions(mats)
         _stars_sampling_oracle(mats, report, rng)
+
+
+def _minors_star_conditions(mats) -> StarReport:
+    """Reference decision of the genericity conditions: the defect is the
+    monic gcd of all maximal minors of the stacked polynomial pencil
+    [A_i - c; A_j (j != i)], and of the stacked transposes for the image
+    condition; a witness is a kernel vector at the first rational root."""
+    star_defects, dstar_defects, witnesses = [], [], []
+    for i in range(len(mats)):
+        blocks = [
+            PolyMatrix.from_pencil(a, Poly([0, -1]) if j == i else Poly.zero())
+            for j, a in enumerate(mats)
+        ]
+        pencil = PolyMatrix.vstack([blocks[i]] + blocks[:i] + blocks[i + 1:])
+        full, defect = pencil_full_rank(pencil)
+        star_defects.append(defect)
+        if not full:
+            for c in defect.rational_roots() if not defect.is_zero() else [F(0)]:
+                ker = kernel(pencil.eval(c))
+                if ker.dim:
+                    witnesses.append(StarWitness(generator=i, c=c, vector=ker.basis.col(0)))
+                    break
+        _, defect_t = pencil_full_rank(PolyMatrix.vstack([b.transpose() for b in blocks]))
+        dstar_defects.append(defect_t)
+    return StarReport(
+        holds_star=all(d.is_constant() and not d.is_zero() for d in star_defects),
+        holds_dstar=all(d.is_constant() and not d.is_zero() for d in dstar_defects),
+        star_defects=tuple(star_defects),
+        dstar_defects=tuple(dstar_defects),
+        star_witnesses=tuple(witnesses),
+    )
+
+
+def _invertible(rng, d):
+    p = rand_matrix(rng, d)
+    while not p.is_invertible():
+        p = rand_matrix(rng, d)
+    return p
+
+
+def _planted(rng, n, d, i):
+    """A tuple whose generators other than i share a kernel vector that is
+    an eigenvector of generator i: a conjugate of matrices whose first
+    column is c·e1 for generator i and zero for the others."""
+    p = _invertible(rng, d)
+    out = []
+    for j in range(n):
+        m = rand_matrix(rng, d).to_lists()
+        for r in range(d):
+            m[r][0] = F(0)
+        if j == i:
+            m[0][0] = F(rng.randint(-3, 3), rng.randint(1, 2))
+        out.append(p * ExactMatrix(m) * inverse(p))
+    return out
+
+
+def _star_tuples(rng, count):
+    """Seeded tuples of every shape the defect must handle: dense, zero,
+    rank-1, planted common eigenvectors (of the tuple or of the
+    transposes), a single generator, and 1x1 entries."""
+    for t in range(count):
+        kind = t % 7
+        n, d = rng.randint(1, 3), rng.randint(1, 3)
+        if kind == 0:
+            mats = [rand_matrix(rng, d) for _ in range(n)]
+        elif kind == 1:  # zero tuples, and zero generators beside others
+            mats = [ExactMatrix.zeros(d, d) if t % 2 or rng.random() < 0.5
+                    else rand_matrix(rng, d) for _ in range(n)]
+        elif kind == 2:
+            mats = []
+            for _ in range(n):
+                u, v = rand_matrix(rng, d).col(0), rand_matrix(rng, d).col(0)
+                mats.append(ExactMatrix([[x * y for y in v] for x in u]))
+        elif kind in (3, 4):
+            mats = _planted(rng, n, d, rng.randrange(n))
+            if kind == 4:
+                mats = [m.transpose() for m in mats]
+        elif kind == 5:
+            mats = [rand_matrix(rng, d)]
+        else:
+            mats = [ExactMatrix([[F(rng.randint(-2, 2), rng.randint(1, 3))]])
+                    for _ in range(n)]
+        yield mats
+
+
+def test_star_conditions_match_minors_oracle():
+    rng = random.Random(41)
+    nonconstant = witnessed = 0
+    for mats in _star_tuples(rng, 560):
+        report = check_star_conditions(mats)
+        assert report == _minors_star_conditions(mats)
+        nonconstant += sum(
+            not p.is_constant() for p in report.star_defects + report.dstar_defects
+        )
+        witnessed += len(report.star_witnesses)
+    # the planted and degenerate kinds reach failing defects and witnesses
+    assert nonconstant > 300 and witnessed > 150
 
 
 # -- irreducibility --------------------------------------------------------------

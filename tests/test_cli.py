@@ -245,6 +245,20 @@ def test_analyze_big_1x1_finds_planted_root_in_budget(monkeypatch):
         ]
 
 
+def test_analyze_zero_tuples_in_budget(monkeypatch):
+    # the defect of a zero tuple is c^d: one kernel and one charpoly per
+    # generator, where the minors of the stacked pencil number C(n·d, d)
+    for n, d in ((3, 6), (4, 8)):
+        zero = [["0"] * d for _ in range(d)]
+        start = time.perf_counter()
+        code, doc = _run_stdin(monkeypatch, {"matrices": [zero] * n}, "analyze")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        c_to_d = ["0"] * d + ["1"]
+        assert doc["stars"]["star_defects"] == [c_to_d] * n
+        assert doc["stars"]["dstar_defects"] == [c_to_d] * n
+
+
 def _raise(exc):
     def command(args):
         raise exc

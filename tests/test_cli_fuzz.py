@@ -1,6 +1,7 @@
 """Property test of the CLI contract on arbitrary JSON input: every run of
-`analyze` and `check` exits 0, 1, 2 or 3, prints exactly one JSON document
-on stdout and no traceback, within a per-example deadline."""
+`analyze`, `check`, `compose-check` and `mc` exits 0, 1, 2 or 3, prints
+exactly one JSON document on stdout and no traceback, within a per-example
+deadline."""
 
 import io
 import json
@@ -112,3 +113,16 @@ def test_analyze_contract(payload):
 @given(st.one_of(any_json, systems()))
 def test_check_contract(payload):
     _check_contract(*_run(["check"], payload))
+
+
+@FUZZ
+@given(st.one_of(any_json, tuples.map(lambda m: {"matrices": m}),
+                 st.builds(lambda x: {"matrices": x}, any_json)))
+def test_compose_check_contract(payload):
+    _check_contract(*_run(["compose-check", "--lambda", "1/2", "--mu", "1/3"], payload))
+
+
+@FUZZ
+@given(systems())
+def test_mc_contract(payload):
+    _check_contract(*_run(["mc", "--lambda", "1/2", "--line", "0,1"], payload))

@@ -15,7 +15,7 @@ from mcvlie.convolution import (
     phi_zero,
 )
 from mcvlie.errors import PreconditionError
-from mcvlie.exactcore import ExactMatrix, kernel
+from mcvlie.exactcore import ExactMatrix, inverse, kernel
 from mcvlie.holonomy import PfaffianSystem, residue_sum
 
 F = Fraction
@@ -158,6 +158,42 @@ def test_k_trivial_for_invertible_inputs():
             mats.append(m)
     k, _ = dr_k_l(mats, F(1, 3))
     assert k.dim == 0
+
+
+def _sum_with_eigenvalue(rng, n, d, lam):
+    """n matrices whose sum has -lam as an eigenvalue of geometric
+    multiplicity at least one (two when d >= 2, half of the time)."""
+    mats = [rand_matrix(rng, d) for _ in range(n - 1)]
+    target = rand_matrix(rng, d).to_lists()
+    planted = 2 if d >= 2 and rng.random() < 0.5 else 1
+    for r in range(d):
+        for c in range(d):
+            if c < planted or r > c:
+                target[r][c] = -lam if r == c else F(0)
+    p = rand_matrix(rng, d)
+    while not p.is_invertible():
+        p = rand_matrix(rng, d)
+    rest = p * ExactMatrix(target) * inverse(p)
+    for m in mats:
+        rest = rest - m
+    return mats + [rest]
+
+
+def test_l_closed_form_matches_joint_kernel():
+    rng = random.Random(43)
+    lams = [F(1), F(-2), F(1, 2), F(-1, 3), F(5, 7)]
+    nontrivial = 0
+    for t in range(120):
+        n, d = rng.randint(1, 4), rng.randint(1, 3)
+        lam = rng.choice(lams)
+        if t % 2:
+            mats = _sum_with_eigenvalue(rng, n, d, lam)
+        else:
+            mats = [rand_matrix(rng, d) for _ in range(n)]
+        _, l = dr_k_l(mats, lam)
+        assert l == kernel(ExactMatrix.vstack(dr_convolution(mats, lam)))
+        nontrivial += l.dim > 0
+    assert nontrivial >= 60
 
 
 # -- middle convolution -----------------------------------------------------------

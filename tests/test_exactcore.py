@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mcvlie.convolution import _quotient_all, _verify_invariant
 from mcvlie.errors import PreconditionError
 from mcvlie.exactcore import (
     ExactMatrix,
@@ -11,7 +12,6 @@ from mcvlie.exactcore import (
     PolyMatrix,
     Subspace,
     charpoly,
-    induced_on_quotient,
     integer_spectrum_hits,
     kernel,
     pencil_full_rank,
@@ -163,19 +163,30 @@ def test_quotient_kills_exactly_the_subspace():
         assert (all(x == 0 for x in proj.apply(v))) == s.contains(v)
 
 
+def _induced(a, s):
+    """The map induced by a on the canonical complement of s, through the
+    invariance check and the quotient that middle convolution runs."""
+    _verify_invariant(a, s, None, "subspace")
+    _, _, (abar,) = _quotient_all([a], s)
+    return abar
+
+
 def test_induced_on_quotient_examples():
     a = ExactMatrix([[1, 1], [0, 2]])
-    assert induced_on_quotient(a, Subspace.zero(2)) == a
+    assert _induced(a, Subspace.zero(2)) == a
     # invariant line e1: the induced action on the e2 coordinate is [2]
-    assert induced_on_quotient(a, Subspace(2, columns=[[1, 0]])) == ExactMatrix([[2]])
+    assert _induced(a, Subspace(2, columns=[[1, 0]])) == ExactMatrix([[2]])
 
 
 def test_induced_on_quotient_reports_witness():
     a = ExactMatrix([[0, 1], [0, 0]])
     with pytest.raises(InvarianceError) as err:
-        induced_on_quotient(a, Subspace(2, columns=[[0, 1]]))
+        _induced(a, Subspace(2, columns=[[0, 1]]))
     assert err.value.witness_vector == (F(0), F(1))
     assert err.value.image == (F(1), F(0))
+    assert str(err.value) == (
+        "subspace is not invariant; witness v = (0, 1); A·v = (1, 0)"
+    )
 
 
 def test_induced_intertwines_projection():
@@ -194,7 +205,7 @@ def test_induced_intertwines_projection():
         if not all(s.contains(a.apply(s.basis.col(j))) for j in range(s.dim)):
             continue
         proj, _ = quotient_map(amb, s)
-        abar = induced_on_quotient(a, s)
+        abar = _induced(a, s)
         assert proj * a == abar * proj
         done += 1
 
