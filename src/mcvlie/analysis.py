@@ -125,6 +125,11 @@ def check_star_conditions(mats) -> StarReport:
     mats = [m for m in mats]
     if not mats:
         raise PreconditionError("need at least one matrix")
+    # the shape checks, and their messages, of the pencils the defects stand for
+    if not all(m.is_square for m in mats):
+        raise PreconditionError("pencil needs a square matrix")
+    if any(m.rows != mats[0].rows for m in mats):
+        raise PreconditionError("vstack: column counts differ")
     transposes = [m.transpose() for m in mats]
     star_defects, dstar_defects, witnesses = [], [], []
     for i, a in enumerate(mats):

@@ -12,7 +12,7 @@ kernel of the convolved generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .arrangement import Arrangement, Line, codim2_flats, split_parallel, y_closure
@@ -186,23 +186,24 @@ def _quotient_all(matrices, w: Subspace):
     return proj, qdim, induced
 
 
-def _middle(conv, labelled_generators, residues, lam) -> MiddleConvolvedSystem:
+def _middle(conv, generators, labels, residues, lam) -> MiddleConvolvedSystem:
     """Quotient of a convolution by K + L (see `dr_k_l`, on the residues
     whose kernels make up K), after verifying that every convolved
-    generator, given as (label, matrix), leaves K and L invariant."""
+    generator leaves K and L invariant; a failure names the generator by
+    its label.  The induced matrices come back as a list, in the order of
+    `generators`."""
     k, l = dr_k_l(residues, lam)
-    for label, m in labelled_generators:
+    for label, m in zip(labels, generators):
         _verify_invariant(m, k, label, "kernel-block space K")
         _verify_invariant(m, l, label, "joint kernel L")
     w = subspace_sum(k, l)
-    labels, generators = zip(*labelled_generators)
     proj, qdim, induced = _quotient_all(generators, w)
     return MiddleConvolvedSystem(
         conv=conv,
         k_space=k,
         l_space=l,
         projection=proj,
-        matrices=dict(zip(labels, induced)) if isinstance(conv, ConvolvedSystem) else induced,
+        matrices=induced,
         dim=qdim,
         direct_sum=k.dim + l.dim == w.dim,
     )
@@ -216,7 +217,8 @@ def dr_middle_convolution(mats, lam) -> MiddleConvolvedSystem:
     conv = dr_convolution(mats, lam)
     return _middle(
         ConvolvedTuple(base=mats, lam=lam, matrices=conv),
-        [(f"generator {i + 1}", c) for i, c in enumerate(conv)],
+        conv,
+        [f"generator {i + 1}" for i in range(n)],
         mats,
         lam,
     )
@@ -295,12 +297,15 @@ def haraoka_middle_convolution(
     and L under every convolved matrix is verified and a failure carries an
     exact witness."""
     conv = haraoka_convolution(system, line, lam)
-    return _middle(
+    ids = conv.closure.ids()
+    mid = _middle(
         conv,
-        [(hid, conv.matrices[hid]) for hid in conv.closure.ids()],
+        [conv.matrices[hid] for hid in ids],
+        ids,
         [system.residue(hid) for hid in conv.order],
         conv.lam,
     )
+    return replace(mid, matrices=dict(zip(ids, mid.matrices)))
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,26 @@ def test_analyze_zero_tuples_in_budget(monkeypatch):
         assert doc["stars"]["dstar_defects"] == [c_to_d] * n
 
 
+def test_non_square_and_mixed_size_tuples_are_precondition_failures(monkeypatch):
+    # three 1×2 matrices: every other pair stacks to an invertible 2×2, so
+    # the shape, not the defect, has to reject them
+    cases = (
+        ({"matrices": [[["1", "2"]], [["3", "5"]], [["7", "11"]]]},
+         "pencil needs a square matrix"),
+        ({"matrices": [[["1", "0"], ["0", "1"]], [["2"]]]},
+         "vstack: column counts differ"),
+        ({"matrices": [[["1", "0"], ["0", "1"]],
+                       [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]]},
+         "vstack: column counts differ"),
+    )
+    for payload, message in cases:
+        for argv in (("analyze",), ("compose-check", "--lambda", "1/2", "--mu", "1/3")):
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+            code, out, err = run_cli(*argv, "--input", "-")
+            assert (code, json.loads(out)) == (2, {"error": message})
+            assert err == f"mcvlie: precondition failed: {message}\n"
+
+
 def _raise(exc):
     def command(args):
         raise exc
