@@ -5,6 +5,7 @@ integer-eigenvalue hypotheses of the Riemann-Hilbert comparison."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -313,13 +314,7 @@ def are_isomorphic(mats1, mats2, seed: int = DEFAULT_SEED) -> IsoResult:
         # grid of degree-many points iff zero as a polynomial, and then no
         # invertible intertwiner exists over any extension field
         d = mats1[0].rows
-        grid = range(d + 1)
-        points = [(a,) for a in grid] if len(space) == 1 else (
-            [(a, b) for a in grid for b in grid]
-            if len(space) == 2
-            else [(a, b, c) for a in grid for b in grid for c in grid]
-        )
-        for pt in points:
+        for pt in itertools.product(range(d + 1), repeat=len(space)):
             cand = space[0].scale(pt[0])
             for c, x in zip(pt[1:], space[1:]):
                 cand = cand + x.scale(c)
@@ -398,7 +393,7 @@ def _block_diag(m: ExactMatrix, copies: int) -> ExactMatrix:
     )
 
 
-def composition_harness(mats, lam, mu, seed: int = DEFAULT_SEED) -> CompositionReport:
+def composition_harness(mats, lam, mu) -> CompositionReport:
     """Certify the composition law on one input tuple: check the genericity
     conditions, run the three middle convolutions, push the comparison map
     to the quotients and verify it is an isomorphism intertwining the

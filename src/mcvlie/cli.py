@@ -1,13 +1,12 @@
 """Command-line front end: JSON in, JSON (or aligned text) out, stable
-formatting, deterministic seeds, and documented exit codes (0 ok, 1 input
-error, 2 precondition failure, 3 internal invariant breach)."""
+formatting, and documented exit codes (0 ok, 1 input error, 2 precondition
+failure, 3 internal invariant breach)."""
 
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import analysis, convolution, freelie, holonomy
@@ -31,7 +30,6 @@ def _build_parser() -> _Parser:
     def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=None)
         return p
 
     p = add("closure", help="Y-closure of an arrangement")
@@ -122,18 +120,6 @@ def _load_matrix_tuple(data):
     raise InputError("expected {'matrices': [...]} or a system JSON object")
 
 
-def _seed(args) -> int:
-    env = os.environ.get("MCVLIE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"bad MCVLIE_SEED {env!r}") from exc
-    if args.seed is not None:
-        return args.seed
-    return analysis.DEFAULT_SEED
-
-
 # ---------------------------------------------------------------------------
 # command bodies: return (payload, exit_code)
 
@@ -195,9 +181,7 @@ def _cmd_analyze(args):
 
 def _cmd_compose_check(args):
     mats = _load_matrix_tuple(_load_json(args.input))
-    report = analysis.composition_harness(
-        mats, rat(args.lam), rat(args.mu), seed=_seed(args)
-    )
+    report = analysis.composition_harness(mats, rat(args.lam), rat(args.mu))
     return report.to_json(), 0
 
 

@@ -341,15 +341,12 @@ def induce_on_quotients(
     phi: ExactMatrix, src_proj: ExactMatrix, dst_proj: ExactMatrix
 ) -> ExactMatrix:
     """The map induced on quotients by phi, given surjections src_proj and
-    dst_proj; requires phi(ker src_proj) inside ker dst_proj."""
-    ker = kernel(src_proj)
-    for j in range(ker.dim):
-        v = ker.basis.col(j)
-        if any(x != 0 for x in dst_proj.apply(phi.apply(v))):
-            raise InternalInvariantError(
-                "map does not descend to the quotients"
-            )
+    dst_proj; requires phi(ker src_proj) inside ker dst_proj.
+
+    With R a right inverse of src_proj, I - R src_proj maps onto
+    ker src_proj, so the defining identity out src_proj = dst_proj phi for
+    out = dst_proj phi R holds exactly when phi descends."""
     out = dst_proj * phi * right_inverse(src_proj)
     if out * src_proj != dst_proj * phi:
-        raise InternalInvariantError("induced map failed its defining identity")
+        raise InternalInvariantError("map does not descend to the quotients")
     return out

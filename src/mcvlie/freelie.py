@@ -412,24 +412,24 @@ class RelationViolation:
 
 
 def verify_braid_relations(n: int, max_degree: int) -> list:
-    """Check the defining relation scheme of the braid-style action on every
-    Lyndon basis element of degree <= max_degree.  Returns violations
-    (expected empty): symmetry in the two indices, the triple relation
-    commutator, disjoint-pair commutativity, and the vanishing of the action
-    on x_1 + ... + x_n."""
+    """Check the defining relation scheme of the braid-style action:
+    symmetry in the two indices, the triple relation commutator,
+    disjoint-pair commutativity, and the vanishing of the action on
+    x_1 + ... + x_n.  Returns violations (expected empty).
+
+    Each relation is a derivation, and a derivation vanishes on the whole
+    free Lie algebra iff it vanishes on the generators, so the relations are
+    decided on generator images and the answer holds in every degree;
+    max_degree is only checked against the cap.  A failing relation is
+    reported once per generator whose image is nonzero."""
     if n < 2:
         raise PreconditionError("need at least two generators")
     _check_caps(n, max_degree)
-    basis = [
-        w for d in range(1, max_degree + 1) for w in lyndon_basis(n, d)
-    ]
     violations = []
 
     def check(deriv, label):
-        for w in basis:
-            value = deriv.apply(LieElement.basis_term(n, w))
-            if not value.is_zero():
-                violations.append(RelationViolation(label, w, value))
+        for i, value in sorted(deriv.images.items()):
+            violations.append(RelationViolation(label, (i,), value))
 
     thetas = {}
     for i in range(1, n + 1):

@@ -192,6 +192,15 @@ def test_env_seed_override(monkeypatch):
     assert json.loads(out)["isomorphic"] is True
 
 
+def test_seed_option_is_gone():
+    code, out, err = run_cli(
+        "compose-check", "--seed", "5", "--lambda", "1/2", "--mu", "1/3",
+        "--input", str(DATA / "rank1.json"),
+    )
+    assert code == 1 and "--seed" in json.loads(out)["error"]
+    assert err.startswith("mcvlie: input error: ")
+
+
 def _run_stdin(monkeypatch, payload, *argv):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
     code, out, err = run_cli(*argv, "--input", "-")

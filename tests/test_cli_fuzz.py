@@ -1,7 +1,7 @@
-"""Property test of the CLI contract on arbitrary JSON input: every run of
-`analyze`, `check`, `compose-check` and `mc` exits 0, 1, 2 or 3, prints
-exactly one JSON document on stdout and no traceback, within a per-example
-deadline."""
+"""Property test of the CLI contract on arbitrary JSON input and on the
+argv of `freelie verify`: every run of every command exits 0, 1, 2 or 3,
+prints exactly one JSON document on stdout and no traceback, within a
+per-example deadline."""
 
 import io
 import json
@@ -75,16 +75,20 @@ def systems(draw):
     return doc
 
 
-def _run(argv, payload):
+def _main(argv, stdin=""):
     out, err = io.StringIO(), io.StringIO()
     old_stdin = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(payload))
+    sys.stdin = io.StringIO(stdin)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv + ["--input", "-"])
+            code = main(argv)
     finally:
         sys.stdin = old_stdin
     return code, out.getvalue(), err.getvalue()
+
+
+def _run(argv, payload):
+    return _main(argv + ["--input", "-"], json.dumps(payload))
 
 
 def _check_contract(code, out, err):
@@ -126,3 +130,46 @@ def test_compose_check_contract(payload):
 @given(systems())
 def test_mc_contract(payload):
     _check_contract(*_run(["mc", "--lambda", "1/2", "--line", "0,1"], payload))
+
+
+@FUZZ
+@given(st.one_of(any_json, systems()))
+def test_closure_contract(payload):
+    _check_contract(*_run(["closure", "--line", "1,1"], payload))
+
+
+@FUZZ
+@given(st.one_of(any_json, systems()))
+def test_presentation_contract(payload):
+    _check_contract(*_run(["presentation"], payload))
+
+
+@FUZZ
+@given(systems())
+def test_convolve_contract(payload):
+    _check_contract(*_run(["convolve", "--lambda", "1/2", "--line", "0,1"], payload))
+
+
+@FUZZ
+@given(systems())
+def test_rh_check_contract(payload):
+    _check_contract(*_run(["rh-check", "--lambda", "1/5", "--line", "0,1"], payload))
+
+
+# --n and --degree values: in range, out of range, not integers, or absent
+flag_values = st.one_of(
+    st.integers(-2, 10).map(str),
+    st.text(max_size=4),
+    st.sampled_from(["", "1e3", "0x3", "2.0", " 3", "--n", "9" * 40]),
+    st.none(),
+)
+
+
+@FUZZ
+@given(flag_values, flag_values)
+def test_freelie_verify_argv_contract(n, degree):
+    argv = ["freelie", "verify"]
+    for flag, value in (("--n", n), ("--degree", degree)):
+        if value is not None:
+            argv += [flag, value]
+    _check_contract(*_main(argv))

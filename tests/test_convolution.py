@@ -14,8 +14,8 @@ from mcvlie.convolution import (
     phi_compose,
     phi_zero,
 )
-from mcvlie.errors import PreconditionError
-from mcvlie.exactcore import ExactMatrix, inverse, kernel
+from mcvlie.errors import InternalInvariantError, PreconditionError
+from mcvlie.exactcore import ExactMatrix, inverse, kernel, right_inverse
 from mcvlie.holonomy import PfaffianSystem, residue_sum
 
 F = Fraction
@@ -219,6 +219,58 @@ def test_mc_lambda_zero_recovers_input():
     # the induced map intertwines the quotient matrices with the originals
     for mbar, a in zip(mid.matrices, mats):
         assert induced * mbar == a * induced
+
+
+def induce_by_kernel_loop(phi, src_proj, dst_proj):
+    """Reference: descent checked on every kernel vector of src_proj before
+    the defining identity, as induced maps were checked before the identity
+    alone decided it."""
+    ker = kernel(src_proj)
+    for j in range(ker.dim):
+        v = ker.basis.col(j)
+        if any(x != 0 for x in dst_proj.apply(phi.apply(v))):
+            raise InternalInvariantError("map does not descend to the quotients")
+    out = dst_proj * phi * right_inverse(src_proj)
+    if out * src_proj != dst_proj * phi:
+        raise InternalInvariantError("induced map failed its defining identity")
+    return out
+
+
+def rand_rect(rng, r, c):
+    return ExactMatrix(
+        [[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(c)] for _ in range(r)],
+        shape=(r, c),
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InternalInvariantError as exc:
+        return str(exc)
+
+
+def test_induce_on_quotients_matches_the_kernel_loop():
+    rng = random.Random(2468)
+    compared = raised = 0
+    for t in range(1200):
+        m, p = rng.randint(1, 4), rng.randint(1, 4)
+        src_proj = rand_rect(rng, rng.randint(1, m), m)
+        if src_proj.rank() < src_proj.rows:
+            continue  # a projection is onto
+        dst_proj = rand_rect(rng, rng.randint(1, p), p)
+        phi = rand_rect(rng, p, m)
+        if t % 2:
+            # phi = X src_proj + (a map into ker dst_proj) descends
+            phi = rand_rect(rng, p, src_proj.rows) * src_proj
+            ker = kernel(dst_proj)
+            if ker.dim:
+                phi = phi + ker.basis * rand_rect(rng, ker.dim, m)
+        want = _outcome(induce_by_kernel_loop, phi, src_proj, dst_proj)
+        assert _outcome(induce_on_quotients, phi, src_proj, dst_proj) == want
+        compared += 1
+        raised += isinstance(want, str)
+    assert compared > 1000 and raised > 200
 
 
 def test_mc_everything_killed():

@@ -1,14 +1,19 @@
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from mcvlie import freelie
+from mcvlie.cli import main
 from mcvlie.errors import InputError
 from mcvlie.freelie import (
     DegreeCapError,
     Derivation,
     DKWord,
     LieElement,
+    RelationViolation,
     adjoint_witness,
     bracket,
     is_lyndon,
@@ -200,6 +205,102 @@ def test_action_preserves_lower_generators():
 def test_verify_braid_relations():
     assert verify_braid_relations(2, 3) == []
     assert verify_braid_relations(3, 4) == []
+
+
+def sweep_braid_relations(n, max_degree, theta_of=theta):
+    """Reference: every relation derivation applied to every Lyndon word of
+    degree <= max_degree, as the relations were checked before they were
+    decided on generator images."""
+    basis = [w for d in range(1, max_degree + 1) for w in lyndon_basis(n, d)]
+    violations = []
+
+    def check(deriv, label):
+        for w in basis:
+            value = deriv.apply(LieElement.basis_term(n, w))
+            if not value.is_zero():
+                violations.append(RelationViolation(label, w, value))
+
+    thetas = {
+        (i, j): theta_of(i, j, n)
+        for i in range(1, n + 1) for j in range(1, n + 1) if i != j
+    }
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            diff = Derivation(
+                n,
+                {k: thetas[i, j].image(k) - thetas[j, i].image(k)
+                 for k in range(1, n + 1)},
+            )
+            check(diff, f"A({i},{j}) = A({j},{i})")
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                if len({i, j, k}) < 3:
+                    continue
+                rel = thetas[i, k].commutator(thetas[i, j] + thetas[j, k])
+                check(rel, f"[A({i},{k}), A({i},{j}) + A({j},{k})] = 0")
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(1, n + 1):
+                for l in range(k + 1, n + 1):
+                    if {i, j} & {k, l} or (k, l) < (i, j):
+                        continue
+                    rel = thetas[i, j].commutator(thetas[k, l])
+                    check(rel, f"[A({i},{j}), A({k},{l})] = 0")
+    total = LieElement(n, {(i,): 1 for i in range(1, n + 1)})
+    for (i, j), d in thetas.items():
+        value = d.apply(total)
+        if not value.is_zero():
+            violations.append(
+                RelationViolation(f"A({i},{j}) kills x_1 + ... + x_n", (), value)
+            )
+    return violations
+
+
+def broken_theta(rng, n):
+    """theta with the image of one generator perturbed in 1-2 pairs."""
+    table = {}
+    for _ in range(rng.randint(1, 2)):
+        i, j = rng.sample(range(1, n + 1), 2)
+        k = rng.randint(1, n)
+        d = theta(i, j, n)
+        images = {m: d.image(m) for m in range(1, n + 1)}
+        images[k] = images[k] + rand_element(rng, n, max_deg=2, nterms=2)
+        table[i, j] = Derivation(n, images)
+    return lambda i, j, n: table.get((i, j)) or theta(i, j, n)
+
+
+def test_relations_on_generators_match_the_sweep_on_broken_thetas(monkeypatch):
+    rng = random.Random(4242)
+    failing = 0
+    for _ in range(24):
+        n, degree = rng.randint(2, 4), rng.randint(1, 4)
+        broken = broken_theta(rng, n)
+        sweep = sweep_braid_relations(n, degree, broken)
+        monkeypatch.setattr(freelie, "theta", broken)
+        got = verify_braid_relations(n, degree)
+        # a relation that fails anywhere fails at a generator
+        assert {v.relation for v in sweep} == {v.relation for v in got}
+        assert got == [v for v in sweep if len(v.word) <= 1]
+        failing += bool(got)
+    assert failing >= 20
+
+
+def test_broken_theta_exits_3_with_one_document(monkeypatch, capsys):
+    monkeypatch.setattr(freelie, "theta", broken_theta(random.Random(8), 3))
+    code = main(["freelie", "verify", "--n", "3", "--degree", "3"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3 and doc["ok"] is False
+    assert doc["violations"] and all(len(v["word"]) <= 1 for v in doc["violations"])
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_verify_at_the_degree_cap_is_fast(n, capsys):
+    t0 = time.perf_counter()
+    code = main(["freelie", "verify", "--n", str(n), "--degree", "8"])
+    elapsed = time.perf_counter() - t0
+    assert (code, json.loads(capsys.readouterr().out)) == (0, {"ok": True, "violations": []})
+    assert elapsed < 2.0
 
 
 # -- bracket words and witnesses ----------------------------------------------
