@@ -15,7 +15,6 @@ from .analysis import (
     CompositionReport,
     IsoResult,
     StarReport,
-    are_isomorphic,
     check_star_conditions,
     composition_harness,
     is_irreducible,

@@ -1,12 +1,10 @@
 """Structural predicates on residue tuples and Pfaffian systems: the
 genericity conditions behind the composition law, absolute irreducibility,
-exact module-isomorphism search, the composition-law harness, and the
-integer-eigenvalue hypotheses of the Riemann-Hilbert comparison."""
+the composition-law harness with its explicit intertwiner certificates, and
+the integer-eigenvalue hypotheses of the Riemann-Hilbert comparison."""
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -19,7 +17,7 @@ from .convolution import (
     phi_compose,
     phi_zero,
 )
-from .errors import InternalInvariantError, PreconditionError
+from .errors import PreconditionError
 from .exactcore import (
     ExactMatrix,
     Poly,
@@ -32,8 +30,6 @@ from .exactcore import (
     rat_str,
 )
 from .holonomy import PfaffianSystem, residue_sum
-
-DEFAULT_SEED = 20201
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +234,7 @@ class _IncrementalSpan:
 
 @dataclass(frozen=True)
 class IsoResult:
-    verdict: str  # "isomorphic" | "not_isomorphic" | "unknown"
+    verdict: str  # "isomorphic" | "not_isomorphic"
     intertwiner: ExactMatrix = None
 
     def to_json(self):
@@ -248,84 +244,6 @@ class IsoResult:
 
             out["intertwiner"] = matrix_to_json(self.intertwiner)
         return out
-
-
-def intertwiner_space(mats1, mats2) -> list:
-    """Basis of {X : A_i X = X B_i for all i}, as matrices."""
-    d1, d2 = mats1[0].rows, mats2[0].rows
-    blocks = []
-    ident1, ident2 = ExactMatrix.identity(d1), ExactMatrix.identity(d2)
-    for a, b in zip(mats1, mats2):
-        blocks.append(_kron(a, ident2) - _kron(ident1, b.transpose()))
-    ker = kernel(ExactMatrix.vstack(blocks))
-    out = []
-    for j in range(ker.dim):
-        col = ker.basis.col(j)
-        out.append(
-            ExactMatrix(
-                [[col[r * d2 + c] for c in range(d2)] for r in range(d1)],
-                shape=(d1, d2),
-            )
-        )
-    return out
-
-
-def _kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    rows = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            rows.append(
-                [a.data[i][j] * b.data[k][l] for j in range(a.cols) for l in range(b.cols)]
-            )
-    return ExactMatrix(rows, shape=(a.rows * b.rows, a.cols * b.cols))
-
-
-def _verify_intertwiner(x: ExactMatrix, mats1, mats2) -> bool:
-    return x.is_invertible() and all(a * x == x * b for a, b in zip(mats1, mats2))
-
-
-def are_isomorphic(mats1, mats2, seed: int = DEFAULT_SEED) -> IsoResult:
-    """Exact tri-state isomorphism test for two generator tuples indexed the
-    same way.  An invertible intertwiner is searched in the exact solution
-    space; for spaces of dimension at most 3 the determinant of a generic
-    combination decides the question completely, otherwise a bounded seeded
-    random search may end in "unknown"."""
-    mats1, mats2 = [m for m in mats1], [m for m in mats2]
-    if len(mats1) != len(mats2):
-        raise PreconditionError("generator index sets differ")
-    if mats1[0].rows != mats2[0].rows:
-        return IsoResult("not_isomorphic")
-    space = intertwiner_space(mats1, mats2)
-    if not space:
-        return IsoResult("not_isomorphic")
-    for x in space:
-        if _verify_intertwiner(x, mats1, mats2):
-            return IsoResult("isomorphic", x)
-    rng = random.Random(seed)
-    for _ in range(32):
-        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in space]
-        cand = space[0].scale(coeffs[0])
-        for c, x in zip(coeffs[1:], space[1:]):
-            cand = cand + x.scale(c)
-        if _verify_intertwiner(cand, mats1, mats2):
-            return IsoResult("isomorphic", cand)
-    if len(space) <= 3:
-        # determinant of a generic combination: identically zero on a full
-        # grid of degree-many points iff zero as a polynomial, and then no
-        # invertible intertwiner exists over any extension field
-        d = mats1[0].rows
-        for pt in itertools.product(range(d + 1), repeat=len(space)):
-            cand = space[0].scale(pt[0])
-            for c, x in zip(pt[1:], space[1:]):
-                cand = cand + x.scale(c)
-            if cand.is_invertible():
-                if _verify_intertwiner(cand, mats1, mats2):
-                    return IsoResult("isomorphic", cand)
-                raise InternalInvariantError(
-                    "intertwiner space element failed to intertwine"
-                )
-        return IsoResult("not_isomorphic")
-    return IsoResult("unknown")
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +311,14 @@ def _block_diag(m: ExactMatrix, copies: int) -> ExactMatrix:
     )
 
 
+def _iso(x: ExactMatrix, src, dst) -> IsoResult:
+    """The verdict of the candidate x: an isomorphism when x is invertible
+    and x·S_i = D_i·x for every pair of generators."""
+    if x.is_invertible() and all(x * s == d * x for s, d in zip(src, dst)):
+        return IsoResult("isomorphic", x)
+    return IsoResult("not_isomorphic")
+
+
 def composition_harness(mats, lam, mu) -> CompositionReport:
     """Certify the composition law on one input tuple: check the genericity
     conditions, run the three middle convolutions, push the comparison map
@@ -420,16 +346,7 @@ def composition_harness(mats, lam, mu) -> CompositionReport:
     phi = phi_compose(mats, lam, mu)
     src_proj = mid_lm.projection * _block_diag(mid_mu.projection, n)
     phibar = induce_on_quotients(phi, src_proj, mid_sum.projection)
-    if phibar.rows != phibar.cols or not phibar.is_invertible():
-        compose_iso = IsoResult("not_isomorphic")
-    else:
-        ok = all(
-            phibar * b == c * phibar
-            for b, c in zip(mid_lm.matrices, mid_sum.matrices)
-        )
-        compose_iso = (
-            IsoResult("isomorphic", phibar) if ok else IsoResult("not_isomorphic")
-        )
+    compose_iso = _iso(phibar, mid_lm.matrices, mid_sum.matrices)
     identity_iso = None
     if lam + mu == 0 and compose_iso.verdict == "isomorphic":
         # the level-0 comparison map takes the middle convolution at 0 back
@@ -437,13 +354,7 @@ def composition_harness(mats, lam, mu) -> CompositionReport:
         psi = induce_on_quotients(
             phi_zero(mats), mid_sum.projection, ExactMatrix.identity(mats[0].rows)
         )
-        chained = psi * phibar
-        if chained.is_invertible() and all(
-            chained * b == a * chained for b, a in zip(mid_lm.matrices, mats)
-        ):
-            identity_iso = IsoResult("isomorphic", chained)
-        else:
-            identity_iso = IsoResult("not_isomorphic")
+        identity_iso = _iso(psi * phibar, mid_lm.matrices, mats)
     return CompositionReport(
         applicable=True,
         stars=stars,

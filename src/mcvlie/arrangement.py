@@ -53,10 +53,10 @@ def canonicalize(hid: str, normal, offset) -> Hyperplane:
     """Scale (normal, offset) so the first nonzero normal entry is 1."""
     normal = tuple(rat(x) for x in normal)
     offset = rat(offset)
-    lead = next((x for x in normal if x != 0), None)
-    if lead is None:
+    if not any(normal):
         raise InputError(f"hyperplane {hid!r} has zero normal")
-    return Hyperplane(hid, tuple(x / lead for x in normal), offset / lead)
+    *normal, offset = _canon_scale(normal + (offset,))
+    return Hyperplane(hid, tuple(normal), offset)
 
 
 @dataclass(frozen=True)
@@ -249,9 +249,8 @@ def _flat_plus_line(flat: Flat2, line: Line):
     # the unique (up to scale) combination of the two forms killing the
     # direction: (-d2)·(n1,o1) + d1·(n2,o2)
     normal = tuple(-d2 * a + d1 * b for a, b in zip(n1, n2))
-    offset = -d2 * o1 + d1 * o2
-    lead = next(x for x in normal if x != 0)
-    return tuple(x / lead for x in normal), offset / lead
+    *normal, offset = _canon_scale(normal + (-d2 * o1 + d1 * o2,))
+    return tuple(normal), offset
 
 
 def is_y_closed(arr: Arrangement, line: Line) -> bool:
@@ -259,21 +258,15 @@ def is_y_closed(arr: Arrangement, line: Line) -> bool:
     sum X + line is again in the intersection poset."""
     if len(line.direction) != arr.dim:
         raise PreconditionError("line dimension does not match arrangement")
-    for flat in codim2_flats(arr):
-        form = _flat_plus_line(flat, line)
-        if form is None:
-            continue  # X + Y = X is a poset element already
-        if not arr.has_key(form):
-            return False
-    return True
+    return not _closure_pass(arr, line)
 
 
 def _closure_pass(arr: Arrangement, line: Line):
     additions = []
-    seen = {h.key for h in arr.hyperplanes}
+    seen = set()
     for flat in codim2_flats(arr):
         form = _flat_plus_line(flat, line)
-        if form is None or form in seen:
+        if form is None or form in seen or arr.has_key(form):
             continue
         seen.add(form)
         additions.append((flat.key, form))

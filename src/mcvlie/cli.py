@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import analysis, convolution, freelie, holonomy
@@ -17,6 +18,13 @@ from .holonomy import PfaffianSystem
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-" then a digit or "." starts a value, not a flag, as in Python
+        # 3.13; older versions stop "--lambda -1/2" and "--line -1,1" with
+        # "expected one argument"
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise InputError(message)
 

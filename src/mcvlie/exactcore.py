@@ -242,13 +242,6 @@ class ExactMatrix:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def apply(self, vec):
-        """Matrix-vector product, vec a sequence of length cols."""
-        v = tuple(rat(x) for x in vec)
-        if len(v) != self.cols:
-            raise PreconditionError("matrix-vector product: length mismatch")
-        return tuple(_dot(row, v) for row in self.data)
-
     def transpose(self) -> "ExactMatrix":
         if not self.rows:
             return ExactMatrix.zeros(self.cols, 0)
@@ -383,10 +376,6 @@ def _primitive(ints):
     """The integer row divided by the gcd of its entries (a zero row as is)."""
     g = int_gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
-
-
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b) if x and y), _ZERO)
 
 
 def solve_right(a: ExactMatrix, b: ExactMatrix):

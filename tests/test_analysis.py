@@ -6,10 +6,8 @@ import pytest
 from mcvlie.analysis import (
     StarReport,
     StarWitness,
-    are_isomorphic,
     check_star_conditions,
     composition_harness,
-    intertwiner_space,
     is_irreducible,
     rh_hypotheses,
 )
@@ -18,6 +16,8 @@ from mcvlie.convolution import dr_middle_convolution
 from mcvlie.errors import PreconditionError
 from mcvlie.exactcore import ExactMatrix, Poly, PolyMatrix, inverse, kernel, pencil_full_rank
 from mcvlie.holonomy import PfaffianSystem
+
+from iso_oracle import are_isomorphic, intertwiner_space
 
 F = Fraction
 
@@ -406,3 +406,40 @@ def test_harness_random_irreducible():
         assert report.applicable
         assert report.compose_iso.verdict == "isomorphic"
         found += 1
+
+
+def test_harness_certificates_agree_with_the_oracle():
+    # the isomorphism search of iso_oracle, run on the induced tuples the
+    # harness compares, must give the verdict of the explicit certificates
+    # (phibar, and psi·phibar when lam + mu = 0) wherever it decides
+    rng = random.Random(61)
+    lams = [F(1, 2), F(-1, 2), F(1, 3), F(-2, 3), F(3, 5), F(0)]
+    decided = {False: 0, True: 0}  # keyed by lam + mu == 0
+    unknown = 0
+    for _ in range(40):
+        n, d = rng.randint(2, 3), rng.randint(1, 3)
+        if rng.random() < 0.4:  # commuting diagonals: reducible, larger spaces
+            mats = [
+                ExactMatrix([[rng.choice([-2, -1, 1, 2, 3]) if i == j else 0
+                              for j in range(d)] for i in range(d)])
+                for _ in range(n)
+            ]
+        else:
+            mats = [rand_matrix(rng, d) for _ in range(n)]
+        lam = rng.choice(lams)
+        mu = -lam if rng.random() < 0.4 else rng.choice(lams)
+        report = composition_harness(mats, lam, mu)
+        if not report.applicable:
+            continue
+        mid_lm = dr_middle_convolution(dr_middle_convolution(mats, mu).matrices, lam)
+        mid_sum = dr_middle_convolution(mats, lam + mu)
+        pairs = [(are_isomorphic(mid_lm.matrices, mid_sum.matrices), report.compose_iso)]
+        if lam + mu == 0:
+            pairs.append((are_isomorphic(mid_lm.matrices, mats), report.identity_iso))
+        for oracle, certificate in pairs:
+            if oracle.verdict == "unknown":
+                unknown += 1
+                continue
+            assert oracle.verdict == certificate.verdict
+            decided[lam + mu == 0] += 1
+    assert decided[False] >= 10 and decided[True] >= 20, (decided, unknown)

@@ -201,6 +201,29 @@ def test_seed_option_is_gone():
     assert err.startswith("mcvlie: input error: ")
 
 
+def test_negative_rational_values_parse_like_joined_ones():
+    rank1 = str(DATA / "rank1.json")
+    for data, spaced, joined in [
+        ("rank1", ("compose-check", "--lambda", "-1/2", "--mu", "1/2"),
+         ("compose-check", "--lambda=-1/2", "--mu=1/2")),
+        ("threelines", ("mc", "--lambda", "-3/7", "--line", "0,1"),
+         ("mc", "--lambda=-3/7", "--line=0,1")),
+        ("threelines", ("convolve", "--lambda", "-.5", "--line", "0,1"),
+         ("convolve", "--lambda=-.5", "--line=0,1")),
+        ("two_axes", ("closure", "--line", "-1,1"), ("closure", "--line=-1,1")),
+    ]:
+        path = str(DATA / f"{data}.json")
+        result = run_cli(*spaced, "--input", path)
+        assert result[0] == 0
+        assert result == run_cli(*joined, "--input", path)
+    payload = json.loads(run_cli("compose-check", "--lambda", "-1/2", "--mu", "1/2",
+                                 "--input", rank1)[1])
+    assert payload["identity_iso"]["verdict"] == "isomorphic"
+    # a flag is still not a value
+    code, out, _ = run_cli("compose-check", "--lambda", "--mu", "1/2", "--input", rank1)
+    assert code == 1 and "--lambda" in json.loads(out)["error"]
+
+
 def _run_stdin(monkeypatch, payload, *argv):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
     code, out, err = run_cli(*argv, "--input", "-")

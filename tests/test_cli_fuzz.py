@@ -1,5 +1,6 @@
 """Property test of the CLI contract on arbitrary JSON input and on the
-argv of `freelie verify`: every run of every command exits 0, 1, 2 or 3,
+argv of `freelie verify`, `mc`, `convolve`, `rh-check` and
+`compose-check`: every run of every command exits 0, 1, 2 or 3,
 prints exactly one JSON document on stdout and no traceback, within a
 per-example deadline."""
 
@@ -7,6 +8,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 from mcvlie.cli import main  # noqa: E402
 
 BIG = 10**40
+DATA = Path(__file__).parent / "data"
 
 # JSON numbers and strings that parse as rationals, huge ones included
 rationals = st.one_of(
@@ -172,4 +175,52 @@ def test_freelie_verify_argv_contract(n, degree):
     for flag, value in (("--n", n), ("--degree", degree)):
         if value is not None:
             argv += [flag, value]
+    _check_contract(*_main(argv))
+
+
+# --lambda, --mu and --line values: signed rationals and lines (the lines of
+# the wrong length too), junk, a flag in the value's place, or absent
+junk_values = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["", "-", "-.", "-1/0", "-1,", "0,0", "-1e3", "--mu", "--line"]),
+    st.none(),
+)
+signed = st.fractions(min_value=-3, max_value=3, max_denominator=7).map(str)
+parameter = st.one_of(
+    signed,
+    st.fractions(min_value=-BIG, max_value=BIG, max_denominator=10**6).map(str),
+    junk_values,
+)
+parameter_values = {
+    "--lambda": parameter,
+    "--mu": parameter,
+    "--line": st.one_of(
+        st.lists(signed, min_size=2, max_size=2).map(",".join),
+        st.lists(signed, min_size=1, max_size=3).map(",".join),
+        junk_values,
+    ),
+}
+PARAMETER_COMMANDS = {
+    "mc": ("--lambda", "--line", "threelines.json"),
+    "convolve": ("--lambda", "--line", "threelines.json"),
+    "rh-check": ("--lambda", "--line", "threelines.json"),
+    "compose-check": ("--lambda", "--mu", "rank1.json"),
+}
+
+
+@st.composite
+def parameter_argv(draw):
+    command = draw(st.sampled_from(sorted(PARAMETER_COMMANDS)))
+    *flags, data = PARAMETER_COMMANDS[command]
+    argv = [command]
+    for flag in flags:
+        value = draw(parameter_values[flag])
+        if value is not None:
+            argv += [flag, value]
+    return argv + ["--input", str(DATA / data)]
+
+
+@FUZZ
+@given(parameter_argv())
+def test_parameter_argv_contract(argv):
     _check_contract(*_main(argv))

@@ -150,6 +150,11 @@ def test_quotient_of_line_keeps_nonpivot_coordinate():
     assert proj == ExactMatrix([[0, 1]])
 
 
+def times(m, v):
+    """m·v as the product with a one-column matrix."""
+    return (m * ExactMatrix.from_cols([v], m.cols)).col(0)
+
+
 def test_quotient_kills_exactly_the_subspace():
     rng = random.Random(17)
     for _ in range(30):
@@ -158,9 +163,9 @@ def test_quotient_kills_exactly_the_subspace():
         proj, qdim = quotient_map(amb, s)
         assert proj.rank() == qdim == amb - s.dim
         for j in range(s.dim):
-            assert all(x == 0 for x in proj.apply(s.basis.col(j)))
+            assert all(x == 0 for x in times(proj, s.basis.col(j)))
         v = rand_matrix(rng, amb, 1).col(0)
-        assert (all(x == 0 for x in proj.apply(v))) == s.contains(v)
+        assert (all(x == 0 for x in times(proj, v))) == s.contains(v)
 
 
 def _induced(a, s):
@@ -200,9 +205,9 @@ def test_induced_intertwines_projection():
         cols, w = [], v
         for _ in range(amb):
             cols.append(w)
-            w = a.apply(w)
+            w = times(a, w)
         s = Subspace(amb, columns=cols)
-        if not all(s.contains(a.apply(s.basis.col(j))) for j in range(s.dim)):
+        if not all(s.contains(times(a, s.basis.col(j))) for j in range(s.dim)):
             continue
         proj, _ = quotient_map(amb, s)
         abar = _induced(a, s)

@@ -1,0 +1,27 @@
+"""The library runs on the standard library alone and is deterministic: every
+absolute import under src/mcvlie is a standard-library module, and none of
+them is `random`."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mcvlie"
+
+
+def _absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_library_imports_only_the_deterministic_standard_library():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    for path in files:
+        for name in _absolute_imports(path):
+            top = name.split(".")[0]
+            assert top in sys.stdlib_module_names, (path.name, name)
+            assert top != "random", (path.name, name)
