@@ -22,7 +22,6 @@ from .exactcore import (
     ExactMatrix,
     Poly,
     Subspace,
-    _cleared,
     charpoly,
     integer_spectrum_hits,
     kernel,
@@ -106,7 +105,7 @@ def _star_defect(mats, i: int) -> Poly:
     # the basis has identity rows at its pivots and N is A_i-invariant, so
     # the restriction is read off those rows of A_i·basis
     image = a * n_space.basis
-    return charpoly(ExactMatrix([image.row(p) for p in n_space.pivots]))
+    return charpoly(image.submatrix(n_space.pivots, range(image.cols)))
 
 
 def check_star_conditions(mats) -> StarReport:
@@ -166,7 +165,7 @@ def is_irreducible(mats) -> bool:
     d = mats[0].rows
     if d == 1:
         return True
-    gens = [tuple(zip(*_integer_rows(a))) for a in mats]  # columns
+    gens = [tuple(zip(*a.ints)) for a in mats]  # columns
     span = _IncrementalSpan(d * d)
     frontier = [tuple(tuple(int(i == j) for j in range(d)) for i in range(d))]
     span.add(_vec(frontier[0]))
@@ -181,12 +180,6 @@ def is_irreducible(mats) -> bool:
                         return True
         frontier = nxt
     return span.dim == d * d
-
-
-def _integer_rows(a: ExactMatrix):
-    """The rows of c·a as integer tuples, c the lcm of a's denominators."""
-    ints, _ = _cleared(_vec(a.data))
-    return [tuple(ints[i:i + a.cols]) for i in range(0, len(ints), a.cols)]
 
 
 def _vec(m):

@@ -72,16 +72,13 @@ def dr_k_l(mats, lam):
     cross-checked against the joint kernel of the convolution."""
     mats, n, d = _validate_tuple(mats)
     lam = rat(lam)
-    pad = (Fraction(0),) * d
-    cols = []
-    for i, a in enumerate(mats):
-        ker = kernel(a)
-        for j in range(ker.dim):
-            cols.append(pad * i + ker.basis.col(j) + pad * (n - 1 - i))
-    k = Subspace(n * d, columns=cols)
+    kers = [kernel(a).basis for a in mats]
+    blocks = [[b if i == j else ExactMatrix.zeros(d, c.cols) for j, c in enumerate(kers)]
+              for i, b in enumerate(kers)]
+    k = Subspace(n * d, basis=ExactMatrix.block(blocks))
     if lam != 0:
         ker = kernel(sum(mats[1:], mats[0]).add_scaled_identity(lam))
-        l = Subspace(n * d, columns=[ker.basis.col(j) * n for j in range(ker.dim)])
+        l = Subspace(n * d, basis=ExactMatrix.vstack([ker.basis] * n))
     else:
         l = kernel(ExactMatrix.hstack(mats))
         if l != kernel(ExactMatrix.vstack(dr_convolution(mats, lam))):
@@ -162,6 +159,10 @@ class MiddleConvolvedSystem:
 
 def _verify_invariant(mat: ExactMatrix, sub: Subspace, generator, which: str):
     images = mat * sub.basis
+    # the basis has identity rows at its pivots: a vector lies in the span
+    # exactly when it is the basis times its own pivot entries
+    if sub.basis * images.submatrix(sub.pivots, range(sub.dim)) == images:
+        return
     for j in range(sub.dim):
         img = images.col(j)
         if not sub.contains(img):
@@ -179,10 +180,7 @@ def _quotient_all(matrices, w: Subspace):
     proj, qdim = quotient_map(w.ambient_dim, w)
     pivot_set = set(w.pivots)
     nonpivot = [r for r in range(w.ambient_dim) if r not in pivot_set]
-    induced = [
-        proj * ExactMatrix.from_cols([m.col(c) for c in nonpivot], m.rows)
-        for m in matrices
-    ]
+    induced = [proj * m.submatrix(range(m.rows), nonpivot) for m in matrices]
     return proj, qdim, induced
 
 

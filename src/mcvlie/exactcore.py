@@ -1,9 +1,12 @@
 """Exact rational linear algebra: dense matrices over Q, canonical subspaces,
 univariate polynomials, polynomial pencils and integer spectra.
 
-Everything here is exact.  Rationals are `fractions.Fraction`, matrices are
-immutable tuples of tuples, and subspaces are kept in reduced column echelon
-form so that structural equality coincides with equality of spans.
+Everything here is exact.  A matrix is stored as integer rows over one
+positive denominator, in lowest terms, and every matrix operation computes
+on those integers; `fractions.Fraction` appears only at the API edges
+(`rat`, entry access, `data`, scalars and polynomial coefficients).
+Subspaces are kept in reduced column echelon form so that structural
+equality coincides with equality of spans.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import itertools
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import InputError, InternalInvariantError, PreconditionError
 
@@ -27,95 +30,138 @@ _ONE = Fraction(1)
 MAX_EXPONENT = 4300
 
 
+def _ratio(x):
+    """(p, q) with q > 0 and x = p/q, not always in lowest terms, under the
+    rules of `rat`.  Ints and "p" / "p/q" strings of ASCII digits (optional
+    leading "-") are read with int(); every other string goes through
+    Fraction."""
+    if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            try:  # int() refuses more than 4300 digits, as Fraction does
+                p, q = int(num), int(den) if slash else 1
+            except ValueError as exc:
+                raise InputError(f"not a rational: {x!r}") from exc
+            if q:
+                return p, q  # q = 0 is refused below
+        else:
+            text = x.replace("−", "-").strip()
+            if "e" in text or "E" in text:
+                try:
+                    exponent = abs(int(text.lower().partition("e")[2]))
+                except ValueError:
+                    exponent = 0  # malformed: Fraction rejects it below
+                if exponent > MAX_EXPONENT:
+                    raise InputError(f"exponent larger than {MAX_EXPONENT} in {x!r}")
+            try:
+                x = Fraction(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InputError(f"not a rational: {x!r}") from exc
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x, 1
+    raise InputError(f"not a rational: {x!r}")
+
+
 def rat(x) -> Fraction:
     """Coerce ints, Fractions and strings like "-3/7" or "5" to Fraction;
     anything else, booleans included, is an InputError, and so is a string
     whose decimal exponent exceeds MAX_EXPONENT in size."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, str):
-        text = x.replace("−", "-").strip()
-        if "e" in text or "E" in text:
-            try:
-                exponent = abs(int(text.lower().partition("e")[2]))
-            except ValueError:
-                exponent = 0  # malformed: Fraction rejects it below
-            if exponent > MAX_EXPONENT:
-                raise InputError(f"exponent larger than {MAX_EXPONENT} in {x!r}")
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational: {x!r}") from exc
-    raise InputError(f"not a rational: {x!r}")
+    return Fraction(*_ratio(x))
+
+
+def _ratio_str(p: int, q: int) -> str:
+    """p/q (q > 0) reduced, as "p/q" or "p".  A number with more digits
+    than Python prints is a PreconditionError."""
+    g = int_gcd(p, q)
+    if g != 1:
+        p, q = p // g, q // g
+    try:
+        return f"{p}/{q}" if q != 1 else str(p)
+    except ValueError as exc:
+        raise PreconditionError(f"result too large to print: {exc}") from exc
 
 
 def rat_str(x: Fraction) -> str:
-    """Canonical string form: reduced, positive denominator, "p/q" or "p".
-    A number with more digits than Python prints is a PreconditionError."""
-    try:
-        return str(x)
-    except ValueError as exc:
-        raise PreconditionError(f"result too large to print: {exc}") from exc
+    """Canonical string form: reduced, positive denominator, "p/q" or "p"."""
+    return _ratio_str(x.numerator, x.denominator)
 
 
 # ---------------------------------------------------------------------------
 # Dense exact matrices
 
 
-class ExactMatrix:
-    """Immutable dense matrix over Q, row-major."""
+def _scaled(ints, f: int):
+    return ints if f == 1 else tuple(tuple(f * x for x in row) for row in ints)
 
-    __slots__ = ("rows", "cols", "data")
+
+def _transposed(ints, cols: int):
+    return tuple(zip(*ints)) if ints else ((),) * cols
+
+
+class ExactMatrix:
+    """Immutable dense matrix over Q, row-major: the integer rows `ints`
+    over the denominator `den`, in canonical form (den > 0 and
+    gcd(den, every entry) = 1, so a zero matrix has den 1).  Equal matrices
+    have equal (rows, cols, den, ints)."""
+
+    __slots__ = ("rows", "cols", "den", "ints", "_data")
 
     def __init__(self, data, shape=None):
-        rows = [tuple(rat(x) for x in row) for row in data]
+        rows = [[(x, 1) if type(x) is int else _ratio(x) for x in row] for row in data]
         if shape is not None:
             r, c = shape
             if len(rows) != r or any(len(row) != c for row in rows):
                 raise InputError(f"matrix data does not match shape {shape}")
-            self.rows, self.cols = r, c
         else:
-            self.rows = len(rows)
-            if self.rows == 0:
+            r = len(rows)
+            if r == 0:
                 raise InputError("empty matrix needs an explicit shape")
-            self.cols = len(rows[0])
-            if any(len(row) != self.cols for row in rows):
+            c = len(rows[0])
+            if any(len(row) != c for row in rows):
                 raise InputError("ragged matrix rows")
-        self.data = tuple(rows)
+        den = lcm(*[q for row in rows for _, q in row])
+        ints = tuple(tuple(p * (den // q) for p, q in row) for row in rows)
+        m = ExactMatrix._of(ints, den, r, c)
+        self.rows, self.cols, self.den, self.ints, self._data = r, c, m.den, m.ints, None
 
     @classmethod
-    def _of(cls, data, rows: int, cols: int) -> "ExactMatrix":
-        """Trusted constructor for results computed here: data is already a
-        tuple of `rows` tuples of `cols` Fractions, so nothing is coerced or
-        checked.  Outside input goes through `ExactMatrix(data, shape)`."""
+    def _of(cls, ints, den: int, rows: int, cols: int) -> "ExactMatrix":
+        """Trusted constructor for results computed here: `ints` is a tuple
+        of `rows` tuples of `cols` ints over a positive `den`, which is
+        brought to lowest terms and otherwise not checked.  Outside input
+        goes through `ExactMatrix(data, shape)`."""
+        if den != 1:
+            g = int_gcd(den, *itertools.chain.from_iterable(ints))
+            if g != 1:
+                den //= g
+                ints = tuple(tuple(x // g for x in row) for row in ints)
         m = cls.__new__(cls)
-        m.rows, m.cols, m.data = rows, cols, data
+        m.rows, m.cols, m.den, m.ints, m._data = rows, cols, den, ints, None
         return m
 
     # -- constructors
 
     @staticmethod
     def zeros(r: int, c: int) -> "ExactMatrix":
-        return ExactMatrix._of(((_ZERO,) * c,) * r, r, c)
+        return ExactMatrix._of(((0,) * c,) * r, 1, r, c)
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
         return ExactMatrix._of(
-            tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)),
-            n,
-            n,
+            tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, n, n
         )
 
     @staticmethod
     def from_cols(cols, ambient: int) -> "ExactMatrix":
-        cols = [tuple(rat(x) for x in c) for c in cols]
+        cols = [tuple(c) for c in cols]
         if any(len(c) != ambient for c in cols):
             raise InputError("column length does not match ambient dimension")
-        return ExactMatrix._of(
-            tuple(tuple(c[i] for c in cols) for i in range(ambient)), ambient, len(cols)
-        )
+        return ExactMatrix(cols, shape=(len(cols), ambient)).transpose()
 
     @staticmethod
     def hstack(mats) -> "ExactMatrix":
@@ -123,8 +169,11 @@ class ExactMatrix:
         r = mats[0].rows
         if any(m.rows != r for m in mats):
             raise PreconditionError("hstack: row counts differ")
+        den = lcm(*[m.den for m in mats])
+        parts = [_scaled(m.ints, den // m.den) for m in mats]
         return ExactMatrix._of(
-            tuple(tuple(x for m in mats for x in m.data[i]) for i in range(r)),
+            tuple(tuple(x for p in parts for x in p[i]) for i in range(r)),
+            den,
             r,
             sum(m.cols for m in mats),
         )
@@ -135,8 +184,12 @@ class ExactMatrix:
         c = mats[0].cols
         if any(m.cols != c for m in mats):
             raise PreconditionError("vstack: column counts differ")
+        den = lcm(*[m.den for m in mats])
         return ExactMatrix._of(
-            tuple(row for m in mats for row in m.data), sum(m.rows for m in mats), c
+            tuple(row for m in mats for row in _scaled(m.ints, den // m.den)),
+            den,
+            sum(m.rows for m in mats),
+            c,
         )
 
     @staticmethod
@@ -146,6 +199,16 @@ class ExactMatrix:
 
     # -- accessors
 
+    @property
+    def data(self):
+        """The entries as a tuple of row tuples of Fractions, built once."""
+        if self._data is None:
+            d = self.den
+            self._data = tuple(
+                tuple(Fraction(x, d) if x else _ZERO for x in row) for row in self.ints
+            )
+        return self._data
+
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self.data[i][j]
@@ -154,7 +217,13 @@ class ExactMatrix:
         return self.data[i]
 
     def col(self, j):
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple(row[j] for row in self.data)
+
+    def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
+        """The entries at the given rows and columns, in the given order."""
+        col_idx = list(col_idx)
+        ints = tuple(tuple(self.ints[i][j] for j in col_idx) for i in row_idx)
+        return ExactMatrix._of(ints, self.den, len(ints), len(col_idx))
 
     def to_lists(self):
         return [list(row) for row in self.data]
@@ -164,106 +233,89 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.ints))
 
     # -- arithmetic
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+    def _combine(self, other: "ExactMatrix", op, what: str) -> "ExactMatrix":
+        """op (add or sub) entrywise, over the lcm of the two denominators."""
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise PreconditionError("matrix addition: shape mismatch")
-        return ExactMatrix._of(
-            tuple(
-                tuple(a + b if a and b else a or b for a, b in zip(r1, r2))  # 0 + b is b
-                for r1, r2 in zip(self.data, other.data)
-            ),
-            self.rows,
-            self.cols,
-        )
+            raise PreconditionError(f"matrix {what}: shape mismatch")
+        den = lcm(self.den, other.den)
+        a, b = _scaled(self.ints, den // self.den), _scaled(other.ints, den // other.den)
+        ints = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(a, b))
+        return ExactMatrix._of(ints, den, self.rows, self.cols)
+
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._combine(other, add, "addition")
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise PreconditionError("matrix subtraction: shape mismatch")
-        return ExactMatrix._of(
-            tuple(
-                tuple(a - b if b else a for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.data, other.data)
-            ),
-            self.rows,
-            self.cols,
-        )
+        return self._combine(other, sub, "subtraction")
 
     def __neg__(self) -> "ExactMatrix":
-        return self.scale(-1)
+        return ExactMatrix._of(
+            tuple(tuple(-x for x in row) for row in self.ints), self.den, self.rows, self.cols
+        )
 
     def scale(self, a) -> "ExactMatrix":
         a = rat(a)
+        if not a:
+            return ExactMatrix.zeros(self.rows, self.cols)
         return ExactMatrix._of(
-            tuple(tuple(a * x for x in row) for row in self.data), self.rows, self.cols
+            _scaled(self.ints, a.numerator), self.den * a.denominator, self.rows, self.cols
         )
 
     def __mul__(self, other):
-        """Matrix product on integers.  Each left row and right column is
-        cleared of denominators by their lcm; entry (i, j) is the integer
-        product of row i and column j divided by the two lcms.  A sparse left
-        row sums its multiples of the (column-scaled) right rows instead."""
+        """Matrix product of the integer rows over the product of the
+        denominators.  A sparse left row sums its multiples of the right
+        rows instead of taking dot products with the right columns."""
         if not isinstance(other, ExactMatrix):
             return self.scale(other)
         if self.cols != other.rows:
             raise PreconditionError("matrix product: inner dimensions differ")
         if not self.cols or not other.cols:
             return ExactMatrix.zeros(self.rows, other.cols)
-        icols, dens = zip(*[_cleared(c) for c in zip(*other.data)])
-        irows = list(zip(*icols))
-        zero_row = (_ZERO,) * other.cols
+        irows = other.ints
+        icols = tuple(zip(*irows))
+        zero_row = (0,) * other.cols
         out = []
-        for row in self.data:
-            ints, da = _cleared(row)
-            nz = [k for k, x in enumerate(ints) if x]
+        for row in self.ints:
+            nz = [k for k, x in enumerate(row) if x]
             if not nz:
                 out.append(zero_row)
-                continue
-            if 2 * len(nz) > len(ints):
-                sums = [sum(map(mul, ints, c)) for c in icols]
+            elif 2 * len(nz) > len(row):
+                out.append(tuple(sum(map(mul, row, c)) for c in icols))
             else:
                 k = nz[0]
-                a = ints[k]
+                a = row[k]
                 sums = [a * y for y in irows[k]]
                 for k in nz[1:]:
-                    a = ints[k]
+                    a = row[k]
                     sums = [x + a * y for x, y in zip(sums, irows[k])]
-            out.append(
-                tuple(
-                    _ZERO if not s else Fraction(s) if da * db == 1 else Fraction(s, da * db)
-                    for s, db in zip(sums, dens)
-                )
-            )
-        return ExactMatrix._of(tuple(out), self.rows, other.cols)
+                out.append(tuple(sums))
+        return ExactMatrix._of(tuple(out), self.den * other.den, self.rows, other.cols)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def transpose(self) -> "ExactMatrix":
-        if not self.rows:
-            return ExactMatrix.zeros(self.cols, 0)
-        return ExactMatrix._of(tuple(zip(*self.data)), self.cols, self.rows)
+        return ExactMatrix._of(_transposed(self.ints, self.cols), self.den, self.cols, self.rows)
 
     def add_scaled_identity(self, a) -> "ExactMatrix":
         if not self.is_square:
             raise PreconditionError("shifted identity needs a square matrix")
         a = rat(a)
+        den = lcm(self.den, a.denominator)
+        f, s = den // self.den, a.numerator * (den // a.denominator)
         return ExactMatrix._of(
             tuple(
-                tuple(x + a if i == j else x for j, x in enumerate(row))
-                for i, row in enumerate(self.data)
+                tuple(f * x + s if i == j else f * x for j, x in enumerate(row))
+                for i, row in enumerate(self.ints)
             ),
+            den,
             self.rows,
             self.cols,
         )
-
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise PreconditionError("trace needs a square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), _ZERO)
 
     # -- equality
 
@@ -272,11 +324,12 @@ class ExactMatrix:
             isinstance(other, ExactMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.den, self.ints))
 
     def __repr__(self):
         body = "; ".join(" ".join(rat_str(x) for x in row) for row in self.data)
@@ -287,13 +340,12 @@ class ExactMatrix:
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column indices).
 
-        Fraction-free Gauss-Jordan: rows are cleared of denominators and
-        kept primitive, a row is reduced as p·row − f·pivot_row, and the
-        Fractions are made at the end by dividing each pivot row by its
-        pivot.  The reduced form is unique, so it equals the one reached by
-        elimination over Q."""
+        Fraction-free Gauss-Jordan on the integer rows, kept primitive: a
+        row is reduced as p·row − f·pivot_row.  Pivot row k, with pivot p_k,
+        is then row·(D/p_k) over D = lcm(p_k).  The reduced form is unique,
+        so it equals the one reached by elimination over Q."""
         nr, nc = self.rows, self.cols
-        m = [_primitive(_cleared(row)[0]) for row in self.data]
+        m = [_primitive(list(row)) for row in self.ints]
         pivots = []
         r = 0
         for c in range(nc):
@@ -313,34 +365,30 @@ class ExactMatrix:
             r += 1
             if r == nr:
                 break
-        data = [
-            tuple(_ZERO if not x else Fraction(x, p) for x in row)
-            for row, p in ((m[k], m[k][c]) for k, c in enumerate(pivots))
-        ]
-        data += [(_ZERO,) * nc] * (nr - r)
-        return ExactMatrix._of(tuple(data), nr, nc), tuple(pivots)
+        ps = [m[k][c] for k, c in enumerate(pivots)]
+        den = lcm(*ps)  # positive, and p divides it exactly, whatever p's sign
+        ints = tuple(tuple(x * (den // p) for x in m[k]) for k, p in enumerate(ps))
+        return ExactMatrix._of(ints + ((0,) * nc,) * (nr - r), den, nr, nc), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def det(self) -> Fraction:
-        """Determinant by fraction-free Bareiss elimination on the rows
-        cleared of denominators, divided back by the row scales."""
+        """Determinant by fraction-free Bareiss elimination on the integer
+        rows made primitive, divided back by the row scales."""
         if not self.is_square:
             raise PreconditionError("determinant needs a square matrix")
         n = self.rows
         if n == 0:
             return _ONE
         m = []
-        num = den = 1
-        for row in self.data:
-            ints, d = _cleared(row)
-            g = int_gcd(*ints)
+        num = 1
+        for row in self.ints:
+            g = int_gcd(*row)
             if not g:
                 return _ZERO
-            m.append([x // g for x in ints])
+            m.append([x // g for x in row])
             num *= g
-            den *= d
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -358,18 +406,10 @@ class ExactMatrix:
                 mi[k + 1:] = [(x * p - f * y) // prev for x, y in zip(mi[k + 1:], mk[k + 1:])]
                 mi[k] = 0
             prev = p
-        return Fraction(sign * m[n - 1][n - 1] * num, den)
+        return Fraction(sign * m[n - 1][n - 1] * num, self.den ** n)
 
     def is_invertible(self) -> bool:
         return self.is_square and self.det() != 0
-
-
-def _cleared(row):
-    """(integers, d): the row times the lcm d of its denominators."""
-    d = lcm(*[x.denominator for x in row])
-    if d == 1:
-        return [x.numerator for x in row], 1
-    return [x.numerator * (d // x.denominator) for x in row], d
 
 
 def _primitive(ints):
@@ -383,11 +423,10 @@ def solve_right(a: ExactMatrix, b: ExactMatrix):
     aug, pivots = ExactMatrix.hstack([a, b]).rref()
     if any(p >= a.cols for p in pivots):
         return None
-    x = [[_ZERO] * b.cols for _ in range(a.cols)]
+    x = [(0,) * b.cols] * a.cols
     for r, p in enumerate(pivots):
-        for j in range(b.cols):
-            x[p][j] = aug.data[r][a.cols + j]
-    return ExactMatrix._of(tuple(map(tuple, x)), a.cols, b.cols)
+        x[p] = aug.ints[r][a.cols:]
+    return ExactMatrix._of(tuple(x), aug.den, a.cols, b.cols)
 
 
 def right_inverse(m: ExactMatrix) -> ExactMatrix:
@@ -429,8 +468,8 @@ class Subspace:
         else:
             mat = ExactMatrix.zeros(ambient_dim, 0)
         red, pivots = mat.transpose().rref()
-        cols = [red.data[i] for i in range(len(pivots))]
-        self.basis = ExactMatrix.from_cols(cols, ambient_dim)
+        r = len(pivots)
+        self.basis = ExactMatrix._of(_transposed(red.ints[:r], ambient_dim), red.den, ambient_dim, r)
         self.pivots = pivots
 
     @staticmethod
@@ -446,15 +485,12 @@ class Subspace:
         return self.basis.cols
 
     def contains(self, vec) -> bool:
-        v = list(rat(x) for x in vec)
-        if len(v) != self.ambient_dim:
+        """v is in the span exactly when v = basis · (v at the pivots), as
+        the basis has identity rows at its pivots."""
+        v = ExactMatrix([vec]).transpose()
+        if v.rows != self.ambient_dim:
             raise PreconditionError("vector length does not match ambient dimension")
-        for j, p in enumerate(self.pivots):
-            c = v[p]
-            if c:
-                for i in range(self.ambient_dim):
-                    v[i] -= c * self.basis.data[i][j]
-        return all(x == 0 for x in v)
+        return self.basis * v.submatrix(self.pivots, [0]) == v
 
     def __eq__(self, other) -> bool:
         return (
@@ -474,14 +510,15 @@ def kernel(m: ExactMatrix) -> Subspace:
     """Canonical basis of the null space {v : m v = 0}."""
     red, pivots = m.rref()
     free = [c for c in range(m.cols) if c not in pivots]
-    cols = []
+    vecs = []
     for f in free:
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
+        v = [0] * m.cols
+        v[f] = red.den
         for r, p in enumerate(pivots):
-            v[p] = -red.data[r][f]
-        cols.append(v)
-    return Subspace(m.cols, columns=cols)
+            v[p] = -red.ints[r][f]
+        vecs.append(tuple(v))
+    basis = ExactMatrix._of(tuple(vecs), red.den, len(free), m.cols).transpose()
+    return Subspace(m.cols, basis=basis)
 
 
 def quotient_map(ambient_dim: int, s: Subspace):
@@ -493,14 +530,15 @@ def quotient_map(ambient_dim: int, s: Subspace):
         raise PreconditionError("quotient_map: ambient dimension mismatch")
     pivot_set = set(s.pivots)
     nonpivot = [i for i in range(ambient_dim) if i not in pivot_set]
+    b = s.basis
     rows = []
     for r in nonpivot:
-        row = [_ZERO] * ambient_dim
-        row[r] = _ONE
+        row = [0] * ambient_dim
+        row[r] = b.den
         for j, p in enumerate(s.pivots):
-            row[p] = -s.basis.data[r][j]
-        rows.append(row)
-    return ExactMatrix._of(tuple(map(tuple, rows)), len(nonpivot), ambient_dim), len(nonpivot)
+            row[p] = -b.ints[r][j]
+        rows.append(tuple(row))
+    return ExactMatrix._of(tuple(rows), b.den, len(rows), ambient_dim), len(rows)
 
 
 def subspace_meet(s1: Subspace, s2: Subspace) -> Subspace:
@@ -668,7 +706,7 @@ class Poly:
         if f.degree < 1:
             return roots
         h = f.exact_div(f.gcd(f.derivative()))
-        ints, _ = _cleared(h.coeffs)
+        ints = ExactMatrix([h.coeffs]).ints[0]  # h times a positive rational
         n, a = h.degree, ints[-1]
         if n == 1:
             roots.append(Fraction(-ints[0], a))
@@ -716,7 +754,7 @@ def _integer_roots(g, bound: int):
     chain.append(chain[0].derivative())
     while chain[-1].degree > 0:
         chain.append(-chain[-2].divmod(chain[-1])[1])
-    chain = [_cleared(p.coeffs)[0] for p in chain]  # positive scales keep signs
+    chain = [ExactMatrix([p.coeffs]).ints[0] for p in chain]  # positive scales keep signs
 
     def changes(x):
         signs = [s for s in (_horner(p, x) for p in chain) if s]
@@ -754,20 +792,41 @@ def _horner(coeffs, x):
 
 
 def charpoly(a: ExactMatrix) -> Poly:
-    """Monic characteristic polynomial det(x·I − a), by Faddeev-LeVerrier."""
+    """Monic characteristic polynomial det(x·I − a), in O(n^3) Fraction
+    operations: reduce a to upper Hessenberg form H by similarity, then
+    expand det(x·I − H) along the subdiagonal (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.2.9)."""
     if not a.is_square:
         raise PreconditionError("characteristic polynomial needs a square matrix")
     n = a.rows
-    coeffs = [_ZERO] * (n + 1)
-    coeffs[n] = _ONE
-    m = ExactMatrix.identity(n)
-    for k in range(1, n + 1):
-        m = a * m
-        c = -m.trace() / k
-        coeffs[n - k] = c
-        if k < n:
-            m = m.add_scaled_identity(c)
-    return Poly(coeffs)
+    h = [list(row) for row in a.data]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:  # swap rows and columns i and m
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+        t = h[m][m - 1]
+        for i in range(m + 1, n):
+            u = h[i][m - 1]
+            if u:  # row i −= u·row m, then column m += u·column i
+                u /= t
+                h[i] = [x - u * y for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] += u * row[i]
+    # p_(m+1) = (x − h_mm)·p_m − sum over i < m of h_im·h_(i+1,i)···h_(m,m−1)·p_i
+    p = [Poly.one()]
+    for m in range(n):
+        nxt, t = Poly([-h[m][m], 1]) * p[m], _ONE
+        for i in range(m - 1, -1, -1):
+            t *= h[i + 1][i]
+            if not t:
+                break
+            nxt = nxt - p[i].scale(h[i][m] * t)
+        p.append(nxt)
+    return p[n]
 
 
 # ---------------------------------------------------------------------------
@@ -905,7 +964,8 @@ def integer_spectrum_hits(a: ExactMatrix, shift) -> list:
 
 
 def matrix_to_json(m: ExactMatrix):
-    return [[rat_str(x) for x in row] for row in m.data]
+    d = m.den
+    return [[_ratio_str(x, d) for x in row] for row in m.ints]
 
 
 def int_from_json(value) -> int:

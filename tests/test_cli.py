@@ -183,13 +183,15 @@ def test_stdin_input(monkeypatch):
     assert len(json.loads(out)["hyperplanes"]) == 3
 
 
-def test_env_seed_override(monkeypatch):
+def test_env_seed_has_no_effect(monkeypatch):
+    argv = ("compose-check", "--lambda", "1/2", "--mu", "1/3", "--input", str(DATA / "rank1.json"))
+    monkeypatch.delenv("MCVLIE_SEED", raising=False)
+    _, unset, _ = run_cli(*argv)
     monkeypatch.setenv("MCVLIE_SEED", "7")
-    code, out, _ = run_cli(
-        "compose-check", "--lambda", "1/2", "--mu", "1/3", "--input", str(DATA / "rank1.json")
-    )
+    code, out, _ = run_cli(*argv)
     assert code == 0
     assert json.loads(out)["isomorphic"] is True
+    assert out == unset
 
 
 def test_seed_option_is_gone():

@@ -2,7 +2,8 @@
 argv of `freelie verify`, `mc`, `convolve`, `rh-check` and
 `compose-check`: every run of every command exits 0, 1, 2 or 3,
 prints exactly one JSON document on stdout and no traceback, within a
-per-example deadline."""
+per-example deadline.  Also: the parser of rationals agrees with
+Fraction on arbitrary strings and values."""
 
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from mcvlie.cli import main  # noqa: E402
+from test_exact_kernels import assert_rat_parity  # noqa: E402
 
 BIG = 10**40
 DATA = Path(__file__).parent / "data"
@@ -224,3 +226,24 @@ def parameter_argv(draw):
 @given(parameter_argv())
 def test_parameter_argv_contract(argv):
     _check_contract(*_main(argv))
+
+
+# strings near the int() fast path of rat: digits, signs, slashes, and the
+# characters Fraction reads differently from int()
+rat_text = st.text(alphabet="0123456789-+/ _.eE−٣²\t", max_size=10)
+
+
+@FUZZ
+@given(st.one_of(
+    rat_text,
+    st.from_regex(r"-?[0-9]{0,3}/?-?[0-9]{0,3}", fullmatch=True),
+    st.text(max_size=6),
+    st.integers(-BIG, BIG).map(str),
+    st.fractions(min_value=-BIG, max_value=BIG, max_denominator=10**30).map(str),
+    st.integers(-BIG, BIG),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+))
+def test_rat_agrees_with_fraction(x):
+    assert_rat_parity(x)

@@ -1,13 +1,25 @@
-"""The integer kernels under ExactMatrix and the Burnside span against the
-plain Fraction algorithms they replaced, kept here as reference
-implementations, on seeded random rational inputs."""
+"""The integer kernels under ExactMatrix, its integer representation, the
+Burnside span, the Hessenberg characteristic polynomial and the parser of
+rationals against the plain Fraction algorithms they replaced, kept here as
+reference implementations, on seeded random rational inputs."""
 
 import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from mcvlie.analysis import _IncrementalSpan, is_irreducible
-from mcvlie.exactcore import ExactMatrix, Poly
+from mcvlie.errors import InputError
+from mcvlie.exactcore import (
+    MAX_EXPONENT,
+    ExactMatrix,
+    Poly,
+    charpoly,
+    inverse,
+    matrix_to_json,
+    rat,
+)
 
 F = Fraction
 _ZERO = F(0)
@@ -66,6 +78,51 @@ def ref_det(a: ExactMatrix):
             m[i][k] = F(0)
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def ref_charpoly(a: ExactMatrix):
+    """Faddeev-LeVerrier: n Fraction matrix products, coefficients lowest
+    degree first."""
+    n = a.rows
+    coeffs = [F(0)] * n + [F(1)]
+    m = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        m = ref_mul(a, ExactMatrix(m, shape=(n, n)))
+        c = -sum(m[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+        for i in range(n):
+            m[i][i] += c
+    return coeffs
+
+
+def expected_rat(x):
+    """What rat(x) must give, or InputError: Fraction(x) on ints and
+    strings, except that U+2212 reads as "-" and a decimal exponent over
+    MAX_EXPONENT is refused; booleans, floats and other types are refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        return InputError
+    if isinstance(x, int):
+        return F(x)
+    text = x.replace("−", "-")
+    try:
+        value = F(text)
+    except (ValueError, ZeroDivisionError):
+        return InputError
+    exponent = text.strip().lower().partition("e")[2]
+    if exponent and abs(int(exponent)) > MAX_EXPONENT:
+        return InputError
+    return value
+
+
+def assert_rat_parity(x):
+    want = expected_rat(x)
+    if want is InputError:
+        with pytest.raises(InputError):
+            rat(x)
+    else:
+        got = rat(x)
+        assert type(got) is Fraction and got == want
+        assert ExactMatrix([[x]]) == ExactMatrix([[want]])
 
 
 class RefSpan:
@@ -182,13 +239,34 @@ def all_fractions(m: ExactMatrix) -> bool:
     return all(type(x) is Fraction for row in m.data for x in row)
 
 
+def assert_canonical(m: ExactMatrix):
+    """Integer rows of the right shape over a positive denominator that
+    shares no factor with every entry."""
+    assert type(m.den) is int and m.den > 0
+    assert len(m.ints) == m.rows and all(len(row) == m.cols for row in m.ints)
+    assert all(type(x) is int for row in m.ints for x in row)
+    assert gcd(m.den, *[x for row in m.ints for x in row]) == 1
+
+
 def assert_like_public(m: ExactMatrix):
-    """Entries are Fractions and the matrix is ==/hash-equal to the same data
-    given to the public constructor."""
+    """Canonical, entries are Fractions, and the matrix is ==/hash-equal to
+    the same data given to the public constructor."""
+    assert_canonical(m)
     assert all_fractions(m)
     public = ExactMatrix([list(row) for row in m.data], shape=(m.rows, m.cols))
     assert m == public and hash(m) == hash(public)
     assert len(m.data) == m.rows and all(len(row) == m.cols for row in m.data)
+
+
+def assert_matches(m: ExactMatrix, ref_rows):
+    """`assert_like_public`, and the Fraction entries and the JSON are those
+    of the reference rows: equal to them built publicly, printed by
+    str(Fraction)."""
+    assert_like_public(m)
+    assert m.data == tuple(tuple(row) for row in ref_rows)
+    assert matrix_to_json(m) == [[str(F(x)) for x in row] for row in ref_rows]
+    public = ExactMatrix(ref_rows, shape=(m.rows, m.cols))
+    assert m == public and hash(m) == hash(public)
 
 
 # -- products ----------------------------------------------------------------
@@ -204,7 +282,7 @@ def test_product_matches_fraction_oracle():
         p = a * b
         assert (p.rows, p.cols) == (r, c)
         assert p == ExactMatrix(ref_mul(a, b), shape=(r, c))
-        assert_like_public(p)
+        assert_matches(p, ref_mul(a, b))
 
 
 def test_product_on_empty_and_zero_shapes():
@@ -214,7 +292,7 @@ def test_product_on_empty_and_zero_shapes():
         b = rand_matrix(rng, k, c, "small")
         p = a * b
         assert p == ExactMatrix.zeros(r, c)
-        assert_like_public(p)
+        assert_matches(p, [[F(0)] * c for _ in range(r)])
 
 
 def test_sums_scales_and_transposes_are_like_public():
@@ -235,12 +313,16 @@ def test_sums_scales_and_transposes_are_like_public():
         ]:
             assert_like_public(got)
             assert got == ExactMatrix(want, shape=(got.rows, got.cols))
+            assert_matches(got, want)
         assert a.transpose().transpose() == a
-        for m in (ExactMatrix.hstack([a, b]), ExactMatrix.vstack([a, b])):
-            assert_like_public(m)
+        assert_matches(ExactMatrix.hstack([a, b]), [u + v for u, v in zip(a.data, b.data)])
+        assert_matches(ExactMatrix.vstack([a, b]), list(a.data) + list(b.data))
         if r == c:
-            assert_like_public(a.add_scaled_identity(s))
-            assert_like_public(ExactMatrix.identity(r))
+            shifted = [[x + s if i == j else x for j, x in enumerate(row)]
+                       for i, row in enumerate(a.data)]
+            assert_matches(a.add_scaled_identity(s), shifted)
+            assert_matches(ExactMatrix.identity(r), [[F(int(i == j)) for j in range(r)]
+                                                     for i in range(r)])
 
 
 # -- elimination -------------------------------------------------------------
@@ -256,7 +338,7 @@ def test_rref_matches_fraction_oracle():
         ref_red, ref_pivots = ref_rref(a)
         assert pivots == ref_pivots
         assert red == ExactMatrix(ref_red, shape=(r, c))
-        assert_like_public(red)
+        assert_matches(red, ref_red)
         assert a.rank() == len(ref_pivots)
 
 
@@ -364,3 +446,57 @@ def test_rational_roots_edge_cases():
     # x³ − 2(10x − 1)²: two irrational roots inside (0, 1], near 1/10
     assert Poly([-2, 40, -200, 1]).rational_roots() == []
     assert (Poly([-2, 40, -200, 1]) * Poly([-1, 10])).rational_roots() == [F(1, 10)]
+
+
+# -- characteristic polynomial -----------------------------------------------
+
+
+def _nilpotent(rng, n, style):
+    """A strictly upper triangular matrix conjugated by an invertible one."""
+    u = [[rand_entry(rng, style) if j > i else F(0) for j in range(n)] for i in range(n)]
+    while True:
+        p = rand_matrix(rng, n, n, "small")
+        if p.is_invertible():
+            return p * ExactMatrix(u, shape=(n, n)) * inverse(p)
+
+
+def test_charpoly_matches_faddeev_leverrier():
+    rng = random.Random(110)
+    cases = [ExactMatrix.zeros(0, 0), ExactMatrix([[F(-7, 3)]]), ExactMatrix([[0]])]
+    for t in range(160):
+        style = STYLES[t % len(STYLES)]
+        n = rng.randint(1, 7)
+        if t % 5 == 0:
+            cases.append(_nilpotent(rng, n, style))
+        elif t % 5 == 1:
+            cases.append(rand_low_rank(rng, n, n, style))
+        elif t % 5 == 2:  # zero subdiagonal entries: row swaps, skipped columns
+            cases.append(ExactMatrix(_block_triangular(rng, 1, n + 1, style)[0].data))
+        else:
+            cases.append(rand_matrix(rng, n, n, style))
+    for a in cases:
+        p = charpoly(a)
+        assert p == Poly(ref_charpoly(a))
+        assert p.degree == a.rows and p.leading() == 1
+        assert all(type(c) is Fraction for c in p.coeffs)
+    for a in cases[3::5]:  # the nilpotent ones
+        assert charpoly(a) == Poly([0] * a.rows + [1])
+
+
+# -- parsing rationals -------------------------------------------------------
+
+RAT_CORPUS = [
+    "3/", "/3", "-", "3/-7", "1/0", "-0", "+3", " 5 ", "1_000", "٣", "²",
+    "−3/7", "1e3", "1e99999", "7" * 4301, "1/" + "7" * 4301,
+    "7" * 4301 + "/" + "3" * 4301, True, 1.5, None,
+    "0", "-12/8", "007/0010", "3/7", "-3/7", "1.5", "2e-3", "", " ", "1 / 2", 12, -10**40,
+]
+
+
+def test_rat_matches_fraction_on_the_corpus():
+    for x in RAT_CORPUS:
+        assert_rat_parity(x)
+    refused = [x for x in RAT_CORPUS if expected_rat(x) is InputError]
+    assert RAT_CORPUS[:5] + ["²", "1e99999"] + RAT_CORPUS[14:20] == refused[:13]
+    assert [rat(x) for x in ("-0", "+3", " 5 ", "1_000", "٣", "−3/7", "1e3")] == [
+        0, 3, 5, 1000, 3, F(-3, 7), 1000]
