@@ -248,11 +248,13 @@ def rh_hypotheses(system: PfaffianSystem, line: Line, lam):
     residue has a nonzero-integer eigenvalue, and neither does the sum of
     the transverse residues shifted by the parameter.  Returns (pass,
     offenders) with offenders naming the hyperplane (or "sum") and the
-    integer found."""
+    integer found.  Like the convolution, it needs a transverse hyperplane."""
     lam = rat(lam)
     if lam == 0:
         raise PreconditionError("the parameter must be nonzero")
     _, transverse = split_parallel(system.arrangement, line)
+    if not len(transverse):
+        raise PreconditionError("no hyperplane is transverse to the line")
     offenders = []
     for h in transverse:
         for m in integer_spectrum_hits(system.residue(h.id), 0):

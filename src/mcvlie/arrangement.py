@@ -1,43 +1,48 @@
 """Affine hyperplane arrangements over Q^l.
 
-Hyperplanes are affine forms f(x) = normal·x + offset in canonical scaling
-(first nonzero normal entry 1).  The module computes codimension-2 flats with
-their maximal families, the split into hyperplanes parallel/transverse to a
-line through the origin, the Y-closedness criterion and the Y-closure.
+Every object is kept in the canonical form `exactcore` computes, the reduced
+row echelon form of its defining rows, so equal objects have equal forms:
+a hyperplane normal·x + offset = 0 is the echelon row of [normal…, offset]
+(first nonzero normal entry 1), a codimension-2 flat the 2-row echelon form
+of its equations, and a line through the origin the primitive integer row of
+its direction.  JSON prints hyperplanes with the first nonzero normal entry 1.
+The module computes codimension-2 flats with their maximal families, the
+split into hyperplanes parallel/transverse to a line through the origin, the
+Y-closedness criterion and the Y-closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .exactcore import ExactMatrix, int_from_json, rat, rat_str
-
-_ZERO = Fraction(0)
-
-
-def _canon_scale(vec):
-    lead = next((x for x in vec if x != 0), None)
-    if lead is None:
-        return None
-    return tuple(x / lead for x in vec)
+from .exactcore import ExactMatrix, int_from_json, matrix_to_json
 
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """Affine hyperplane {x : normal·x + offset = 0}, canonically scaled.
+    """Affine hyperplane {x : normal·x + offset = 0}, stored as `form`, the
+    1×(dim+1) reduced echelon ExactMatrix of [normal…, offset].
 
-    Equality and hashing are geometric (normal, offset); the id is a label.
+    Equality and hashing are geometric (the form); the id is a label.
     """
 
     id: str
-    normal: tuple
-    offset: Fraction
+    form: ExactMatrix
 
     @property
     def key(self):
-        return (self.normal, self.offset)
+        return self.form
+
+    @property
+    def normal(self):
+        """The normal as Fractions, first nonzero entry 1."""
+        return self.form.data[0][:-1]
+
+    @property
+    def offset(self):
+        return self.form.data[0][-1]
 
     def __eq__(self, other):
         return isinstance(other, Hyperplane) and self.key == other.key
@@ -46,31 +51,30 @@ class Hyperplane:
         return hash(self.key)
 
     def contains_flat(self, flat: "Flat2") -> bool:
-        return flat.cuts_form(self.normal, self.offset)
+        return flat.cuts_form(self.form)
 
 
 def canonicalize(hid: str, normal, offset) -> Hyperplane:
-    """Scale (normal, offset) so the first nonzero normal entry is 1."""
-    normal = tuple(rat(x) for x in normal)
-    offset = rat(offset)
-    if not any(normal):
+    """The hyperplane normal·x + offset = 0 in echelon form."""
+    form, pivots = ExactMatrix([list(normal) + [offset]]).rref()
+    if not pivots or pivots[0] == form.cols - 1:
         raise InputError(f"hyperplane {hid!r} has zero normal")
-    *normal, offset = _canon_scale(normal + (offset,))
-    return Hyperplane(hid, tuple(normal), offset)
+    return Hyperplane(hid, form)
 
 
 @dataclass(frozen=True)
 class Line:
-    """Line through the origin, canonical direction (first nonzero entry 1)."""
+    """Line through the origin; `direction` is the integer row of the
+    direction's echelon form (primitive, first nonzero entry positive)."""
 
     direction: tuple
 
     @staticmethod
     def of(direction) -> "Line":
-        d = _canon_scale(tuple(rat(x) for x in direction))
-        if d is None:
+        form, pivots = ExactMatrix([list(direction)]).rref()
+        if not pivots:
             raise InputError("line direction must be nonzero")
-        return Line(d)
+        return Line(form.ints[0])
 
 
 class Arrangement:
@@ -89,7 +93,7 @@ class Arrangement:
         self._by_id = {}
         self._flats = None
         for h in self.hyperplanes:
-            if len(h.normal) != dim:
+            if h.form.cols != dim + 1:
                 raise InputError(f"hyperplane {h.id!r} has wrong dimension")
             if h.key in self._keys:
                 raise InputError(f"duplicate hyperplane {h.id!r}")
@@ -135,12 +139,9 @@ class Arrangement:
         return {
             "dim": self.dim,
             "hyperplanes": [
-                {
-                    "id": h.id,
-                    "normal": [rat_str(x) for x in h.normal],
-                    "offset": rat_str(h.offset),
-                }
+                {"id": h.id, "normal": normal, "offset": offset}
                 for h in self.hyperplanes
+                for *normal, offset in matrix_to_json(h.form)
             ],
         }
 
@@ -165,39 +166,31 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class Flat2:
-    """Codimension-2 flat: the reduced echelon pair of affine forms cutting
-    it, plus the maximal family of arrangement hyperplanes containing it."""
+    """Codimension-2 flat: `equations`, the 2×(dim+1) reduced echelon
+    ExactMatrix of the affine forms cutting it, plus the maximal family of
+    arrangement hyperplanes containing it."""
 
-    equations: tuple  # two (normal, offset) pairs, jointly in echelon form
+    equations: ExactMatrix
     family: tuple  # hyperplane ids in arrangement order
 
-    def cuts_form(self, normal, offset) -> bool:
-        """Whether the affine form vanishes on the flat (i.e. lies in the
-        span of the flat's equations)."""
-        rows = [n + (o,) for n, o in self.equations]
-        rows.append(tuple(normal) + (rat(offset),))
-        return ExactMatrix(rows).rank() == 2
+    def cuts_form(self, form: ExactMatrix) -> bool:
+        """Whether the affine form (a 1×(dim+1) row) vanishes on the flat,
+        i.e. lies in the span of the flat's equations."""
+        return ExactMatrix.vstack([self.equations, form]).rank() == 2
 
     @property
     def key(self) -> str:
-        return "|".join(
-            ",".join(rat_str(x) for x in n + (o,)) for n, o in self.equations
-        )
+        return "|".join(map(",".join, matrix_to_json(self.equations)))
 
 
 def _flat_from_pair(h1: Hyperplane, h2: Hyperplane):
-    """Canonical equation pair of h1 ∩ h2, or None for parallel hyperplanes."""
-    l = len(h1.normal)
-    rows = ExactMatrix([h1.normal + (h1.offset,), h2.normal + (h2.offset,)])
-    red, pivots = rows.rref()
+    """Echelon equations of h1 ∩ h2, or None for parallel hyperplanes."""
+    eqs, pivots = ExactMatrix.vstack([h1.form, h2.form]).rref()
     if len(pivots) < 2:
         return None  # proportional forms: distinct canonical planes are parallel
-    if pivots[-1] == l:
+    if pivots[-1] == eqs.cols - 1:
         return None  # inconsistent system: empty intersection
-    return (
-        (red.data[0][:l], red.data[0][l]),
-        (red.data[1][:l], red.data[1][l]),
-    )
+    return eqs
 
 
 def codim2_flats(arr: Arrangement) -> list:
@@ -233,24 +226,22 @@ def split_parallel(arr: Arrangement, line: Line):
         raise PreconditionError("line dimension does not match arrangement")
     par, tra = [], []
     for h in arr.hyperplanes:
-        dot = sum((a * b for a, b in zip(h.normal, line.direction)), _ZERO)
-        (par if dot == 0 else tra).append(h)
+        # the direction has dim entries, so the offset column drops out
+        (tra if sum(map(mul, h.form.ints[0], line.direction)) else par).append(h)
     return Arrangement(arr.dim, par), Arrangement(arr.dim, tra)
 
 
 def _flat_plus_line(flat: Flat2, line: Line):
-    """The hyperplane flat + line, or None when the direction lies in the
-    flat (then flat + line = flat)."""
-    (n1, o1), (n2, o2) = flat.equations
-    d1 = sum((a * b for a, b in zip(n1, line.direction)), _ZERO)
-    d2 = sum((a * b for a, b in zip(n2, line.direction)), _ZERO)
+    """The echelon form of the hyperplane flat + line, or None when the
+    direction lies in the flat (then flat + line = flat)."""
+    e1, e2 = flat.equations.ints
+    d1 = sum(map(mul, e1, line.direction))
+    d2 = sum(map(mul, e2, line.direction))
     if d1 == 0 and d2 == 0:
         return None
     # the unique (up to scale) combination of the two forms killing the
-    # direction: (-d2)·(n1,o1) + d1·(n2,o2)
-    normal = tuple(-d2 * a + d1 * b for a, b in zip(n1, n2))
-    *normal, offset = _canon_scale(normal + (-d2 * o1 + d1 * o2,))
-    return tuple(normal), offset
+    # direction
+    return ExactMatrix([[d1 * b - d2 * a for a, b in zip(e1, e2)]]).rref()[0]
 
 
 def is_y_closed(arr: Arrangement, line: Line) -> bool:
@@ -275,30 +266,25 @@ def _closure_pass(arr: Arrangement, line: Line):
 
 def y_closure(arr: Arrangement, line: Line) -> Arrangement:
     """The minimal Y-closed arrangement containing arr: appends the missing
-    hyperplanes X + Y with generated ids.  A single pass suffices; the loop
-    still runs to a fixpoint and treats a productive second pass as a bug."""
+    hyperplanes X + Y with generated ids.  A single pass suffices; a second
+    pass over the result certifies that, and finding more is a bug."""
     if len(line.direction) != arr.dim:
         raise PreconditionError("line dimension does not match arrangement")
-    current = arr
-    passes = 0
-    while True:
-        additions = _closure_pass(current, line)
-        if not additions:
-            return current
-        passes += 1
-        if passes > 1:
-            raise InternalInvariantError(
-                "Y-closure did not stabilize after one pass"
-            )
-        taken = set(current.ids())
-        planes = list(current.hyperplanes)
-        for flat_key, (normal, offset) in additions:
-            hid = f"cl:{flat_key}"
-            while hid in taken:
-                hid += "'"
-            taken.add(hid)
-            planes.append(Hyperplane(hid, normal, offset))
-        current = Arrangement(arr.dim, planes)
+    additions = _closure_pass(arr, line)
+    if not additions:
+        return arr
+    taken = set(arr.ids())
+    planes = list(arr.hyperplanes)
+    for flat_key, form in additions:
+        hid = f"cl:{flat_key}"
+        while hid in taken:
+            hid += "'"
+        taken.add(hid)
+        planes.append(Hyperplane(hid, form))
+    closed = Arrangement(arr.dim, planes)
+    if _closure_pass(closed, line):
+        raise InternalInvariantError("Y-closure did not stabilize after one pass")
+    return closed
 
 
 def line_from_json(data) -> Line:
@@ -313,7 +299,7 @@ def braid_arrangement(n: int) -> Arrangement:
     planes = []
     for i in range(n):
         for j in range(i + 1, n):
-            normal = [_ZERO] * n
-            normal[i], normal[j] = Fraction(1), Fraction(-1)
-            planes.append(Hyperplane(f"H{i + 1}{j + 1}", tuple(normal), _ZERO))
+            row = [0] * (n + 1)
+            row[i], row[j] = 1, -1  # already in echelon form
+            planes.append(Hyperplane(f"H{i + 1}{j + 1}", ExactMatrix([row])))
     return Arrangement(n, planes)

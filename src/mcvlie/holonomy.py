@@ -40,6 +40,8 @@ class PfaffianSystem:
     __slots__ = ("arrangement", "rank", "residues")
 
     def __init__(self, arrangement: Arrangement, rank: int, residues: dict):
+        if rank < 0:
+            raise InputError(f"rank must be nonnegative, got {rank}")
         self.arrangement = arrangement
         self.rank = rank
         self.residues = dict(residues)

@@ -123,9 +123,10 @@ def _probe_flats(arr):
     return flats
 
 
-def _oracle_arrangement(rng, dim):
+def _oracle_arrangement(rng, dim, raw=None):
     """Random planes with small integer normals, rational offsets, and
-    deliberate parallel copies and concurrent triples."""
+    deliberate parallel copies and concurrent triples.  The (normal, offset)
+    input of each plane is appended to `raw` when it is a list."""
     planes, seen = [], set()
 
     def add(normal, offset):
@@ -135,6 +136,8 @@ def _oracle_arrangement(rng, dim):
         if h.key not in seen:
             seen.add(h.key)
             planes.append(h)
+            if raw is not None:
+                raw.append((normal, offset))
 
     for _ in range(rng.randint(2, 5)):
         normal = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
@@ -166,6 +169,99 @@ def test_flats_match_probe_oracle_braid():
     for n in range(3, 8):
         arr = braid_arrangement(n)
         assert codim2_flats(arr) == _probe_flats(arr)
+
+
+# -- Fraction reference for the echelon storage --------------------------------
+# Rows (normal…, offset) of Fractions scaled to a first nonzero entry 1 and
+# reduced by hand: the construction the module used before it kept echelon
+# ExactMatrix forms.
+
+
+def ref_canon_scale(vec):
+    lead = next((x for x in vec if x != 0), None)
+    return None if lead is None else tuple(x / lead for x in vec)
+
+
+def _lead(row):
+    return next(c for c, x in enumerate(row) if x != 0)
+
+
+def ref_flat_from_pair(r1, r2):
+    """The reduced echelon pair of two distinct canonical rows, or None when
+    the planes do not meet in a codimension-2 flat."""
+    if _lead(r2) < _lead(r1):
+        r1, r2 = r2, r1
+    if _lead(r2) == _lead(r1):
+        r2 = tuple(b - a for a, b in zip(r1, r2))  # both leading entries are 1
+    r2 = ref_canon_scale(r2)
+    if r2 is None or _lead(r2) == len(r2) - 1:
+        return None  # proportional normals
+    f = r1[_lead(r2)]
+    return tuple(a - f * b for a, b in zip(r1, r2)), r2
+
+
+def ref_flat_plus_line(eqs, direction):
+    r1, r2 = eqs
+    d1 = sum(a * b for a, b in zip(r1, direction))
+    d2 = sum(a * b for a, b in zip(r2, direction))
+    if d1 == 0 and d2 == 0:
+        return None
+    return ref_canon_scale(tuple(-d2 * a + d1 * b for a, b in zip(r1, r2)))
+
+
+def ref_flat_key(eqs):
+    return "|".join(",".join(str(x) for x in row) for row in eqs)
+
+
+def ref_plane_json(hid, row):
+    return {"id": hid, "normal": [str(x) for x in row[:-1]], "offset": str(row[-1])}
+
+
+def ref_flats(rows):
+    """Echelon pairs of the intersecting pairs, in first-occurrence order."""
+    flats = []
+    for i, r1 in enumerate(rows):
+        for r2 in rows[i + 1 :]:
+            eqs = ref_flat_from_pair(r1, r2)
+            if eqs is not None and eqs not in flats:
+                flats.append(eqs)
+    return flats
+
+
+def ref_closure_additions(ids, rows, direction):
+    """JSON of the hyperplanes one closure pass appends, ids included."""
+    added, seen, taken = [], set(rows), set(ids)
+    for eqs in ref_flats(rows):
+        row = ref_flat_plus_line(eqs, direction)
+        if row is None or row in seen:
+            continue
+        seen.add(row)
+        hid = "cl:" + ref_flat_key(eqs)
+        while hid in taken:
+            hid += "'"
+        taken.add(hid)
+        added.append(ref_plane_json(hid, row))
+    return added
+
+
+def test_echelon_storage_matches_fraction_reference():
+    rng, line_rng = random.Random(2024), random.Random(77)
+    for k in range(180):
+        raw = []
+        arr = _oracle_arrangement(rng, dim=2 + k % 3, raw=raw)
+        rows = [ref_canon_scale(tuple(map(F, n)) + (F(o),)) for n, o in raw]
+        assert arr.to_json() == {
+            "dim": arr.dim,
+            "hyperplanes": [ref_plane_json(h.id, row) for h, row in zip(arr, rows)],
+        }
+        assert [f.key for f in codim2_flats(arr)] == list(map(ref_flat_key, ref_flats(rows)))
+        direction = [F(line_rng.randint(-3, 3), line_rng.randint(1, 4)) for _ in range(arr.dim)]
+        if k % 2 or not any(direction):
+            direction[0] = -F(line_rng.randint(1, 3), line_rng.randint(2, 5))
+        closed = y_closure(arr, Line.of(direction))
+        assert closed.to_json()["hyperplanes"][len(arr) :] == ref_closure_additions(
+            arr.ids(), rows, direction
+        )
 
 
 def test_flats_cached_result_is_not_shared():
@@ -311,4 +407,4 @@ def test_closure_random_properties():
         }
         for h in closed.hyperplanes:
             if h.key not in base_keys:
-                assert (h.normal, h.offset) in candidates
+                assert h.key in candidates

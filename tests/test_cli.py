@@ -267,6 +267,28 @@ def test_json_boolean_or_float_is_not_a_count(monkeypatch):
     assert code == 1 and "not an integer" in doc["error"]
 
 
+def test_negative_rank_exits_1(monkeypatch):
+    system = {"arrangement": {"dim": 1, "hyperplanes": []}, "rank": -3, "residues": {}}
+    code, doc = _run_stdin(monkeypatch, system, "rh-check", "--lambda", "1/2", "--line", "1")
+    assert code == 1 and "rank" in doc["error"]
+
+
+def test_rh_check_without_transverse_hyperplane_exits_2(monkeypatch):
+    # no residue was supplied, so no rank x rank matrix may be built either
+    empty = {"arrangement": {"dim": 1, "hyperplanes": []}, "rank": 3000, "residues": {}}
+    parallel = {
+        "arrangement": {"dim": 2, "hyperplanes": [{"id": "H1", "normal": ["1", "0"]}]},
+        "rank": 1,
+        "residues": {"H1": [["1/3"]]},
+    }
+    for system, line in ((empty, "1"), (parallel, "0,1")):
+        start = time.perf_counter()
+        code, doc = _run_stdin(monkeypatch, system, "rh-check", "--lambda", "1/2", "--line", line)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert doc["error"] == "no hyperplane is transverse to the line"
+
+
 def test_analyze_big_1x1_finds_planted_root_in_budget(monkeypatch):
     # the root of the defect c - x is found without factoring the entry
     for entry in (str(10**19 + 7), "-" + str(10**39 + 9) + "/7"):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from mcvlie.cli import main  # noqa: E402
@@ -62,16 +62,17 @@ tuples = st.integers(1, 3).flatmap(
 
 @st.composite
 def systems(draw):
-    """Systems of 1-4 lines in the plane with random residues: sometimes
-    integrable, mostly not, with the occasional malformed field."""
-    n = draw(st.integers(1, 4))
-    rank = draw(st.integers(1, 2))
+    """Systems of 0-4 lines in the plane with random residues of rank -2
+    to 2: sometimes integrable, mostly not, with the occasional malformed
+    field."""
+    n = draw(st.integers(0, 4))
+    rank = draw(st.integers(-2, 2))
     small = st.integers(-2, 2)
     planes = [
         {"id": f"H{i}", "normal": [draw(small), draw(small)], "offset": draw(small)}
         for i in range(n)
     ]
-    residues = {p["id"]: draw(_square(rank, rationals)) for p in planes}
+    residues = {p["id"]: draw(_square(max(rank, 0), rationals)) for p in planes}
     doc = {"arrangement": {"dim": 2, "hyperplanes": planes}, "rank": rank,
            "residues": residues}
     if draw(st.booleans()):
@@ -157,6 +158,7 @@ def test_convolve_contract(payload):
 
 @FUZZ
 @given(systems())
+@example({"arrangement": {"dim": 2, "hyperplanes": []}, "rank": -3, "residues": {}})
 def test_rh_check_contract(payload):
     _check_contract(*_run(["rh-check", "--lambda", "1/5", "--line", "0,1"], payload))
 
