@@ -5,6 +5,7 @@ the integer-eigenvalue hypotheses of the Riemann-Hilbert comparison."""
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -85,9 +86,15 @@ def _star_defect(mats, i: int) -> Poly:
 
     The kernels N_k of the partial stacks [C; ...; C·A_i^k] shrink until
     N_k = N_(k+1); then A_i·N_k lies in N_k, so N_k is N and the remaining
-    blocks are not built."""
+    blocks are not built.
+
+    Before any kernel, the integer rows of C are reduced mod P: rank d mod P
+    proves rank d over Q (`_ModSpan`), so N = 0 and the defect is 1.  A
+    shorter rank mod P decides nothing, and the exact iteration runs."""
     a = mats[i]
     others = [m for j, m in enumerate(mats) if j != i]
+    if _full_rank_mod_p((row for m in others for row in m.ints), a.rows):
+        return Poly.one()
     if others:
         block = stack = ExactMatrix.vstack(others)
         n_space = kernel(stack)
@@ -108,6 +115,20 @@ def _star_defect(mats, i: int) -> Poly:
     return charpoly(image.submatrix(n_space.pivots, range(image.cols)))
 
 
+def _square_tuple(mats) -> list:
+    """The tuple as a list, after the shape checks, and with the messages,
+    of the pencils the star defects stand for: at least one matrix, every
+    matrix square, all of one size."""
+    mats = [m for m in mats]
+    if not mats:
+        raise PreconditionError("need at least one matrix")
+    if not all(m.is_square for m in mats):
+        raise PreconditionError("pencil needs a square matrix")
+    if any(m.rows != mats[0].rows for m in mats):
+        raise PreconditionError("vstack: column counts differ")
+    return mats
+
+
 def check_star_conditions(mats) -> StarReport:
     """Decide the two genericity conditions for every shift c at once.
 
@@ -118,14 +139,7 @@ def check_star_conditions(mats) -> StarReport:
     (`_star_defect`), so the quantifier over all complex c is eliminated
     exactly.
     """
-    mats = [m for m in mats]
-    if not mats:
-        raise PreconditionError("need at least one matrix")
-    # the shape checks, and their messages, of the pencils the defects stand for
-    if not all(m.is_square for m in mats):
-        raise PreconditionError("pencil needs a square matrix")
-    if any(m.rows != mats[0].rows for m in mats):
-        raise PreconditionError("vstack: column counts differ")
+    mats = _square_tuple(mats)
     transposes = [m.transpose() for m in mats]
     star_defects, dstar_defects, witnesses = [], [], []
     for i, a in enumerate(mats):
@@ -158,15 +172,24 @@ def is_irreducible(mats) -> bool:
 
     Each generator is scaled to an integer matrix first: a word in the
     scaled generators is a nonzero multiple of the same word in the
-    originals, so the span, and every membership answer, is unchanged."""
-    mats = [m for m in mats]
-    if not mats:
-        raise PreconditionError("need at least one matrix")
+    originals, so the span, and every membership answer, is unchanged.
+    The words are integer matrices, so words whose residues mod P are
+    independent are independent over Q: a span that reaches d^2 mod P
+    (`_ModSpan`) proves irreducibility.  A shorter one decides nothing, and
+    the exact spin runs; only it answers False."""
+    mats = _square_tuple(mats)
     d = mats[0].rows
     if d == 1:
         return True
     gens = [tuple(zip(*a.ints)) for a in mats]  # columns
-    span = _IncrementalSpan(d * d)
+    return _spin(gens, _ModSpan(d * d)) or _spin(gens, _IncrementalSpan(d * d))
+
+
+def _spin(gens, span) -> bool:
+    """Close the identity under right multiplication by the generators
+    (given by their integer columns), inserting every word into `span`;
+    True once the span has full width d^2."""
+    d = len(gens[0])
     frontier = [tuple(tuple(int(i == j) for j in range(d)) for i in range(d))]
     span.add(_vec(frontier[0]))
     while frontier:
@@ -176,10 +199,10 @@ def is_irreducible(mats) -> bool:
                 p = tuple(tuple(sum(map(mul, row, c)) for c in cols) for row in m)
                 if span.add(_vec(p)):
                     nxt.append(p)
-                    if span.dim == d * d:
+                    if span.dim == span.width:
                         return True
         frontier = nxt
-    return span.dim == d * d
+    return span.dim == span.width
 
 
 def _vec(m):
@@ -219,6 +242,58 @@ class _IncrementalSpan:
         self.rows.insert(at, v)
         self.pivots.insert(at, piv)
         return True
+
+
+# A prime below 2^30: residues are single-digit ints, and a product of two
+# fits a machine word.
+P = 1073741789
+
+
+class _ModSpan:
+    """Span of integer vectors reduced mod P, kept as echelon rows with
+    pivot entry 1, each stored from its pivot on, so a reduction touches
+    only the entries from that pivot on.
+
+    The rank mod P of integer vectors is at most their rank over Q: a
+    rational relation scaled to coprime integers stays a relation mod P.
+    So `dim` never exceeds the exact span's, and reaching full width proves
+    full rank over Q; a shorter span proves nothing."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows = []  # row k holds the entries from pivots[k] on
+        self.pivots = []  # strictly increasing
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def add(self, vec) -> bool:
+        """Insert an integer vector; True when it enlarges the span mod P."""
+        v = [x % P for x in vec]
+        for row, p in zip(self.rows, self.pivots):
+            f = v[p]
+            if f:
+                v[p:] = [(x - f * y) % P for x, y in zip(v[p:], row)]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        inv = pow(v[piv], -1, P)
+        at = bisect(self.pivots, piv)
+        self.rows.insert(at, [x * inv % P for x in v[piv:]])
+        self.pivots.insert(at, piv)
+        return True
+
+
+def _full_rank_mod_p(rows, width: int) -> bool:
+    """Whether the integer rows have rank `width` mod P, reading no more of
+    them than it takes; True proves rank `width` over Q."""
+    span = _ModSpan(width)
+    for row in rows:
+        if span.dim == width:
+            break
+        span.add(row)
+    return span.dim == width
 
 
 # ---------------------------------------------------------------------------

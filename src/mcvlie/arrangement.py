@@ -87,6 +87,8 @@ class Arrangement:
     __slots__ = ("dim", "hyperplanes", "_by_id", "_keys", "_flats")
 
     def __init__(self, dim: int, hyperplanes):
+        if dim < 0:
+            raise InputError(f"dimension must be nonnegative, got {dim}")
         self.dim = dim
         self.hyperplanes = tuple(hyperplanes)
         self._keys = set()

@@ -1,11 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from mcvlie.analysis import (
+    P,
     StarReport,
     StarWitness,
+    _full_rank_mod_p,
+    _ModSpan,
+    _spin,
+    _star_defect,
     check_star_conditions,
     composition_harness,
     is_irreducible,
@@ -18,6 +24,7 @@ from mcvlie.exactcore import ExactMatrix, Poly, PolyMatrix, inverse, kernel, pen
 from mcvlie.holonomy import PfaffianSystem
 
 from iso_oracle import are_isomorphic, intertwiner_space
+from test_exact_kernels import ref_is_irreducible
 
 F = Fraction
 
@@ -185,7 +192,75 @@ def test_star_conditions_match_minors_oracle():
     assert nonconstant > 300 and witnessed > 150
 
 
+# -- modular rank certificates ------------------------------------------------------
+
+
+def test_modulus_is_a_fixed_prime_below_2_to_30():
+    assert type(P) is int and 2 < P < 2**30
+    assert all(P % q for q in range(2, math.isqrt(P) + 1))
+
+
+def _mod_p_spin_dim(mats):
+    span = _ModSpan(mats[0].rows ** 2)
+    _spin([tuple(zip(*a.ints)) for a in mats], span)
+    return span.dim
+
+
+def _conjugate(rng, mats):
+    p = _invertible(rng, mats[0].rows)
+    return [p * m * inverse(p) for m in mats]
+
+
+E12 = ExactMatrix([[0, 1], [0, 0]])
+SHIFT3 = ExactMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+
+
+def test_unlucky_prime_irreducible_tuple_reaches_the_exact_path():
+    # P·E21 vanishes mod P: the span mod P is that of I and E12 alone
+    mats = [E12, ExactMatrix([[0, 0], [P, 0]])]
+    assert _mod_p_spin_dim(mats) == 2
+    assert is_irreducible(mats)
+
+
+def test_unlucky_prime_conjugated_3x3_tuples_reach_the_exact_path():
+    # the shift with P·E31 is irreducible, with P·E13 it fixes the line of
+    # e1; mod P both are the shift alone, even after a rational conjugation
+    rng = random.Random(71)
+    for corner, irreducible in (((2, 0), True), ((0, 2), False)):
+        b = [[0] * 3 for _ in range(3)]
+        b[corner[0]][corner[1]] = P
+        for mats in ([SHIFT3, ExactMatrix(b)], _conjugate(rng, [SHIFT3, ExactMatrix(b)])):
+            assert _mod_p_spin_dim(mats) == 3
+            assert is_irreducible(mats) == ref_is_irreducible(mats) == irreducible
+
+
+def test_unlucky_prime_star_pencils_reach_the_exact_path():
+    # the other generator is P·I (or a conjugate of P·diag(1, 2, 3)): rank 0
+    # mod P, full rank over Q, so the defect is 1 from the exact iteration
+    rng = random.Random(73)
+    pi2 = ExactMatrix.identity(2).scale(P)
+    pd3 = ExactMatrix([[P, 0, 0], [0, 2 * P, 0], [0, 0, 3 * P]])
+    for mats in ([E12, pi2], [SHIFT3, pd3], _conjugate(rng, [SHIFT3, pd3])):
+        d = mats[0].rows
+        assert not _full_rank_mod_p(mats[1].ints, d)
+        assert _star_defect(mats, 0) == Poly.one()
+        assert not _star_defect(mats, 1).is_constant()
+        assert check_star_conditions(mats) == _minors_star_conditions(mats)
+
+
 # -- irreducibility --------------------------------------------------------------
+
+
+def test_is_irreducible_checks_shapes_like_the_star_conditions():
+    cases = (
+        ([ExactMatrix([[1, 2]])], "pencil needs a square matrix"),
+        ([ExactMatrix.identity(2), ExactMatrix.identity(3)], "vstack: column counts differ"),
+        ([], "need at least one matrix"),
+    )
+    for mats, message in cases:
+        for decide in (is_irreducible, check_star_conditions):
+            with pytest.raises(PreconditionError, match=message):
+                decide(mats)
 
 
 def test_rank_one_always_irreducible():

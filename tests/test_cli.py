@@ -273,6 +273,14 @@ def test_negative_rank_exits_1(monkeypatch):
     assert code == 1 and "rank" in doc["error"]
 
 
+def test_negative_dimension_exits_1(monkeypatch):
+    system = {"arrangement": {"dim": -5, "hyperplanes": []}, "rank": 1, "residues": {}}
+    code, doc = _run_stdin(monkeypatch, system, "check")
+    assert code == 1 and "dimension" in doc["error"]
+    code, doc = _run_stdin(monkeypatch, {"dim": -1, "hyperplanes": []}, "presentation")
+    assert code == 1 and "dimension" in doc["error"]
+
+
 def test_rh_check_without_transverse_hyperplane_exits_2(monkeypatch):
     # no residue was supplied, so no rank x rank matrix may be built either
     empty = {"arrangement": {"dim": 1, "hyperplanes": []}, "rank": 3000, "residues": {}}

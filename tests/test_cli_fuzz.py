@@ -17,6 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from mcvlie.analysis import P  # noqa: E402
 from mcvlie.cli import main  # noqa: E402
 from test_exact_kernels import assert_rat_parity  # noqa: E402
 
@@ -115,6 +116,9 @@ FUZZ = settings(
 @FUZZ
 @given(st.one_of(any_json, tuples.map(lambda m: {"matrices": m}),
                  st.builds(lambda x: {"matrices": x}, any_json)))
+# irreducible over Q, but the second generator vanishes mod the prime of
+# the modular rank certificate, so the exact path decides
+@example({"matrices": [[[0, 1], [0, 0]], [[0, 0], [P, 0]]]})
 def test_analyze_contract(payload):
     _check_contract(*_run(["analyze"], payload))
 

@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from mcvlie.analysis import _IncrementalSpan, is_irreducible
+from mcvlie.analysis import P, _IncrementalSpan, _ModSpan, is_irreducible
 from mcvlie.errors import InputError
 from mcvlie.exactcore import (
     MAX_EXPONENT,
@@ -383,6 +383,37 @@ def test_incremental_span_matches_fraction_oracle():
             assert [F(x, row[p]) for x in row] == ref_row
 
 
+def test_mod_p_span_never_exceeds_the_exact_span():
+    # vectors congruent mod P to earlier ones are independent over Q but
+    # not mod P, so the modular span falls short; it never runs ahead
+    rng = random.Random(108)
+    short = 0
+    for _ in range(60):
+        width = rng.randint(1, 9)
+        span, ref = _ModSpan(width), RefSpan()
+        basis = [[rng.randint(-10**12, 10**12) for _ in range(width)]
+                 for _ in range(rng.randint(1, width))]
+        added = []
+        for _ in range(2 * width):
+            kind = rng.random()
+            if kind < 0.4:  # a combination of the basis: often dependent
+                coeffs = [rng.randint(-3, 3) for _ in basis]
+                vec = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(width)]
+            elif kind < 0.7 and added:  # an earlier vector plus a multiple of P
+                vec = [x + P * rng.randint(-2, 2) for x in rng.choice(added)]
+            else:
+                vec = [rng.choice((0, 0, 1, -2, 7, P, -3 * P)) for _ in range(width)]
+            span.add(vec)
+            ref.add(vec)
+            added.append(vec)
+            assert span.dim <= len(ref.rows)
+        short += span.dim < len(ref.rows)
+        assert span.pivots == sorted(set(span.pivots))
+        for row in span.rows:
+            assert row[0] == 1 and all(type(x) is int and 0 <= x < P for x in row)
+    assert short > 10
+
+
 def _block_triangular(rng, n, d, style):
     k = rng.randint(1, d - 1)
     mats = []
@@ -405,6 +436,20 @@ def test_is_irreducible_matches_fraction_oracle():
         else:
             mats = [rand_matrix(rng, d, d, style) for _ in range(n)]
         assert is_irreducible(mats) == ref_is_irreducible(mats)
+    # larger tuples, conjugated so that no coordinate flag is invariant:
+    # dense ones are irreducible, block-triangular ones are not
+    for d in (5, 6):
+        for triangular in (False, True):
+            n = 2
+            if triangular:
+                mats = _block_triangular(rng, n, d, "sparse")
+            else:
+                mats = [rand_matrix(rng, d, d, "sparse") for _ in range(n)]
+            p = rand_matrix(rng, d, d, "small")
+            while not p.is_invertible():
+                p = rand_matrix(rng, d, d, "small")
+            mats = [p * m * inverse(p) for m in mats]
+            assert is_irreducible(mats) == ref_is_irreducible(mats) == (not triangular)
 
 
 # -- rational roots ----------------------------------------------------------
