@@ -8,11 +8,11 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
 from .arrangement import Line, split_parallel
 from .convolution import (
+    _square_tuple,
     dr_middle_convolution,
     induce_on_quotients,
     phi_compose,
@@ -26,6 +26,7 @@ from .exactcore import (
     charpoly,
     integer_spectrum_hits,
     kernel,
+    matrix_to_json,
     rat,
     rat_str,
 )
@@ -90,7 +91,9 @@ def _star_defect(mats, i: int) -> Poly:
 
     Before any kernel, the integer rows of C are reduced mod P: rank d mod P
     proves rank d over Q (`_ModSpan`), so N = 0 and the defect is 1.  A
-    shorter rank mod P decides nothing, and the exact iteration runs."""
+    shorter rank mod P decides nothing, and the exact iteration runs; the
+    matrix of A_i on N comes from `Subspace.restrict`, which also checks
+    that N is invariant."""
     a = mats[i]
     others = [m for j, m in enumerate(mats) if j != i]
     if _full_rank_mod_p((row for m in others for row in m.ints), a.rows):
@@ -109,24 +112,7 @@ def _star_defect(mats, i: int) -> Poly:
         n_space = Subspace.full(a.rows)
     if not n_space.dim:
         return Poly.one()
-    # the basis has identity rows at its pivots and N is A_i-invariant, so
-    # the restriction is read off those rows of A_i·basis
-    image = a * n_space.basis
-    return charpoly(image.submatrix(n_space.pivots, range(image.cols)))
-
-
-def _square_tuple(mats) -> list:
-    """The tuple as a list, after the shape checks, and with the messages,
-    of the pencils the star defects stand for: at least one matrix, every
-    matrix square, all of one size."""
-    mats = [m for m in mats]
-    if not mats:
-        raise PreconditionError("need at least one matrix")
-    if not all(m.is_square for m in mats):
-        raise PreconditionError("pencil needs a square matrix")
-    if any(m.rows != mats[0].rows for m in mats):
-        raise PreconditionError("vstack: column counts differ")
-    return mats
+    return charpoly(n_space.restrict(a, "Hautus space N", i + 1))
 
 
 def check_star_conditions(mats) -> StarReport:
@@ -175,73 +161,68 @@ def is_irreducible(mats) -> bool:
     originals, so the span, and every membership answer, is unchanged.
     The words are integer matrices, so words whose residues mod P are
     independent are independent over Q: a span that reaches d^2 mod P
-    (`_ModSpan`) proves irreducibility.  A shorter one decides nothing, and
-    the exact spin runs; only it answers False."""
+    (`_spin`) proves irreducibility.  A shorter one decides nothing, and
+    the exact closure of the words it found (`_closed_span`) decides; only
+    it answers False."""
     mats = _square_tuple(mats)
     d = mats[0].rows
     if d == 1:
         return True
     gens = [tuple(zip(*a.ints)) for a in mats]  # columns
-    return _spin(gens, _ModSpan(d * d)) or _spin(gens, _IncrementalSpan(d * d))
+    words = _spin(gens)
+    return len(words) == d * d or _closed_span(words, gens).dim == d * d
 
 
-def _spin(gens, span) -> bool:
+def _spin(gens) -> list:
     """Close the identity under right multiplication by the generators
-    (given by their integer columns), inserting every word into `span`;
-    True once the span has full width d^2."""
+    (given by their integer columns), mod P: the words that enlarged the
+    span mod P, in the order found, up to the first d^2 of them."""
     d = len(gens[0])
-    frontier = [tuple(tuple(int(i == j) for j in range(d)) for i in range(d))]
-    span.add(_vec(frontier[0]))
+    span = _ModSpan(d * d)
+    words = [tuple(tuple(int(i == j) for j in range(d)) for i in range(d))]
+    span.add(_vec(words[0]))
+    for m in words:  # breadth first: the loop reaches the words it appends
+        for cols in gens:
+            p = _times(m, cols)
+            if span.add(_vec(p)):
+                words.append(p)
+                if span.dim == span.width:
+                    return words
+    return words
+
+
+def _closed_span(words, gens) -> Subspace:
+    """The algebra the generators span, as a Subspace of Q^(d^2), from
+    words that contain the identity and are independent over Q.  Their
+    span grows by every product of a word with a generator that lies
+    outside it, first for the given words, then for each word so added,
+    until none does.  The span then holds the identity and is closed under
+    right multiplication by the generators, so it holds every word; and it
+    is spanned by words."""
+    d = len(gens[0])
+    span = Subspace(d * d, columns=[_vec(m) for m in words])
+    frontier = words
     while frontier:
-        nxt = []
-        for m in frontier:
-            for cols in gens:
-                p = tuple(tuple(sum(map(mul, row, c)) for c in cols) for row in m)
-                if span.add(_vec(p)):
-                    nxt.append(p)
-                    if span.dim == span.width:
-                        return True
-        frontier = nxt
-    return span.dim == span.width
+        products = [_times(m, cols) for m in frontier for cols in gens]
+        batch = ExactMatrix.from_cols(map(_vec, products), d * d)
+        if span.coordinates(batch) is not None:
+            break
+        frontier = []
+        for j, p in enumerate(products):
+            col = batch.submatrix(range(d * d), [j])
+            if span.coordinates(col) is None:
+                span = Subspace(d * d, basis=ExactMatrix.hstack([span.basis, col]))
+                frontier.append(p)
+    return span
+
+
+def _times(m, cols):
+    """The integer matrix m (rows) times the matrix given by its columns."""
+    return tuple(tuple(sum(map(mul, row, c)) for c in cols) for row in m)
 
 
 def _vec(m):
     return [x for row in m for x in row]
-
-
-class _IncrementalSpan:
-    """Span of integer vectors, kept as primitive integer rows in echelon
-    form for cheap membership inserts."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows = []  # echelon rows, pivot columns strictly increasing
-        self.pivots = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def add(self, vec) -> bool:
-        """Insert an integer vector; True when it enlarges the span."""
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            f = v[p]
-            if f:
-                a = row[p]
-                g = gcd(a, f)
-                a, f = a // g, f // g
-                v = [a * x - f * y for x, y in zip(v, row)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        g = gcd(*v)
-        if g > 1:
-            v = [x // g for x in v]
-        at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, piv)
-        return True
 
 
 # A prime below 2^30: residues are single-digit ints, and a product of two
@@ -308,8 +289,6 @@ class IsoResult:
     def to_json(self):
         out = {"verdict": self.verdict}
         if self.intertwiner is not None:
-            from .exactcore import matrix_to_json
-
             out["intertwiner"] = matrix_to_json(self.intertwiner)
         return out
 

@@ -13,7 +13,7 @@ import sys
 from . import analysis, convolution, freelie, holonomy
 from .arrangement import Arrangement, Line, y_closure
 from .errors import InputError, MCVError, PreconditionError
-from .exactcore import matrix_to_json, rat, rat_str
+from .exactcore import matrix_from_json, matrix_to_json, rat, rat_str
 from .holonomy import PfaffianSystem
 
 
@@ -113,8 +113,6 @@ def _load_system(data) -> PfaffianSystem:
 
 
 def _load_matrix_tuple(data):
-    from .exactcore import matrix_from_json
-
     if isinstance(data, dict) and "residues" in data:
         system = _load_system(data)
         return [system.residue(h) for h in system.arrangement.ids()]

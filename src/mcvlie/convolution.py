@@ -19,11 +19,10 @@ from .arrangement import Arrangement, Line, codim2_flats, split_parallel, y_clos
 from .errors import InputError, InternalInvariantError, PreconditionError
 from .exactcore import (
     ExactMatrix,
-    InvarianceError,
     Subspace,
     kernel,
     matrix_to_json,
-    quotient_map,
+    quotient_all,
     rat,
     rat_str,
     right_inverse,
@@ -32,21 +31,26 @@ from .exactcore import (
 from .holonomy import PfaffianSystem, _zero_extend, check_integrability
 
 
-def _validate_tuple(mats):
+def _square_tuple(mats) -> list:
+    """The tuple as a list, after the shape checks of every tuple
+    function: at least one matrix, every matrix square, all of one size.
+    The messages are those of the pencils the star defects stand for,
+    which `analyze` and `compose-check` report."""
     mats = list(mats)
     if not mats:
-        raise PreconditionError("need at least one residue matrix")
-    d = mats[0].rows
-    for m in mats:
-        if not m.is_square or m.rows != d:
-            raise PreconditionError("residue matrices must be square of equal size")
-    return mats, len(mats), d
+        raise PreconditionError("need at least one matrix")
+    if not all(m.is_square for m in mats):
+        raise PreconditionError("pencil needs a square matrix")
+    if any(m.rows != mats[0].rows for m in mats):
+        raise PreconditionError("vstack: column counts differ")
+    return mats
 
 
 def dr_convolution(mats, lam) -> list:
     """Convolved generator matrices: the i-th output has block row i equal to
     (A_1, ..., A_i + lam·Id, ..., A_n) and every other block row zero."""
-    mats, n, d = _validate_tuple(mats)
+    mats = _square_tuple(mats)
+    n, d = len(mats), mats[0].rows
     lam = rat(lam)
     out = []
     zero = ExactMatrix.zeros(d, d)
@@ -70,7 +74,8 @@ def dr_k_l(mats, lam):
     (sum A_j + lam)v = 0} for lam != 0 and the relation space
     {(v_i) : sum A_i v_i = 0} at lam = 0.  At lam = 0 the relation space is
     cross-checked against the joint kernel of the convolution."""
-    mats, n, d = _validate_tuple(mats)
+    mats = _square_tuple(mats)
+    n, d = len(mats), mats[0].rows
     lam = rat(lam)
     kers = [kernel(a).basis for a in mats]
     blocks = [[b if i == j else ExactMatrix.zeros(d, c.cols) for j, c in enumerate(kers)]
@@ -157,45 +162,18 @@ class MiddleConvolvedSystem:
         }
 
 
-def _verify_invariant(mat: ExactMatrix, sub: Subspace, generator, which: str):
-    images = mat * sub.basis
-    # the basis has identity rows at its pivots: a vector lies in the span
-    # exactly when it is the basis times its own pivot entries
-    if sub.basis * images.submatrix(sub.pivots, range(sub.dim)) == images:
-        return
-    for j in range(sub.dim):
-        img = images.col(j)
-        if not sub.contains(img):
-            raise InvarianceError(
-                f"{which} is not invariant", generator=generator,
-                witness_vector=sub.basis.col(j), image=img,
-            )
-
-
-def _quotient_all(matrices, w: Subspace):
-    """The projection onto the canonical complement of w, the quotient
-    dimension, and the matrices induced by w-invariant `matrices`: the
-    complement's section puts the quotient coordinates at w's non-pivot
-    rows, so each induced matrix is projection · (non-pivot columns)."""
-    proj, qdim = quotient_map(w.ambient_dim, w)
-    pivot_set = set(w.pivots)
-    nonpivot = [r for r in range(w.ambient_dim) if r not in pivot_set]
-    induced = [proj * m.submatrix(range(m.rows), nonpivot) for m in matrices]
-    return proj, qdim, induced
-
-
 def _middle(conv, generators, labels, residues, lam) -> MiddleConvolvedSystem:
     """Quotient of a convolution by K + L (see `dr_k_l`, on the residues
     whose kernels make up K), after verifying that every convolved
     generator leaves K and L invariant; a failure names the generator by
-    its label.  The induced matrices come back as a list, in the order of
+    its label (a 1-based index, or a hyperplane id).  The induced matrices come back as a list, in the order of
     `generators`."""
     k, l = dr_k_l(residues, lam)
     for label, m in zip(labels, generators):
-        _verify_invariant(m, k, label, "kernel-block space K")
-        _verify_invariant(m, l, label, "joint kernel L")
+        k.restrict(m, "kernel-block space K", label)
+        l.restrict(m, "joint kernel L", label)
     w = subspace_sum(k, l)
-    proj, qdim, induced = _quotient_all(generators, w)
+    proj, qdim, induced = quotient_all(generators, w)
     return MiddleConvolvedSystem(
         conv=conv,
         k_space=k,
@@ -210,13 +188,13 @@ def _middle(conv, generators, labels, residues, lam) -> MiddleConvolvedSystem:
 def dr_middle_convolution(mats, lam) -> MiddleConvolvedSystem:
     """Middle convolution of a matrix tuple: convolve, verify that k and l
     are invariant (they must be), and pass to the quotient by k + l."""
-    mats, n, d = _validate_tuple(mats)
+    mats = _square_tuple(mats)
     lam = rat(lam)
     conv = dr_convolution(mats, lam)
     return _middle(
         ConvolvedTuple(base=mats, lam=lam, matrices=conv),
         conv,
-        [f"generator {i + 1}" for i in range(n)],
+        range(1, len(mats) + 1),
         mats,
         lam,
     )
@@ -246,12 +224,12 @@ def haraoka_convolution(system: PfaffianSystem, line: Line, lam) -> ConvolvedSys
     if check_integrability(system):
         raise PreconditionError("input system is not integrable")
     closure = y_closure(system.arrangement, line)
-    ext = _zero_extend(system, closure)
     parallel, transverse = split_parallel(closure, line)
     order = transverse.ids()
     n = len(order)
     if n == 0:
         raise PreconditionError("no hyperplane is transverse to the line")
+    ext = _zero_extend(system, closure)
     zero = ExactMatrix.zeros(system.rank, system.rank)
     pos = {hid: i for i, hid in enumerate(order)}
     matrices = dict(zip(order, dr_convolution([ext.residue(h) for h in order], lam)))
@@ -315,8 +293,7 @@ def phi_zero(mats) -> ExactMatrix:
     convolved space to the base space; it intertwines the convolved
     generators with the originals and induces the map from the middle
     convolution at 0 back to the input."""
-    mats, n, d = _validate_tuple(mats)
-    return ExactMatrix.hstack(mats)
+    return ExactMatrix.hstack(_square_tuple(mats))
 
 
 def phi_compose(mats, lam, mu) -> ExactMatrix:
@@ -329,10 +306,9 @@ def phi_compose(mats, lam, mu) -> ExactMatrix:
     so this map intertwines the doubly convolved generators with the
     (lam+mu)-convolved ones exactly, and descends to the isomorphism of
     middle convolutions under the genericity conditions."""
-    mats, n, d = _validate_tuple(mats)
+    mats = _square_tuple(mats)
     rat(lam)
-    conv = dr_convolution(mats, rat(mu))
-    return ExactMatrix.hstack(conv)
+    return ExactMatrix.hstack(dr_convolution(mats, mu))
 
 
 def induce_on_quotients(

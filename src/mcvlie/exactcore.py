@@ -213,9 +213,6 @@ class ExactMatrix:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i):
-        return self.data[i]
-
     def col(self, j):
         return tuple(row[j] for row in self.data)
 
@@ -484,13 +481,32 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.cols
 
-    def contains(self, vec) -> bool:
-        """v is in the span exactly when v = basis · (v at the pivots), as
-        the basis has identity rows at its pivots."""
-        v = ExactMatrix([vec]).transpose()
-        if v.rows != self.ambient_dim:
+    def coordinates(self, m: ExactMatrix):
+        """The X with basis · X = m, or None when a column of m lies outside
+        the span.  The basis has identity rows at its pivots, so X can only
+        be the rows of m at the pivots."""
+        if m.rows != self.ambient_dim:
             raise PreconditionError("vector length does not match ambient dimension")
-        return self.basis * v.submatrix(self.pivots, [0]) == v
+        x = m.submatrix(self.pivots, range(m.cols))
+        return x if self.basis * x == m else None
+
+    def contains(self, vec) -> bool:
+        return self.coordinates(ExactMatrix([vec]).transpose()) is not None
+
+    def restrict(self, m: ExactMatrix, which: str, generator=None) -> ExactMatrix:
+        """The matrix X of m on the subspace, m · basis = basis · X.  When m
+        does not leave the subspace invariant, an InvarianceError names
+        `which` subspace, the generator, and the first basis vector whose
+        image falls outside."""
+        images = m * self.basis
+        x = self.coordinates(images)
+        if x is not None:
+            return x
+        j = next(j for j in range(self.dim) if not self.contains(images.col(j)))
+        raise InvarianceError(
+            f"{which} is not invariant", generator=generator,
+            witness_vector=self.basis.col(j), image=images.col(j),
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -539,6 +555,18 @@ def quotient_map(ambient_dim: int, s: Subspace):
             row[p] = -b.ints[r][j]
         rows.append(tuple(row))
     return ExactMatrix._of(tuple(rows), b.den, len(rows), ambient_dim), len(rows)
+
+
+def quotient_all(matrices, s: Subspace):
+    """The projection onto the canonical complement of s, the quotient
+    dimension, and the matrices induced by s-invariant `matrices`: the
+    complement's section puts the quotient coordinates at s's non-pivot
+    rows, so each induced matrix is projection · (non-pivot columns)."""
+    proj, qdim = quotient_map(s.ambient_dim, s)
+    pivot_set = set(s.pivots)
+    nonpivot = [r for r in range(s.ambient_dim) if r not in pivot_set]
+    induced = [proj * m.submatrix(range(m.rows), nonpivot) for m in matrices]
+    return proj, qdim, induced
 
 
 def subspace_meet(s1: Subspace, s2: Subspace) -> Subspace:

@@ -8,8 +8,8 @@ from mcvlie.analysis import (
     P,
     StarReport,
     StarWitness,
+    _closed_span,
     _full_rank_mod_p,
-    _ModSpan,
     _spin,
     _star_defect,
     check_star_conditions,
@@ -201,9 +201,7 @@ def test_modulus_is_a_fixed_prime_below_2_to_30():
 
 
 def _mod_p_spin_dim(mats):
-    span = _ModSpan(mats[0].rows ** 2)
-    _spin([tuple(zip(*a.ints)) for a in mats], span)
-    return span.dim
+    return len(_spin([tuple(zip(*a.ints)) for a in mats]))
 
 
 def _conjugate(rng, mats):
@@ -220,6 +218,20 @@ def test_unlucky_prime_irreducible_tuple_reaches_the_exact_path():
     mats = [E12, ExactMatrix([[0, 0], [P, 0]])]
     assert _mod_p_spin_dim(mats) == 2
     assert is_irreducible(mats)
+
+
+def test_unlucky_prime_reducible_tuple_grows_the_exact_closure():
+    # E12 and P·E21, padded with zeros to 3×3, span M_2 + Q·E33 (dimension
+    # 5) over Q but only I and E12 mod P: the exact closure has to grow from
+    # the two words found mod P before it can answer False
+    a = ExactMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    b = ExactMatrix([[0, 0, 0], [P, 0, 0], [0, 0, 0]])
+    gens = [tuple(zip(*m.ints)) for m in (a, b)]
+    words = _spin(gens)
+    assert len(words) == 2
+    assert _closed_span(words, gens).dim == 5
+    assert not is_irreducible([a, b])
+    assert not ref_is_irreducible([a, b])
 
 
 def test_unlucky_prime_conjugated_3x3_tuples_reach_the_exact_path():

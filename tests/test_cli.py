@@ -2,6 +2,7 @@ import io
 import json
 import os
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -282,19 +283,27 @@ def test_negative_dimension_exits_1(monkeypatch):
 
 
 def test_rh_check_without_transverse_hyperplane_exits_2(monkeypatch):
-    # no residue was supplied, so no rank x rank matrix may be built either
-    empty = {"arrangement": {"dim": 1, "hyperplanes": []}, "rank": 3000, "residues": {}}
+    # no residue was supplied, so no rank x rank matrix may be built either:
+    # at rank 10^7 one zero residue would take over 100 MB
+    empty = {"arrangement": {"dim": 1, "hyperplanes": []}, "rank": 10**7, "residues": {}}
     parallel = {
         "arrangement": {"dim": 2, "hyperplanes": [{"id": "H1", "normal": ["1", "0"]}]},
         "rank": 1,
         "residues": {"H1": [["1/3"]]},
     }
-    for system, line in ((empty, "1"), (parallel, "0,1")):
-        start = time.perf_counter()
-        code, doc = _run_stdin(monkeypatch, system, "rh-check", "--lambda", "1/2", "--line", line)
-        assert time.perf_counter() - start < 1.0
-        assert code == 2
-        assert doc["error"] == "no hyperplane is transverse to the line"
+    for command in ("rh-check", "mc", "convolve"):
+        for system, line in ((empty, "1"), (parallel, "0,1")):
+            start = time.perf_counter()
+            tracemalloc.start()
+            try:
+                code, doc = _run_stdin(monkeypatch, system, command, "--lambda", "1/2", "--line", line)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.perf_counter() - start < 1.0
+            assert peak < 10 * 2**20, (command, peak)
+            assert code == 2
+            assert doc["error"] == "no hyperplane is transverse to the line"
 
 
 def test_analyze_big_1x1_finds_planted_root_in_budget(monkeypatch):

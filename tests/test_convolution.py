@@ -15,7 +15,14 @@ from mcvlie.convolution import (
     phi_zero,
 )
 from mcvlie.errors import InternalInvariantError, PreconditionError
-from mcvlie.exactcore import ExactMatrix, inverse, kernel, right_inverse
+from mcvlie.exactcore import (
+    ExactMatrix,
+    InvarianceError,
+    Subspace,
+    inverse,
+    kernel,
+    right_inverse,
+)
 from mcvlie.holonomy import PfaffianSystem, residue_sum
 
 from iso_oracle import are_isomorphic
@@ -334,26 +341,48 @@ def test_phi_compose_level_is_forced():
 
 
 def test_haraoka_matches_dr_in_one_variable():
-    # points on a line: l = 1, every hyperplane transverse, closure = input
+    # points on a line: l = 1, every hyperplane transverse, closure = input;
+    # a line has no codimension-2 flats, so any residues are integrable, and
+    # both the convolutions and the middle convolutions must agree
     rng = random.Random(9)
+    noncommuting = 0
     for _ in range(8):
-        n, d = rng.randint(1, 4), rng.randint(1, 2)
+        n, d = rng.randint(1, 4), rng.randint(1, 3)
         planes = [canonicalize(f"P{k}", (1,), -F(k)) for k in range(n)]
         arr = Arrangement(1, planes)
-        mats = {}
-        base = rand_matrix(rng, d)
-        for k, h in enumerate(arr):
-            # commuting residues keep the system integrable
-            mats[h.id] = base.scale(F(rng.randint(-2, 2))).add_scaled_identity(
-                F(rng.randint(-2, 2))
-            )
+        mats = {h.id: rand_matrix(rng, d) for h in arr}
+        residues = [mats[h.id] for h in arr]
+        noncommuting += any(a * b != b * a for a in residues for b in residues)
         system = PfaffianSystem(arr, d, mats)
         lam = F(rng.randint(-2, 2), rng.randint(1, 3))
         conv = haraoka_convolution(system, Line.of((1,)), lam)
         assert conv.closure == arr
-        drc = dr_convolution([mats[h.id] for h in arr], lam)
+        assert conv.order == arr.ids()
+        drc = dr_convolution(residues, lam)
         for i, h in enumerate(arr):
             assert conv.matrices[h.id] == drc[i]
+        mid = haraoka_middle_convolution(system, Line.of((1,)), lam)
+        mid_dr = dr_middle_convolution(residues, lam)
+        assert (mid.dim, mid.k_space.dim, mid.l_space.dim) == (
+            mid_dr.dim, mid_dr.k_space.dim, mid_dr.l_space.dim
+        )
+        assert mid.projection == mid_dr.projection
+        assert [mid.matrices[h] for h in conv.order] == mid_dr.matrices
+    assert noncommuting >= 4
+
+
+def test_non_invariant_k_names_its_generator_once(monkeypatch):
+    mats = scalars(F(1, 2), F(1, 3))
+    _, l_space = dr_k_l(mats, F(1, 5))
+    fake_k = Subspace(2, columns=[[0, 1]])  # C_1·e2 = (1/3, 0) leaves it
+    monkeypatch.setattr("mcvlie.convolution.dr_k_l", lambda mats, lam: (fake_k, l_space))
+    with pytest.raises(InvarianceError) as err:
+        dr_middle_convolution(mats, F(1, 5))
+    assert err.value.generator == 1
+    assert str(err.value) == (
+        "kernel-block space K is not invariant; generator 1; "
+        "witness v = (0, 1); A·v = (1/3, 0)"
+    )
 
 
 def test_three_line_worked_example():

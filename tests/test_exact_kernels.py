@@ -9,12 +9,13 @@ from math import gcd
 
 import pytest
 
-from mcvlie.analysis import P, _IncrementalSpan, _ModSpan, is_irreducible
+from mcvlie.analysis import P, _ModSpan, is_irreducible
 from mcvlie.errors import InputError
 from mcvlie.exactcore import (
     MAX_EXPONENT,
     ExactMatrix,
     Poly,
+    Subspace,
     charpoly,
     inverse,
     matrix_to_json,
@@ -363,24 +364,36 @@ def test_det_matches_fraction_oracle():
 # -- Burnside span -----------------------------------------------------------
 
 
-def test_incremental_span_matches_fraction_oracle():
+def test_subspace_coordinates_match_fraction_oracle():
+    # membership in the exact span of integer vectors, which decides the
+    # exact Burnside closure, against Fraction echelon rows
     rng = random.Random(106)
     for _ in range(60):
         width = rng.randint(1, 9)
-        span, ref = _IncrementalSpan(width), RefSpan()
         basis = [[rng.randint(-10**12, 10**12) for _ in range(width)]
                  for _ in range(rng.randint(1, width))]
+        span, ref = Subspace(width, columns=basis), RefSpan()
+        for vec in basis:
+            ref.add(vec)
+        assert span.dim == len(ref.rows)
+        vecs, inside = [], []
         for _ in range(2 * width):
-            if rng.random() < 0.5:  # a combination of the basis: often dependent
+            if rng.random() < 0.5:  # a combination of the basis: always inside
                 coeffs = [rng.randint(-3, 3) for _ in basis]
                 vec = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(width)]
             else:
                 vec = [rng.choice((0, 0, 1, -2, 7)) for _ in range(width)]
-            assert span.add(vec) == ref.add(vec)
-        assert span.pivots == ref.pivots
-        for row, ref_row, p in zip(span.rows, ref.rows, span.pivots):
-            assert all(type(x) is int for x in row)
-            assert [F(x, row[p]) for x in row] == ref_row
+            probe = RefSpan()
+            probe.rows, probe.pivots = ref.rows[:], ref.pivots[:]
+            col = ExactMatrix.from_cols([vec], width)
+            x = span.coordinates(col)
+            assert (x is not None) == (not probe.add(vec)) == span.contains(vec)
+            if x is not None:
+                assert span.basis * x == col
+            vecs.append(vec)
+            inside.append(x is not None)
+        batch = span.coordinates(ExactMatrix.from_cols(vecs, width))
+        assert (batch is not None) == all(inside)
 
 
 def test_mod_p_span_never_exceeds_the_exact_span():

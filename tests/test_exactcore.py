@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from mcvlie.convolution import _quotient_all, _verify_invariant
 from mcvlie.errors import PreconditionError
 from mcvlie.exactcore import (
     ExactMatrix,
@@ -15,6 +14,7 @@ from mcvlie.exactcore import (
     integer_spectrum_hits,
     kernel,
     pencil_full_rank,
+    quotient_all,
     quotient_map,
     rat,
     subspace_meet,
@@ -171,8 +171,8 @@ def test_quotient_kills_exactly_the_subspace():
 def _induced(a, s):
     """The map induced by a on the canonical complement of s, through the
     invariance check and the quotient that middle convolution runs."""
-    _verify_invariant(a, s, None, "subspace")
-    _, _, (abar,) = _quotient_all([a], s)
+    s.restrict(a, "subspace")
+    _, _, (abar,) = quotient_all([a], s)
     return abar
 
 
