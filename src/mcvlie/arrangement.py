@@ -84,7 +84,7 @@ class Arrangement:
     and the codimension-2 flats) is computed at most once per arrangement.
     """
 
-    __slots__ = ("dim", "hyperplanes", "_by_id", "_keys", "_flats")
+    __slots__ = ("dim", "hyperplanes", "_keys", "_flats")
 
     def __init__(self, dim: int, hyperplanes):
         if dim < 0:
@@ -92,29 +92,23 @@ class Arrangement:
         self.dim = dim
         self.hyperplanes = tuple(hyperplanes)
         self._keys = set()
-        self._by_id = {}
         self._flats = None
+        ids = set()
         for h in self.hyperplanes:
             if h.form.cols != dim + 1:
                 raise InputError(f"hyperplane {h.id!r} has wrong dimension")
             if h.key in self._keys:
                 raise InputError(f"duplicate hyperplane {h.id!r}")
-            if h.id in self._by_id:
+            if h.id in ids:
                 raise InputError(f"duplicate hyperplane id {h.id!r}")
             self._keys.add(h.key)
-            self._by_id[h.id] = h
+            ids.add(h.id)
 
     def __len__(self):
         return len(self.hyperplanes)
 
     def __iter__(self):
         return iter(self.hyperplanes)
-
-    def by_id(self, hid: str) -> Hyperplane:
-        try:
-            return self._by_id[hid]
-        except KeyError:
-            raise InputError(f"unknown hyperplane id {hid!r}") from None
 
     def ids(self):
         return [h.id for h in self.hyperplanes]
@@ -287,13 +281,6 @@ def y_closure(arr: Arrangement, line: Line) -> Arrangement:
     if _closure_pass(closed, line):
         raise InternalInvariantError("Y-closure did not stabilize after one pass")
     return closed
-
-
-def line_from_json(data) -> Line:
-    try:
-        return Line.of(data["direction"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed line JSON: {exc}") from exc
 
 
 def braid_arrangement(n: int) -> Arrangement:

@@ -207,7 +207,9 @@ def _cmd_freelie(args):
         raise PreconditionError("--n must be at least 2")
     if args.degree < 1:
         raise PreconditionError("--degree must be at least 1")
-    violations = freelie.verify_braid_relations(args.n, args.degree)
+    # --degree is only validated: the relations hold in every degree
+    freelie._check_caps(args.n, args.degree)
+    violations = freelie.verify_braid_relations(args.n)
     payload = {
         "ok": not violations,
         "violations": [

@@ -53,17 +53,12 @@ def dr_convolution(mats, lam) -> list:
     n, d = len(mats), mats[0].rows
     lam = rat(lam)
     out = []
-    zero = ExactMatrix.zeros(d, d)
     for i in range(n):
-        grid = []
-        for r in range(n):
-            if r == i:
-                grid.append(
-                    [m.add_scaled_identity(lam) if j == i else m for j, m in enumerate(mats)]
-                )
-            else:
-                grid.append([zero] * n)
-        out.append(ExactMatrix.block(grid))
+        row = ExactMatrix.hstack(
+            [m.add_scaled_identity(lam) if j == i else m for j, m in enumerate(mats)]
+        )
+        above, below = ExactMatrix.zeros(i * d, n * d), ExactMatrix.zeros((n - 1 - i) * d, n * d)
+        out.append(ExactMatrix.vstack([above, row, below]))
     return out
 
 

@@ -522,19 +522,27 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
+def _null_rows(ech: ExactMatrix, pivots) -> ExactMatrix:
+    """The null space of a reduced echelon matrix with the given pivot
+    columns, one row per free column f: the denominator at f and minus the
+    echelon entry of column f at each pivot."""
+    pivot_set = set(pivots)
+    rows = []
+    for f in range(ech.cols):
+        if f in pivot_set:
+            continue
+        v = [0] * ech.cols
+        v[f] = ech.den
+        for r, p in enumerate(pivots):
+            v[p] = -ech.ints[r][f]
+        rows.append(tuple(v))
+    return ExactMatrix._of(tuple(rows), ech.den, len(rows), ech.cols)
+
+
 def kernel(m: ExactMatrix) -> Subspace:
     """Canonical basis of the null space {v : m v = 0}."""
     red, pivots = m.rref()
-    free = [c for c in range(m.cols) if c not in pivots]
-    vecs = []
-    for f in free:
-        v = [0] * m.cols
-        v[f] = red.den
-        for r, p in enumerate(pivots):
-            v[p] = -red.ints[r][f]
-        vecs.append(tuple(v))
-    basis = ExactMatrix._of(tuple(vecs), red.den, len(free), m.cols).transpose()
-    return Subspace(m.cols, basis=basis)
+    return Subspace(m.cols, basis=_null_rows(red, pivots).transpose())
 
 
 def quotient_map(ambient_dim: int, s: Subspace):
@@ -544,17 +552,8 @@ def quotient_map(ambient_dim: int, s: Subspace):
     """
     if s.ambient_dim != ambient_dim:
         raise PreconditionError("quotient_map: ambient dimension mismatch")
-    pivot_set = set(s.pivots)
-    nonpivot = [i for i in range(ambient_dim) if i not in pivot_set]
-    b = s.basis
-    rows = []
-    for r in nonpivot:
-        row = [0] * ambient_dim
-        row[r] = b.den
-        for j, p in enumerate(s.pivots):
-            row[p] = -b.ints[r][j]
-        rows.append(tuple(row))
-    return ExactMatrix._of(tuple(rows), b.den, len(rows), ambient_dim), len(rows)
+    proj = _null_rows(s.basis.transpose(), s.pivots)
+    return proj, proj.rows
 
 
 def quotient_all(matrices, s: Subspace):

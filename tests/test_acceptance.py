@@ -366,7 +366,7 @@ def test_criterion_09_free_lie_suite():
     t0 = time.monotonic()
     ok = True
     for n in (2, 3, 4):
-        ok = ok and verify_braid_relations(n, 5) == []
+        ok = ok and verify_braid_relations(n) == []
     for n in range(1, 5):
         for d in range(1, 7):
             ok = ok and len(lyndon_basis(n, d)) == _enumerate_lyndon(n, d)

@@ -381,12 +381,6 @@ def test_arrangement_json_roundtrip():
     assert Arrangement.from_json(data) == THREE_LINES
 
 
-def test_line_json():
-    from mcvlie.arrangement import line_from_json
-
-    assert line_from_json({"direction": ["0", "2"]}) == Line.of((0, 1))
-
-
 def test_closure_random_properties():
     rng = random.Random(41)
     for _ in range(60):

@@ -77,6 +77,18 @@ def test_dr_convolution_block_shape_n2():
     assert c2 == ExactMatrix.block([[z, z], [a1, a2.add_scaled_identity(lam)]])
 
 
+def test_dr_convolution_matches_the_block_grid():
+    rng = random.Random(12)
+    for _ in range(20):
+        n, d = rng.randint(1, 4), rng.randint(1, 3)
+        mats = [rand_matrix(rng, d) for _ in range(n)]
+        lam = F(rng.randint(-2, 2), rng.randint(1, 3))
+        z = ExactMatrix.zeros(d, d)
+        for i, c in enumerate(dr_convolution(mats, lam)):
+            row = [m.add_scaled_identity(lam) if j == i else m for j, m in enumerate(mats)]
+            assert c == ExactMatrix.block([row if r == i else [z] * n for r in range(n)])
+
+
 def test_dr_convolution_trivial_n1():
     (c,) = dr_convolution(scalars(5), 0)
     assert c == ExactMatrix([[5]])

@@ -166,6 +166,8 @@ def test_quotient_kills_exactly_the_subspace():
             assert all(x == 0 for x in times(proj, s.basis.col(j)))
         v = rand_matrix(rng, amb, 1).col(0)
         assert (all(x == 0 for x in times(proj, v))) == s.contains(v)
+        # the projection's rows span the null space of the transposed basis
+        assert kernel(s.basis.transpose()) == Subspace(amb, basis=proj.transpose())
 
 
 def _induced(a, s):

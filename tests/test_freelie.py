@@ -181,6 +181,71 @@ def test_derivation_leibniz_random():
         assert d.apply(bracket(a, b)) == bracket(d.apply(a), b) + bracket(a, d.apply(b))
 
 
+def ref_apply(d, e):
+    """Reference action: the recursion D[u, v] = [Du, v] + [u, Dv] over
+    standard factorizations, memoized per Lyndon word."""
+    memo = {}
+
+    def on_word(w):
+        if w not in memo:
+            if len(w) == 1:
+                memo[w] = d.image(w[0])
+            else:
+                u, v = standard_factorization(w)
+                bu, bv = LieElement.basis_term(d.n, u), LieElement.basis_term(d.n, v)
+                memo[w] = bracket(on_word(u), bv) + bracket(bu, on_word(v))
+        return memo[w]
+
+    out = LieElement.zero(d.n)
+    for w, c in e.terms.items():
+        out = out + on_word(w).scale(c)
+    return out
+
+
+def rand_derivation(rng, n):
+    """Images of degree 1-3, with some generators sent to zero."""
+    images = {}
+    for i in range(1, n + 1):
+        if rng.random() < 0.3:
+            images[i] = LieElement.zero(n)
+        elif rng.random() < 0.8:
+            images[i] = rand_element(rng, n, max_deg=3, nterms=rng.randint(1, 3))
+    return Derivation(n, images)
+
+
+def test_apply_matches_the_factorization_recursion_random():
+    rng = random.Random(31)
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        d = rand_derivation(rng, n)
+        e = rand_element(rng, n, max_deg=5, nterms=rng.randint(1, 4))
+        assert d.apply(e) == ref_apply(d, e)
+
+
+def test_apply_matches_the_factorization_recursion_on_thetas():
+    rng = random.Random(37)
+    for n in (2, 3, 4):
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        derivs = [theta(i, j, n) for i, j in pairs]
+        for _ in range(4):
+            a, b = rng.sample(pairs, 2)
+            derivs.append(theta(*a, n).commutator(theta(*b, n)))
+        for d in derivs:
+            e = rand_element(rng, n, max_deg=5, nterms=3)
+            assert d.apply(e) == ref_apply(d, e)
+
+
+def test_apply_past_the_degree_cap_raises():
+    n = 2
+    d = Derivation(n, {1: bracket(gen(n, 1), gen(n, 2))})
+    at_cap = LieElement.basis_term(n, (1,) * 6 + (2,))
+    assert d.apply(at_cap).max_degree() == 8
+    assert d.apply(at_cap) == ref_apply(d, at_cap)
+    past_cap = LieElement.basis_term(n, (1,) * 7 + (2,))
+    with pytest.raises(DegreeCapError):
+        d.apply(past_cap)
+
+
 def test_action_kills_sum_of_generators():
     n = 3
     total = LieElement(n, {(i,): 1 for i in range(1, n + 1)})
@@ -203,8 +268,8 @@ def test_action_preserves_lower_generators():
 
 
 def test_verify_braid_relations():
-    assert verify_braid_relations(2, 3) == []
-    assert verify_braid_relations(3, 4) == []
+    assert verify_braid_relations(2) == []
+    assert verify_braid_relations(3) == []
 
 
 def sweep_braid_relations(n, max_degree, theta_of=theta):
@@ -278,7 +343,7 @@ def test_relations_on_generators_match_the_sweep_on_broken_thetas(monkeypatch):
         broken = broken_theta(rng, n)
         sweep = sweep_braid_relations(n, degree, broken)
         monkeypatch.setattr(freelie, "theta", broken)
-        got = verify_braid_relations(n, degree)
+        got = verify_braid_relations(n)
         # a relation that fails anywhere fails at a generator
         assert {v.relation for v in sweep} == {v.relation for v in got}
         assert got == [v for v in sweep if len(v.word) <= 1]
@@ -292,6 +357,32 @@ def test_broken_theta_exits_3_with_one_document(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 3 and doc["ok"] is False
     assert doc["violations"] and all(len(v["word"]) <= 1 for v in doc["violations"])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_verify_stdout_does_not_depend_on_degree(n, capsys):
+    outs = []
+    for degree in range(1, 9):
+        assert main(["freelie", "verify", "--n", str(n), "--degree", str(degree)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert json.loads(outs[0]) == {"ok": True, "violations": []}
+    assert outs == [outs[0]] * 8
+
+
+@pytest.mark.parametrize(
+    "n, degree, message",
+    [
+        ("3", "0", "--degree must be at least 1"),
+        ("7", "0", "--degree must be at least 1"),
+        ("3", "9", "degree 9 exceeds cap 8"),
+        ("7", "9", "generator count 7 outside 1..6"),
+    ],
+)
+def test_verify_degree_is_validated(n, degree, message, capsys):
+    code = main(["freelie", "verify", "--n", n, "--degree", degree])
+    captured = capsys.readouterr()
+    assert (code, json.loads(captured.out)) == (2, {"error": message})
+    assert captured.err == f"mcvlie: precondition failed: {message}\n"
 
 
 @pytest.mark.parametrize("n", [5, 6])
