@@ -34,7 +34,6 @@ from .arrangement import (
 )
 from .convolution import (
     ConvolvedSystem,
-    ConvolvedTuple,
     MiddleConvolvedSystem,
     dr_convolution,
     dr_k_l,

@@ -18,7 +18,7 @@ from .convolution import (
     phi_compose,
     phi_zero,
 )
-from .errors import PreconditionError
+from .errors import InternalInvariantError, PreconditionError
 from .exactcore import (
     ExactMatrix,
     Poly,
@@ -136,6 +136,11 @@ def check_star_conditions(mats) -> StarReport:
             c = roots[0]
             others = [m for j, m in enumerate(mats) if j != i]
             ker = kernel(ExactMatrix.vstack([a.add_scaled_identity(-c)] + others))
+            if not ker.dim:
+                raise InternalInvariantError(
+                    f"star defect root c = {rat_str(c)} of generator {i + 1}"
+                    " leaves the stacked pencil with a zero kernel"
+                )
             witnesses.append(StarWitness(generator=i, c=c, vector=ker.basis.col(0)))
         dstar_defects.append(_star_defect(transposes, i))
     return StarReport(

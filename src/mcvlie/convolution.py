@@ -89,19 +89,6 @@ def dr_k_l(mats, lam):
 
 
 @dataclass
-class ConvolvedTuple:
-    """Convolution of a plain matrix tuple (no arrangement attached)."""
-
-    base: list
-    lam: Fraction
-    matrices: list
-
-    @property
-    def dim(self) -> int:
-        return self.matrices[0].rows if self.matrices else 0
-
-
-@dataclass
 class ConvolvedSystem:
     """Convolution of a Pfaffian system along a line: one matrix of size
     n·d per hyperplane of the Y-closure, block order fixed by the transverse
@@ -134,7 +121,7 @@ class ConvolvedSystem:
 class MiddleConvolvedSystem:
     """Quotient of a convolution by k + l, with the induced matrices."""
 
-    conv: object  # ConvolvedTuple or ConvolvedSystem
+    conv: object  # ConvolvedSystem, or None for a plain matrix tuple
     k_space: Subspace
     l_space: Subspace
     projection: ExactMatrix
@@ -186,13 +173,7 @@ def dr_middle_convolution(mats, lam) -> MiddleConvolvedSystem:
     mats = _square_tuple(mats)
     lam = rat(lam)
     conv = dr_convolution(mats, lam)
-    return _middle(
-        ConvolvedTuple(base=mats, lam=lam, matrices=conv),
-        conv,
-        range(1, len(mats) + 1),
-        mats,
-        lam,
-    )
+    return _middle(None, conv, range(1, len(mats) + 1), mats, lam)
 
 
 # ---------------------------------------------------------------------------

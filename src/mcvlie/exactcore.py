@@ -19,8 +19,6 @@ from operator import add, mul, sub
 
 from .errors import InputError, InternalInvariantError, PreconditionError
 
-Rat = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -970,7 +968,8 @@ def integer_spectrum_hits(a: ExactMatrix, shift) -> list:
     """All m in Z\\{0} that are eigenvalues of a + shift·Id.
 
     Candidates come from integer roots of the characteristic polynomial;
-    each is verified by an exact rank drop.
+    each is verified by an exact rank drop, and one without it is an
+    internal invariant breach.
     """
     if not a.is_square:
         raise PreconditionError("integer_spectrum_hits needs a square matrix")
@@ -981,8 +980,11 @@ def integer_spectrum_hits(a: ExactMatrix, shift) -> list:
         if r.denominator != 1 or r == 0:
             continue
         m = int(r)
-        if b.add_scaled_identity(-m).rank() < b.rows:
-            hits.append(m)
+        if b.add_scaled_identity(-m).rank() == b.rows:
+            raise InternalInvariantError(
+                f"characteristic root {m} is not an eigenvalue: no rank drop"
+            )
+        hits.append(m)
     return sorted(hits)
 
 

@@ -278,7 +278,8 @@ class Derivation:
 
     It extends uniquely to the tensor algebra, so `apply` expands its
     argument into associative words, applies the Leibniz rule letter by
-    letter there, and reads the sum back in Lyndon coordinates."""
+    letter there, and reads the sum back in Lyndon coordinates.  Values on
+    generators are read from `images`, never recomputed by `apply`."""
 
     __slots__ = ("n", "images", "_assoc")
 
@@ -313,19 +314,17 @@ class Derivation:
     def __add__(self, other: "Derivation") -> "Derivation":
         if self.n != other.n:
             raise PreconditionError("generator counts differ")
-        return Derivation(
-            self.n,
-            {i: self.image(i) + other.image(i) for i in range(1, self.n + 1)},
-        )
+        moved = sorted(self.images.keys() | other.images.keys())
+        return Derivation(self.n, {i: self.image(i) + other.image(i) for i in moved})
 
     def commutator(self, other: "Derivation") -> "Derivation":
-        """[self, other] as a derivation, with generator images recomputed."""
+        """[self, other] as a derivation: x_i goes to
+        self(other(x_i)) - other(self(x_i)), the inner values read from images."""
         if self.n != other.n:
             raise PreconditionError("generator counts differ")
         images = {}
-        for i in range(1, self.n + 1):
-            gen = LieElement.generator(self.n, i)
-            images[i] = self.apply(other.apply(gen)) - other.apply(self.apply(gen))
+        for i in sorted(self.images.keys() | other.images.keys()):
+            images[i] = self.apply(other.image(i)) - other.apply(self.image(i))
         return Derivation(self.n, images)
 
 
@@ -334,9 +333,8 @@ def theta(i: int, j: int, n: int) -> Derivation:
     other generator to 0."""
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise InputError(f"bad generator pair ({i}, {j}) for n = {n}")
-    xi = LieElement.generator(n, i)
-    xj = LieElement.generator(n, j)
-    return Derivation(n, {i: bracket(xi, xj), j: bracket(xj, xi)})
+    b = bracket(LieElement.generator(n, i), LieElement.generator(n, j))
+    return Derivation(n, {i: b, j: -b})
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +456,8 @@ def verify_braid_relations(n: int) -> list:
                     rel = thetas[i, j].commutator(thetas[k, l])
                     check(rel, f"[A({i},{j}), A({k},{l})] = 0")
 
-    total = LieElement(n, {(i,): 1 for i in range(1, n + 1)})
     for (i, j), d in thetas.items():
-        value = d.apply(total)
+        value = sum(d.images.values(), LieElement.zero(n))
         if not value.is_zero():
             violations.append(
                 RelationViolation(f"A({i},{j}) kills x_1 + ... + x_n", (), value)
@@ -476,7 +473,7 @@ def adjoint_witness(word: DKWord, i: int, n: int) -> LieElement:
     action and is escalated."""
     if not 1 <= i <= n:
         raise InputError(f"generator index {i} outside 1..{n}")
-    target = theta_of_dkword(word, n).apply(LieElement.generator(n, i))
+    target = theta_of_dkword(word, n).image(i)
     if target.is_zero():
         return LieElement.zero(n)
     k = word.leaves()

@@ -6,9 +6,12 @@ import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from mcvlie import cli
+import pytest
+
+from mcvlie import analysis, cli, exactcore
 from mcvlie.cli import main
 from mcvlie.errors import InternalInvariantError, MCVError
+from mcvlie.exactcore import ExactMatrix, Poly
 
 DATA = Path(__file__).parent / "data"
 
@@ -398,3 +401,41 @@ def test_numbers_beyond_the_printable_size_keep_the_contract(monkeypatch):
               "residues": {"H1": [[big, big], ["0", "0"]], "H2": [["0", "0"], [big, big]]}}
     code, doc = _run_stdin(monkeypatch, system, "check")
     assert code == 2 and doc["error"].startswith("result too large to print")
+
+
+# -- exact roots that fail their certificate ----------------------------------
+
+DIAG_TUPLE = {"matrices": [[[1, 0], [0, 2]], [[0, 1], [1, 0]]]}
+DIAG_SYSTEM = {
+    "arrangement": {"dim": 1, "hyperplanes": [{"id": "H", "normal": ["1"]}]},
+    "rank": 2,
+    "residues": {"H": [["1", "0"], ["0", "2"]]},
+}
+
+
+def _assert_breach(monkeypatch, payload, *argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run_cli(*argv, "--input", "-")
+    doc = json.loads(out)  # exactly one JSON document
+    assert code == 3 and "Traceback" not in err
+    assert err == f"mcvlie: internal invariant breached: {doc['error']}\n"
+    return doc["error"]
+
+
+def test_star_root_with_zero_kernel_is_an_invariant_breach(monkeypatch):
+    # x - 5 is no defect of this tuple: [A_1 - 5; A_2] has a zero kernel
+    monkeypatch.setattr(analysis, "_star_defect", lambda mats, i: Poly([-5, 1]))
+    mats = [ExactMatrix(m) for m in DIAG_TUPLE["matrices"]]
+    with pytest.raises(InternalInvariantError, match="c = 5 of generator 1 "):
+        analysis.check_star_conditions(mats)
+    assert "c = 5 of generator 1 " in _assert_breach(monkeypatch, DIAG_TUPLE, "analyze")
+
+
+def test_integer_root_without_rank_drop_is_an_invariant_breach(monkeypatch):
+    # a characteristic polynomial with a spurious factor x - 5
+    real = exactcore.charpoly
+    monkeypatch.setattr(exactcore, "charpoly", lambda a: real(a) * Poly([-5, 1]))
+    with pytest.raises(InternalInvariantError, match="root 5 "):
+        exactcore.integer_spectrum_hits(ExactMatrix([[1, 0], [0, 2]]), 0)
+    error = _assert_breach(monkeypatch, DIAG_SYSTEM, "rh-check", "--lambda", "1/2", "--line", "1")
+    assert "root 5 " in error

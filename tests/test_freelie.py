@@ -23,6 +23,7 @@ from mcvlie.freelie import (
     theta_of_dkword,
     verify_braid_relations,
 )
+from test_acceptance import _rand_dkword as criterion_09_dkword
 
 F = Fraction
 
@@ -152,6 +153,14 @@ def test_theta_on_second_index():
     assert d.apply(gen(3, 2)) == LieElement(3, {(1, 2): -1})
 
 
+def test_theta_second_image_is_the_reversed_bracket():
+    for n in (2, 3, 4):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    assert theta(i, j, n).image(j) == bracket(gen(n, j), gen(n, i))
+
+
 def test_theta_leibniz_example():
     # theta(A_12)([x1,x3]) = [[x1,x2],x3]
     d = theta(1, 2, 3)
@@ -244,6 +253,59 @@ def test_apply_past_the_degree_cap_raises():
     past_cap = LieElement.basis_term(n, (1,) * 7 + (2,))
     with pytest.raises(DegreeCapError):
         d.apply(past_cap)
+
+
+def ref_commutator(d1, d2):
+    """Reference commutator: both composites applied to every generator."""
+    images = {}
+    for i in range(1, d1.n + 1):
+        x = gen(d1.n, i)
+        images[i] = d1.apply(d2.apply(x)) - d2.apply(d1.apply(x))
+    return Derivation(d1.n, images)
+
+
+def ref_theta_of_dkword(word, n):
+    if word.is_leaf:
+        return theta(word.i, word.j, n)
+    return ref_commutator(ref_theta_of_dkword(word.left, n), ref_theta_of_dkword(word.right, n))
+
+
+def test_commutator_matches_the_reference_random():
+    rng = random.Random(41)
+    zero_images = 0
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        d1, d2 = rand_derivation(rng, n), rand_derivation(rng, n)
+        zero_images += (n - len(d1.images)) + (n - len(d2.images))
+        assert d1.commutator(d2).images == ref_commutator(d1, d2).images
+    assert zero_images
+
+
+def test_commutator_matches_the_reference_on_theta_pairs():
+    for n in (2, 3, 4):
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        for a in pairs:
+            for b in pairs:
+                d1, d2 = theta(*a, n), theta(*b, n)
+                assert d1.commutator(d2).images == ref_commutator(d1, d2).images
+
+
+def test_commutator_matches_the_reference_on_bracket_words():
+    rng = random.Random(43)
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        word = _rand_dkword(rng, n, max_leaves=4)
+        assert theta_of_dkword(word, n).images == ref_theta_of_dkword(word, n).images
+
+
+def test_criterion_09_words_act_on_generators_by_their_images():
+    rng = random.Random(909)
+    for _ in range(50):
+        n = rng.randint(2, 4)
+        word = criterion_09_dkword(rng, n, height=3)
+        i = rng.randint(1, n)
+        d = theta_of_dkword(word, n)
+        assert d.apply(gen(n, i)) == d.image(i)
 
 
 def test_action_kills_sum_of_generators():
@@ -359,13 +421,13 @@ def test_broken_theta_exits_3_with_one_document(monkeypatch, capsys):
     assert doc["violations"] and all(len(v["word"]) <= 1 for v in doc["violations"])
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_verify_stdout_does_not_depend_on_degree(n, capsys):
     outs = []
     for degree in range(1, 9):
         assert main(["freelie", "verify", "--n", str(n), "--degree", str(degree)]) == 0
         outs.append(capsys.readouterr().out)
-    assert json.loads(outs[0]) == {"ok": True, "violations": []}
+    assert outs[0] == '{\n  "ok": true,\n  "violations": []\n}\n'
     assert outs == [outs[0]] * 8
 
 
