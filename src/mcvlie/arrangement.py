@@ -1,11 +1,18 @@
 """Affine hyperplane arrangements over Q^l.
 
-Every object is kept in the canonical form `exactcore` computes, the reduced
-row echelon form of its defining rows, so equal objects have equal forms:
-a hyperplane normal·x + offset = 0 is the echelon row of [normal…, offset]
-(first nonzero normal entry 1), a codimension-2 flat the 2-row echelon form
-of its equations, and a line through the origin the primitive integer row of
-its direction.  JSON prints hyperplanes with the first nonzero normal entry 1.
+Every object is kept in its reduced row echelon form, an `ExactMatrix`, so
+equal objects have equal forms: a hyperplane normal·x + offset = 0 is the
+echelon row of [normal…, offset] (first nonzero normal entry 1), a
+codimension-2 flat the 2-row echelon form of its equations, and a line
+through the origin the primitive integer row of its direction.  JSON prints
+hyperplanes with the first nonzero normal entry 1.
+
+No echelon form here runs a general elimination: a 1-row form is the row
+over its first nonzero entry, and the 2-row form of a pair is two rows of
+its Plücker coordinates p_kl = a_k·b_l − a_l·b_k over one of them, O(dim)
+per pair (`_flat_from_pair`).  The whole Plücker vector would key a flat
+too, but its C(dim+1, 2) entries cost O(dim²) per pair.
+
 The module computes codimension-2 flats with their maximal families, the
 split into hyperplanes parallel/transverse to a line through the origin, the
 Y-closedness criterion and the Y-closure.
@@ -54,12 +61,26 @@ class Hyperplane:
         return flat.cuts_form(self.form)
 
 
+def _row_form(ints):
+    """The reduced echelon form of one integer row, the row over its first
+    nonzero entry, with that entry's column; None for the zero row."""
+    for c, lead in enumerate(ints):
+        if lead:
+            break
+    else:
+        return None
+    if lead < 0:
+        ints, lead = [-x for x in ints], -lead
+    return ExactMatrix._of((tuple(ints),), lead, 1, len(ints)), c
+
+
 def canonicalize(hid: str, normal, offset) -> Hyperplane:
     """The hyperplane normal·x + offset = 0 in echelon form."""
-    form, pivots = ExactMatrix([list(normal) + [offset]]).rref()
-    if not pivots or pivots[0] == form.cols - 1:
+    row = ExactMatrix([list(normal) + [offset]]).ints[0]
+    found = _row_form(row)
+    if found is None or found[1] == len(row) - 1:
         raise InputError(f"hyperplane {hid!r} has zero normal")
-    return Hyperplane(hid, form)
+    return Hyperplane(hid, found[0])
 
 
 @dataclass(frozen=True)
@@ -71,10 +92,10 @@ class Line:
 
     @staticmethod
     def of(direction) -> "Line":
-        form, pivots = ExactMatrix([list(direction)]).rref()
-        if not pivots:
+        found = _row_form(ExactMatrix([list(direction)]).ints[0])
+        if found is None:
             raise InputError("line direction must be nonzero")
-        return Line(form.ints[0])
+        return Line(found[0].ints[0])
 
 
 class Arrangement:
@@ -180,13 +201,32 @@ class Flat2:
 
 
 def _flat_from_pair(h1: Hyperplane, h2: Hyperplane):
-    """Echelon equations of h1 ∩ h2, or None for parallel hyperplanes."""
-    eqs, pivots = ExactMatrix.vstack([h1.form, h2.form]).rref()
-    if len(pivots) < 2:
-        return None  # proportional forms: distinct canonical planes are parallel
-    if pivots[-1] == eqs.cols - 1:
-        return None  # inconsistent system: empty intersection
-    return eqs
+    """Echelon equations of h1 ∩ h2, or None for parallel hyperplanes.
+
+    With a, b the integer rows of the two forms and i the first column
+    where either is nonzero, the row of Plücker coordinates p_ik =
+    a_i·b_k − a_k·b_i kills column i; its first nonzero normal column j is
+    the second pivot.  The row p_kj = a_k·b_j − a_j·b_k kills column j and
+    has p_ij at column i, so the two rows over p_ij are the reduced echelon
+    form, the unique one any elimination reaches.  When p_ik vanishes on
+    every normal column, the normals are proportional.  This costs O(dim);
+    keying the flat by all C(dim+1, 2) Plücker coordinates would cost
+    O(dim²) per pair.
+    """
+    a, b = h1.form.ints[0], h2.form.ints[0]
+    n = len(a) - 1  # the last column is the offset
+    i = next((k for k in range(n) if a[k] or b[k]), n)
+    ai, bi = a[i], b[i]
+    r2 = [ai * y - x * bi for x, y in zip(a, b)]
+    j = next((k for k in range(i + 1, n) if r2[k]), None)
+    if j is None:
+        return None
+    aj, bj = a[j], b[j]
+    r1 = [x * bj - aj * y for x, y in zip(a, b)]
+    p = r2[j]
+    if p < 0:
+        r1, r2, p = [-x for x in r1], [-x for x in r2], -p
+    return ExactMatrix._of((tuple(r1), tuple(r2)), p, 2, n + 1)
 
 
 def codim2_flats(arr: Arrangement) -> list:
@@ -236,8 +276,8 @@ def _flat_plus_line(flat: Flat2, line: Line):
     if d1 == 0 and d2 == 0:
         return None
     # the unique (up to scale) combination of the two forms killing the
-    # direction
-    return ExactMatrix([[d1 * b - d2 * a for a, b in zip(e1, e2)]]).rref()[0]
+    # direction, nonzero since the forms are independent
+    return _row_form([d1 * b - d2 * a for a, b in zip(e1, e2)])[0]
 
 
 def is_y_closed(arr: Arrangement, line: Line) -> bool:

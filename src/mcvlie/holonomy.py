@@ -11,10 +11,11 @@ implements the zero-extension along an inclusion of arrangements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .arrangement import Arrangement, codim2_flats
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .exactcore import ExactMatrix, int_from_json, matrix_from_json, matrix_to_json
+from .exactcore import ExactMatrix, _scaled, int_from_json, matrix_from_json, matrix_to_json
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,11 @@ def residue_sum(system: PfaffianSystem, ids) -> ExactMatrix:
 
 
 def _sum_matrices(mats, rank: int) -> ExactMatrix:
-    total = ExactMatrix.zeros(rank, rank)
-    for m in mats:
-        total = total + m
-    return total
+    """The sum of rank×rank matrices in one pass over the lcm of their
+    denominators."""
+    if not mats:
+        return ExactMatrix.zeros(rank, rank)
+    den = lcm(*[m.den for m in mats])
+    scaled = [_scaled(m.ints, den // m.den) for m in mats]
+    ints = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*scaled))
+    return ExactMatrix._of(ints, den, rank, rank)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from mcvlie.arrangement import (
     Flat2,
     Line,
     _flat_from_pair,
+    _row_form,
     braid_arrangement,
     canonicalize,
     codim2_flats,
@@ -16,6 +18,7 @@ from mcvlie.arrangement import (
     y_closure,
 )
 from mcvlie.errors import InputError, PreconditionError
+from mcvlie.exactcore import ExactMatrix
 
 F = Fraction
 
@@ -262,6 +265,121 @@ def test_echelon_storage_matches_fraction_reference():
         assert closed.to_json()["hyperplanes"][len(arr) :] == ref_closure_additions(
             arr.ids(), rows, direction
         )
+
+
+# -- general elimination as the reference for the closed forms ----------------
+
+
+def ref_rref_flat_from_pair(h1, h2):
+    """The construction `_flat_from_pair` had before its closed form: the
+    reduced echelon form of the two stacked forms by Gauss-Jordan, None for
+    proportional forms or an inconsistent pair."""
+    eqs, pivots = ExactMatrix.vstack([h1.form, h2.form]).rref()
+    if len(pivots) < 2:
+        return None  # proportional forms: distinct canonical planes are parallel
+    if pivots[-1] == eqs.cols - 1:
+        return None  # inconsistent system: empty intersection
+    return eqs
+
+
+def _pair_results(planes):
+    """The reference result of every pair, after checking `_flat_from_pair`
+    against it in both orders."""
+    results = []
+    for h1, h2 in combinations(planes, 2):
+        expected = ref_rref_flat_from_pair(h1, h2)
+        assert _flat_from_pair(h1, h2) == expected
+        assert _flat_from_pair(h2, h1) == expected
+        results.append(expected)
+    return results
+
+
+def test_closed_form_flats_match_rref_on_oracle_and_braid():
+    rng = random.Random(2024)
+    results = []
+    for k in range(180):
+        results += _pair_results(_oracle_arrangement(rng, dim=2 + k % 3).hyperplanes)
+    for n in range(3, 8):
+        results += _pair_results(braid_arrangement(n).hyperplanes)
+    parallel = results.count(None)
+    assert len(results) - parallel > 1000 and parallel > 100  # both branches run
+
+
+def test_closed_form_flats_match_rref_on_planted_pairs():
+    big = 10**30
+    cases = [
+        # proportional normals, different offsets: parallel
+        [((1, 2, 3), 1), ((2, 4, 6), 5), ((-1, -2, -3), F(7, 3))],
+        # the same planes as input rescaled or negated, and their partners
+        [((2, -4, 6), 8), ((-3, 6, -9), -12), ((0, 5, 1), -1), ((0, -10, -2), 2)],
+        # a shared first pivot column, then a zero column before the second
+        [((1, 1, 0, 0), 0), ((1, 1, 0, 1), 0), ((1, 1, 2, 0), 3), ((2, 2, 7, 1), 1)],
+        # the first nonzero column belongs to one plane only
+        [((0, 1, 0, 2), 0), ((1, 0, 0, 3), 1), ((0, 0, 0, 1), -1)],
+        # entries of 10**30 and Fraction offsets
+        [((big, big + 1, 1), F(1, 3)), ((big - 1, -big, 2), F(-7, 5)),
+         ((1, big, -big), F(big, big + 7)), ((big, big + 1, 1), F(2, 9))],
+        # dim = 1: points on the line, never a codimension-2 flat
+        [((1,), 0), ((1,), 1), ((-3,), F(1, 2))],
+    ]
+    results = []
+    for planes in cases:
+        results += _pair_results([canonicalize(f"H{k}", n, o) for k, (n, o) in enumerate(planes)])
+    assert None in results and any(r is not None for r in results)
+    # rescaling or negating an input equation does not move the flat
+    h = [canonicalize("a", (2, -4, 6), 8), canonicalize("b", (0, 5, 1), -1)]
+    g = [canonicalize("a", (-3, 6, -9), -12), canonicalize("b", (0, -10, -2), 2)]
+    assert _flat_from_pair(*h) == _flat_from_pair(*g) is not None
+    dim1 = Arrangement(1, [canonicalize(f"P{k}", (k + 1,), k) for k in range(3)])
+    assert codim2_flats(dim1) == []
+
+
+def test_row_form_matches_rref():
+    rng = random.Random(17)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.35:
+            return 0
+        if kind < 0.75:
+            return F(rng.randint(-9, 9), rng.randint(1, 7))
+        return rng.randint(-(10**40), 10**40)
+
+    for k in range(400):
+        row = [entry() for _ in range(rng.randint(0, 6))]
+        if row and k % 3 == 0:
+            row[rng.randrange(len(row))] = -F(rng.randint(1, 10**30), rng.randint(1, 9))
+        m = ExactMatrix([row], shape=(1, len(row)))
+        red, pivots = m.rref()
+        found = _row_form(m.ints[0])
+        if not pivots:
+            assert found is None
+        else:
+            assert found == (red, pivots[0])
+
+
+def test_arrangement_path_runs_no_elimination(monkeypatch):
+    """Loading, flats, the Y-closure with its certifying pass, and lines
+    make no call to the general Gauss-Jordan `rref`."""
+    calls = []
+    rref = ExactMatrix.rref
+
+    def counted(self):
+        calls.append((self.rows, self.cols))
+        return rref(self)
+
+    monkeypatch.setattr(ExactMatrix, "rref", counted)
+    affine = _oracle_arrangement(random.Random(5), dim=4)
+    for arr, direction in (
+        (braid_arrangement(6), (1, 1, 0, 0, 0, 0)),
+        (affine, (1, F(-2, 3), 0, 5)),
+    ):
+        loaded = Arrangement.from_json(arr.to_json())
+        line = Line.of(direction)
+        assert codim2_flats(loaded)
+        closed = y_closure(loaded, line)
+        assert len(closed) > len(loaded)  # so the certifying pass sees new planes
+    assert calls == []
 
 
 def test_flats_cached_result_is_not_shared():

@@ -3,11 +3,14 @@ argv of `freelie verify`, `mc`, `convolve`, `rh-check` and
 `compose-check`: every run of every command exits 0, 1, 2 or 3,
 prints exactly one JSON document on stdout and no traceback, within a
 per-example deadline.  Also: the parser of rationals agrees with
-Fraction on arbitrary strings and values."""
+Fraction on arbitrary strings and values, and a few sparse planes in a
+huge dimension close in seconds."""
 
 import io
 import json
+import random
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -165,6 +168,31 @@ def test_convolve_contract(payload):
 @example({"arrangement": {"dim": 2, "hyperplanes": []}, "rank": -3, "residues": {}})
 def test_rh_check_contract(payload):
     _check_contract(*_run(["rh-check", "--lambda", "1/5", "--line", "0,1"], payload))
+
+
+def test_closure_of_sparse_planes_scales_with_dimension():
+    """20 planes with 3 nonzero normal entries each in Q^2000: the flats
+    of the 190 pairs cost O(dim) each.  Keying each pair by all
+    C(dim+1, 2) Plücker coordinates would take minutes here."""
+    rng = random.Random(8)
+    dim = 2000
+    planes = []
+    for k in range(20):
+        normal = [0] * dim
+        # the first four planes meet the line's support, so a few flats grow
+        support = [k % 2] if k < 4 else []
+        support += rng.sample(range(2, dim), 3 - len(support))
+        for c in support:
+            normal[c] = rng.choice((-2, -1, 1, 2))
+        planes.append({"id": f"H{k}", "normal": normal, "offset": rng.randint(-3, 3)})
+    line = ",".join(["1", "-1"] + ["0"] * (dim - 2))
+    start = time.perf_counter()
+    code, out, err = _run(["closure", "--line", line], {"dim": dim, "hyperplanes": planes})
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    closed = json.loads(out)
+    assert len(closed["hyperplanes"]) > len(planes)
+    assert elapsed < 10, f"closure took {elapsed:.1f} s"
 
 
 # --n and --degree values: in range, out of range, not integers, or absent

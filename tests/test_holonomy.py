@@ -16,6 +16,7 @@ from mcvlie.errors import InputError, PreconditionError
 from mcvlie.exactcore import ExactMatrix
 from mcvlie.holonomy import (
     PfaffianSystem,
+    _sum_matrices,
     check_integrability,
     is_integrable,
     presentation,
@@ -295,3 +296,28 @@ def test_residue_sum_subset_and_unknown_id():
     assert residue_sum(sys1, ["H1", "H3"]) == ExactMatrix([[4]])
     with pytest.raises(InputError):
         residue_sum(sys1, ["H9"])
+
+
+def test_sum_matrices_matches_iterated_addition():
+    rng = random.Random(31)
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        return F(rng.randint(-(10**20), 10**20), rng.choice((1, 2, 3, 7, 10**9 + 7)))
+
+    for k in range(120):
+        rank = rng.randint(0, 4)
+        mats = [
+            ExactMatrix([[entry() for _ in range(rank)] for _ in range(rank)], shape=(rank, rank))
+            for _ in range(k % 6)
+        ]
+        total = ExactMatrix.zeros(rank, rank)
+        for m in mats:
+            total = total + m
+        assert _sum_matrices(mats, rank) == total
+        if rank:
+            arr = Arrangement(1, [canonicalize(f"P{i}", (1,), i) for i in range(len(mats))])
+            system = PfaffianSystem(arr, rank, dict(zip(arr.ids(), mats)))
+            assert residue_sum(system, arr.ids()) == total
+            assert residue_sum(system, arr.ids()[::-1]) == total

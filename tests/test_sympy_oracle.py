@@ -1,6 +1,8 @@
 """The exact core against sympy, an independent implementation, on seeded
 random rational inputs: rref, rank, kernel, determinant, characteristic
-polynomial and rational roots."""
+polynomial and rational roots; and the closed-form echelon forms of the
+arrangement module (codimension-2 flats, Y-closure additions) against
+sympy's rref."""
 
 import random
 from fractions import Fraction
@@ -9,6 +11,13 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from mcvlie.arrangement import (  # noqa: E402
+    Arrangement,
+    Line,
+    canonicalize,
+    codim2_flats,
+    y_closure,
+)
 from mcvlie.exactcore import ExactMatrix, Poly, Subspace, charpoly, kernel  # noqa: E402
 
 F = Fraction
@@ -100,3 +109,64 @@ def _sympy_rational_roots(p: Poly):
             a, b = f.all_coeffs()
             roots.add(-frac(b) / frac(a))
     return sorted(roots)
+
+
+def _sympy_rref(rows):
+    red, pivots = sympy.Matrix(rows).rref()
+    return tuple(tuple(frac(x) for x in red.row(i)) for i in range(red.rows)), pivots
+
+
+def _random_planes(rng, dim):
+    """Raw (normal…, offset) rows of distinct planes, distinct by sympy's
+    rref; some pass through the flat of the two before them."""
+    rows, forms = [], set()
+    for _ in range(rng.randint(3, 7)):
+        if len(rows) >= 2 and rng.random() < 0.3:
+            s, t = rng.randint(1, 3), F(rng.randint(-3, -1), rng.randint(1, 2))
+            row = [s * x + t * y for x, y in zip(rows[-1], rows[-2])]
+        else:
+            row = [F(rng.randint(-3, 3)) for _ in range(dim)]
+            row.append(F(rng.randint(-4, 4), rng.randint(1, 3)))
+        if not any(row[:-1]):
+            continue
+        form, _ = _sympy_rref([row])
+        if form not in forms:
+            forms.add(form)
+            rows.append(row)
+    return rows
+
+
+def test_flats_and_closure_match_sympy_rref():
+    rng = random.Random(204)
+    added = 0
+    for k in range(60):
+        dim = 2 + k % 4
+        rows = _random_planes(rng, dim)
+        arr = Arrangement(dim, [canonicalize(f"H{i}", r[:-1], r[-1]) for i, r in enumerate(rows)])
+        base = {_sympy_rref([r])[0] for r in rows}
+        flats = []
+        for i, r1 in enumerate(rows):
+            for r2 in rows[i + 1:]:
+                eqs, pivots = _sympy_rref([r1, r2])
+                if len(pivots) == 2 and pivots[-1] < dim and eqs not in flats:
+                    flats.append(eqs)
+        assert [f.equations.data for f in codim2_flats(arr)] == flats
+
+        direction = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)]
+        if not any(direction):
+            direction[0] = F(1)
+        expected = []
+        for eqs in flats:
+            m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                              for row in eqs])
+            v = m[:, :dim] * sympy.Matrix(direction)
+            if v.is_zero_matrix:
+                continue  # the line lies in the flat
+            (c,) = v.T.nullspace()
+            form, _ = _sympy_rref([list(c.T * m)])
+            if form not in base and form not in expected:
+                expected.append(form)
+        closed = y_closure(arr, Line.of(direction))
+        assert [h.form.data for h in closed.hyperplanes[len(arr):]] == expected
+        added += len(expected)
+    assert added > 20
