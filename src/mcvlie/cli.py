@@ -87,7 +87,8 @@ def _load_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer too long
+    # ValueError: bad JSON, or an integer too long; RecursionError: nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read input: {exc}") from exc
 
 
@@ -237,6 +238,15 @@ _COMMANDS = {
 # rendering
 
 
+def _render(payload, fmt: str) -> str:
+    try:
+        if fmt == "text":
+            return _render_text(payload)
+        return json.dumps(payload, sort_keys=True, indent=2)
+    except ValueError as exc:  # an integer with more digits than Python prints
+        raise PreconditionError(f"result too large to print: {exc}") from exc
+
+
 def _is_matrix(value) -> bool:
     return (
         isinstance(value, list)
@@ -293,15 +303,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         payload, code = _COMMANDS[args.command](args)
+        out = _render(payload, args.format)
     except MCVError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         if exc.label:
             print(f"mcvlie: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    if args.format == "text":
-        print(_render_text(payload))
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+    print(out)
     return code
 
 

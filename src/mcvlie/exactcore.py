@@ -3,8 +3,9 @@ univariate polynomials, polynomial pencils and integer spectra.
 
 Everything here is exact.  A matrix is stored as integer rows over one
 positive denominator, in lowest terms, and every matrix operation computes
-on those integers; `fractions.Fraction` appears only at the API edges
-(`rat`, entry access, `data`, scalars and polynomial coefficients).
+on those integers, the characteristic polynomial included;
+`fractions.Fraction` appears only at the API edges (`rat`, entry access,
+`data`, scalars and polynomial coefficients).
 Subspaces are kept in reduced column echelon form so that structural
 equality coincides with equality of spans.
 """
@@ -712,34 +713,40 @@ class Poly:
             out = out * c + coeff
         return out
 
-    def rational_roots(self):
-        """All rational roots, sorted, found without factoring an integer.
-
-        Let h be the squarefree part of the polynomial with its factors x
-        removed, cleared to integer coefficients with leading coefficient a.
-        A rational root x of h has a·x ∈ Z, so the roots are y/a for the
-        integer roots y of the monic integer G(y) = a^(n−1)·h(y/a); those are
-        isolated by bisecting integer intervals with a Sturm chain."""
+    def _squarefree_ints(self):
+        """(whether 0 is a root, h): h is the squarefree part of the
+        polynomial with its factors x removed, times a positive rational
+        that makes it integer, lowest degree first; (1,) if it is constant."""
         if self.is_zero():
             raise PreconditionError("the zero polynomial has every root")
         cs = self.coeffs
         low = 0
         while cs[low] == 0:
             low += 1
-        roots = [_ZERO] if low else []
         f = Poly(cs[low:])
         if f.degree < 1:
-            return roots
+            return low > 0, (1,)
         h = f.exact_div(f.gcd(f.derivative()))
-        ints = ExactMatrix([h.coeffs]).ints[0]  # h times a positive rational
-        n, a = h.degree, ints[-1]
-        if n == 1:
-            roots.append(Fraction(-ints[0], a))
-        else:
-            g = [c * a ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
-            bound = abs(a) + max(abs(c) for c in ints[:-1])  # |y| = |a·x|, Cauchy
-            roots += [Fraction(y, a) for y in _integer_roots(g, bound)]
-        return sorted(roots)
+        return low > 0, ExactMatrix([h.coeffs]).ints[0]
+
+    def rational_roots(self):
+        """All rational roots, sorted, found without factoring an integer.
+
+        With h from `_squarefree_ints` of degree n and leading coefficient a,
+        a rational root x of h has a·x ∈ Z, so the roots are y/a for the
+        integer roots y of the monic integer G(y) = a^(n−1)·h(y/a)."""
+        zero, h = self._squarefree_ints()
+        n, a = len(h) - 1, h[-1]
+        g = [c * a ** (n - 1 - i) for i, c in enumerate(h[:-1])] + [1]
+        roots = [Fraction(y, a) for y in _integer_roots(g)]
+        return sorted(roots + [_ZERO] if zero else roots)
+
+    def integer_roots(self):
+        """All integer roots, sorted: those of the squarefree part itself,
+        searched in x, with no substitution that scales the range."""
+        zero, h = self._squarefree_ints()
+        roots = _integer_roots(h)
+        return sorted(roots + [0] if zero else roots)
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -766,15 +773,25 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _integer_roots(g, bound: int):
-    """Integer roots in [−bound, bound] of a squarefree monic integer
-    polynomial g (coefficients lowest degree first, degree at least 1).
+def _integer_roots(g):
+    """Integer roots of a squarefree integer polynomial g (coefficients
+    lowest degree first, g ≠ 0).
 
-    A Sturm chain counts the distinct real roots in (lo, hi] as V(lo) − V(hi),
-    V the number of sign changes.  Intervals are halved until each holds one
-    root, which is simple, so g changes sign across it and its interval is
-    halved further on the sign of g alone.  A unit interval (k − 1, k] holds
-    an integer root only at k."""
+    Every root lies within Fujiwara's bound 2·max_k |g_(n−k)/g_n|^(1/k),
+    taken here from bit lengths.  A Sturm chain counts the distinct real
+    roots in (lo, hi] as V(lo) − V(hi), V the number of sign changes.
+    Intervals are halved until each holds one root, which is simple, so g
+    changes sign across it and its interval is halved further on the sign
+    of g alone.  A unit interval (k − 1, k] holds an integer root only at k."""
+    if len(g) == 1:
+        return []
+    if len(g) == 2:  # the one root −g_0/g_1
+        q, r = divmod(-g[0], g[1])
+        return [] if r else [q]
+    top = g[-1].bit_length() - 1  # |g_n| ≥ 2^top and |c| < 2^bit_length(c)
+    e = max([-((top - c.bit_length()) // k)
+             for k, c in enumerate(reversed(g[:-1]), 1) if c] or [0])
+    bound = 2 << max(e, 0)
     chain = [Poly(g)]
     chain.append(chain[0].derivative())
     while chain[-1].degree > 0:
@@ -817,41 +834,28 @@ def _horner(coeffs, x):
 
 
 def charpoly(a: ExactMatrix) -> Poly:
-    """Monic characteristic polynomial det(x·I − a), in O(n^3) Fraction
-    operations: reduce a to upper Hessenberg form H by similarity, then
-    expand det(x·I − H) along the subdiagonal (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.2.9)."""
+    """Monic characteristic polynomial det(x·I − a), by Berkowitz's
+    division-free recurrence on the integer rows M = den·a, in O(n^4)
+    integer operations (S. J. Berkowitz, Inform. Process. Lett. 18, 1984).
+
+    Let χ_r be the characteristic polynomial of the leading r×r block B of
+    M, coefficients highest degree first.  With ρ and γ the first r entries
+    of row and column r of M and m = M[r][r], χ_(r+1) is the first r+2 terms
+    of the product of t = (1, −m, −ρ·γ, −ρ·B·γ, …, −ρ·B^(r−1)·γ) with χ_r.
+    The coefficient of x^(n−i) in χ_n, over den^i, is that of det(x·I − a)."""
     if not a.is_square:
         raise PreconditionError("characteristic polynomial needs a square matrix")
-    n = a.rows
-    h = [list(row) for row in a.data]
-    for m in range(1, n - 1):
-        i = next((i for i in range(m, n) if h[i][m - 1]), None)
-        if i is None:
-            continue
-        if i != m:  # swap rows and columns i and m
-            h[i], h[m] = h[m], h[i]
-            for row in h:
-                row[i], row[m] = row[m], row[i]
-        t = h[m][m - 1]
-        for i in range(m + 1, n):
-            u = h[i][m - 1]
-            if u:  # row i −= u·row m, then column m += u·column i
-                u /= t
-                h[i] = [x - u * y for x, y in zip(h[i], h[m])]
-                for row in h:
-                    row[m] += u * row[i]
-    # p_(m+1) = (x − h_mm)·p_m − sum over i < m of h_im·h_(i+1,i)···h_(m,m−1)·p_i
-    p = [Poly.one()]
-    for m in range(n):
-        nxt, t = Poly([-h[m][m], 1]) * p[m], _ONE
-        for i in range(m - 1, -1, -1):
-            t *= h[i + 1][i]
-            if not t:
-                break
-            nxt = nxt - p[i].scale(h[i][m] * t)
-        p.append(nxt)
-    return p[n]
+    ints = a.ints
+    chi = [1]
+    for r in range(a.rows):
+        b = [row[:r] for row in ints[:r]]
+        vs = [[row[r] for row in ints[:r]]]  # γ, B·γ, …, B^(r−1)·γ
+        for _ in range(r - 1):
+            vs.append([sum(map(mul, row, vs[-1])) for row in b])
+        # map stops after r terms, so ints[r] stands for ρ
+        t = [1, -ints[r][r]] + [-sum(map(mul, ints[r], v)) for v in vs[:r]]
+        chi = [sum(map(mul, chi, t[i::-1])) for i in range(r + 2)]
+    return Poly([Fraction(c, a.den ** i) for i, c in enumerate(chi)][::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -974,18 +978,13 @@ def integer_spectrum_hits(a: ExactMatrix, shift) -> list:
     if not a.is_square:
         raise PreconditionError("integer_spectrum_hits needs a square matrix")
     b = a.add_scaled_identity(shift)
-    p = charpoly(b)
-    hits = []
-    for r in p.rational_roots():
-        if r.denominator != 1 or r == 0:
-            continue
-        m = int(r)
+    hits = [m for m in charpoly(b).integer_roots() if m]
+    for m in hits:
         if b.add_scaled_identity(-m).rank() == b.rows:
             raise InternalInvariantError(
                 f"characteristic root {m} is not an eigenvalue: no rank drop"
             )
-        hits.append(m)
-    return sorted(hits)
+    return hits
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 argv of `freelie verify`, `mc`, `convolve`, `rh-check` and
 `compose-check`: every run of every command exits 0, 1, 2 or 3,
 prints exactly one JSON document on stdout and no traceback, within a
-per-example deadline.  Also: the parser of rationals agrees with
-Fraction on arbitrary strings and values, and a few sparse planes in a
-huge dimension close in seconds."""
+per-example deadline; so does input nested too deep to decode, and a
+result with an integer too long to print.  Also: the parser of rationals
+agrees with Fraction on arbitrary strings and values, and a few sparse
+planes in a huge dimension close in seconds."""
 
 import io
 import json
@@ -193,6 +194,38 @@ def test_closure_of_sparse_planes_scales_with_dimension():
     closed = json.loads(out)
     assert len(closed["hyperplanes"]) > len(planes)
     assert elapsed < 10, f"closure took {elapsed:.1f} s"
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path):
+    """Documents nested 1000 deep (2 KB) and 100000 deep.  Up to Python
+    3.11 both exceed the JSON decoder's recursion limit; 3.12 and later
+    decode the first and then refuse it as a matrix entry."""
+    for depth in (1000, 100000):
+        text = '{"matrices": ' + "[" * depth + "]" * depth + "}"
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        for source, stdin in (("-", text), (str(path), "")):
+            code, out, err = _main(["analyze", "--input", source], stdin)
+            _check_contract(code, out, err)
+            assert code == 1 and "error" in json.loads(out)
+
+
+def test_result_too_large_to_print_is_a_precondition_error():
+    """Two transverse residues of 4300 nines: their sum plus λ = 1 is the
+    offending integer 2·10^4300 − 1, one digit more than Python prints."""
+    nines = "9" * 4300
+    system = {
+        "arrangement": {"dim": 2, "hyperplanes": [
+            {"id": "A", "normal": [1, 0]}, {"id": "B", "normal": [1, 1], "offset": 1}]},
+        "rank": 1,
+        "residues": {"A": [[nines]], "B": [[nines]]},
+    }
+    for fmt in ("json", "text"):
+        code, out, err = _run(
+            ["rh-check", "--lambda", "1", "--line", "1,0", "--format", fmt], system)
+        _check_contract(code, out, err)
+        assert code == 2
+        assert json.loads(out)["error"].startswith("result too large to print: ")
 
 
 # --n and --degree values: in range, out of range, not integers, or absent

@@ -1,6 +1,6 @@
 """The integer kernels under ExactMatrix, its integer representation, the
-Burnside span, the Hessenberg characteristic polynomial and the parser of
-rationals against the plain Fraction algorithms they replaced, kept here as
+Burnside span, the Berkowitz characteristic polynomial, the root finders
+and the parser of rationals against plain Fraction algorithms, kept here as
 reference implementations, on seeded random rational inputs."""
 
 import random
@@ -9,6 +9,7 @@ from math import gcd
 
 import pytest
 
+from mcvlie import exactcore
 from mcvlie.analysis import P, _ModSpan, is_irreducible
 from mcvlie.errors import InputError
 from mcvlie.exactcore import (
@@ -481,6 +482,7 @@ def test_rational_roots_match_trial_division():
         roots = p.rational_roots()
         assert roots == ref_rational_roots(p)
         assert all(type(x) is Fraction for x in roots)
+        assert p.integer_roots() == integers_among(roots)
 
 
 def test_rational_roots_of_big_planted_factors():
@@ -493,6 +495,7 @@ def test_rational_roots_of_big_planted_factors():
             for r in planted:
                 p = p * Poly([-r, 1]) * Poly([-r, 1])  # a double root
             assert p.rational_roots() == planted
+            assert p.integer_roots() == integers_among(planted)
 
 
 def test_rational_roots_edge_cases():
@@ -504,6 +507,33 @@ def test_rational_roots_edge_cases():
     # x³ − 2(10x − 1)²: two irrational roots inside (0, 1], near 1/10
     assert Poly([-2, 40, -200, 1]).rational_roots() == []
     assert (Poly([-2, 40, -200, 1]) * Poly([-1, 10])).rational_roots() == [F(1, 10)]
+    assert Poly([5]).integer_roots() == []
+    assert Poly([0, 0, 3]).integer_roots() == [0]
+    assert Poly([F(-3, 7), 1]).integer_roots() == []
+    assert Poly([-6, 2]).integer_roots() == [3]
+    assert Poly([0, -1, 0, 1]).integer_roots() == [-1, 0, 1]
+    assert (Poly([-2, 40, -200, 1]) * Poly([-1, 10])).integer_roots() == []
+
+
+def integers_among(roots):
+    return [int(r) for r in roots if r.denominator == 1]
+
+
+def test_integer_roots_search_in_x(monkeypatch):
+    """Roots {−5, 3} next to two rational roots with 500-bit denominators:
+    the cleared leading coefficient has about 1000 bits.  Searching through
+    y = a·x would bisect a range of that many bits; in x the range is a few
+    bits wide."""
+    rng = random.Random(111)
+    p = Poly([5, 1]) * Poly([-3, 1])
+    for _ in range(2):
+        p = p * Poly([F(-rng.randint(1, 2**500), rng.randint(2**499, 2**500)), 1])
+    assert ExactMatrix([p.coeffs]).ints[0][-1].bit_length() > 990
+    calls = []
+    real = exactcore._horner
+    monkeypatch.setattr(exactcore, "_horner", lambda c, x: calls.append(x) or real(c, x))
+    assert p.integer_roots() == [-5, 3]
+    assert len(calls) < 500
 
 
 # -- characteristic polynomial -----------------------------------------------
@@ -528,7 +558,7 @@ def test_charpoly_matches_faddeev_leverrier():
             cases.append(_nilpotent(rng, n, style))
         elif t % 5 == 1:
             cases.append(rand_low_rank(rng, n, n, style))
-        elif t % 5 == 2:  # zero subdiagonal entries: row swaps, skipped columns
+        elif t % 5 == 2:  # a zero block under the diagonal
             cases.append(ExactMatrix(_block_triangular(rng, 1, n + 1, style)[0].data))
         else:
             cases.append(rand_matrix(rng, n, n, style))
@@ -539,6 +569,22 @@ def test_charpoly_matches_faddeev_leverrier():
         assert all(type(c) is Fraction for c in p.coeffs)
     for a in cases[3::5]:  # the nilpotent ones
         assert charpoly(a) == Poly([0] * a.rows + [1])
+    for n in (8, 9, 10):  # larger sizes, once per style
+        for style in STYLES:
+            a = rand_matrix(rng, n, n, style)
+            assert charpoly(a) == Poly(ref_charpoly(a))
+
+
+def test_charpoly_reads_only_the_integer_rows(monkeypatch):
+    rng = random.Random(112)
+    mats = [rand_matrix(rng, n, n, style) for n in (0, 1, 5) for style in STYLES]
+    want = [Poly(ref_charpoly(a)) for a in mats]
+
+    def no_data(self):
+        raise AssertionError("charpoly read ExactMatrix.data")
+
+    monkeypatch.setattr(ExactMatrix, "data", property(no_data))
+    assert [charpoly(a) for a in mats] == want
 
 
 # -- parsing rationals -------------------------------------------------------

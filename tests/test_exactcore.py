@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,15 @@ def test_charpoly_matches_bareiss_det():
         p = charpoly(a)
         for c in (F(0), F(1), F(-2), F(1, 3)):
             assert p.eval(c) == a.scale(-1).add_scaled_identity(c).det()
+    # 16×16, 30-digit numerators over denominators up to 10^4: the common
+    # denominator has hundreds of digits
+    a = rand_matrix(rng, 16, 16, -10**30, 10**30, 10**4)
+    start = time.perf_counter()
+    p = charpoly(a)
+    elapsed = time.perf_counter() - start
+    for c in (F(0), F(1), F(-7, 2)):
+        assert p.eval(c) == a.scale(-1).add_scaled_identity(c).det()
+    assert elapsed < 5, f"charpoly took {elapsed:.1f} s"
 
 
 # -- pencils -----------------------------------------------------------------

@@ -74,7 +74,7 @@ def test_rref_rank_kernel_det_match_sympy():
 def test_charpoly_and_rational_roots_match_sympy():
     rng = random.Random(202)
     for _ in range(60):
-        n = rng.randint(1, 5)
+        n = rng.randint(1, 8)
         m = rand_matrix(rng, n, n)
         if rng.random() < 0.5:  # plant rational eigenvalues
             m = ExactMatrix(
@@ -83,7 +83,9 @@ def test_charpoly_and_rational_roots_match_sympy():
         p = charpoly(m)
         s_coeffs = [frac(x) for x in to_sympy(m).charpoly(X).all_coeffs()]
         assert list(reversed(p.coeffs)) == s_coeffs
-        assert p.rational_roots() == _sympy_rational_roots(p)
+        roots = p.rational_roots()
+        assert roots == _sympy_rational_roots(p)
+        assert p.integer_roots() == [r for r in roots if r.denominator == 1]
 
 
 def test_rational_roots_match_sympy_on_random_polynomials():
@@ -95,7 +97,9 @@ def test_rational_roots_match_sympy_on_random_polynomials():
                           rng.randint(1, 9)])
         if rng.random() < 0.5:
             p = p * Poly([rng.randint(-50, 50), rng.randint(-50, 50), rng.randint(1, 9)])
-        assert p.rational_roots() == _sympy_rational_roots(p)
+        roots = p.rational_roots()
+        assert roots == _sympy_rational_roots(p)
+        assert p.integer_roots() == [r for r in roots if r.denominator == 1]
 
 
 def _sympy_rational_roots(p: Poly):
