@@ -13,7 +13,7 @@ import sys
 from . import analysis, convolution, freelie, holonomy
 from .arrangement import Arrangement, Line, y_closure
 from .errors import InputError, MCVError, PreconditionError
-from .exactcore import matrix_from_json, matrix_to_json, rat, rat_str
+from .exactcore import TOO_LARGE_TO_PRINT, matrix_from_json, matrix_to_json, rat, rat_str
 from .holonomy import PfaffianSystem
 
 
@@ -87,9 +87,16 @@ def _load_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    # ValueError: bad JSON, or an integer too long; RecursionError: nested too deep
-    except (OSError, ValueError, RecursionError) as exc:
+    # Python words its JSON errors differently between versions, so only
+    # a missing file or undecodable text is reported in its words
+    except (OSError, UnicodeError) as exc:
         raise InputError(f"cannot read input: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError("cannot read input: not valid JSON") from exc
+    except ValueError as exc:
+        raise InputError("cannot read input: a number has more digits than Python reads") from exc
+    except RecursionError as exc:
+        raise InputError("cannot read input: nested too deep") from exc
 
 
 def _parse_line(text: str) -> Line:
@@ -244,7 +251,7 @@ def _render(payload, fmt: str) -> str:
             return _render_text(payload)
         return json.dumps(payload, sort_keys=True, indent=2)
     except ValueError as exc:  # an integer with more digits than Python prints
-        raise PreconditionError(f"result too large to print: {exc}") from exc
+        raise PreconditionError(TOO_LARGE_TO_PRINT) from exc
 
 
 def _is_matrix(value) -> bool:

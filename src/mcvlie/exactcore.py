@@ -27,13 +27,16 @@ _ONE = Fraction(1)
 # Python prints integers of at most 4300 digits by default; a decimal
 # exponent beyond that would build a number no output could show
 MAX_EXPONENT = 4300
+# Python's own message for such an integer differs between versions
+TOO_LARGE_TO_PRINT = "result too large to print: an integer has more digits than Python prints"
 
 
 def _ratio(x):
     """(p, q) with q > 0 and x = p/q, not always in lowest terms, under the
     rules of `rat`.  Ints and "p" / "p/q" strings of ASCII digits (optional
     leading "-") are read with int(); every other string goes through
-    Fraction."""
+    Fraction, except that "_" and whitespace inside the number are
+    refused."""
     if isinstance(x, str):
         num, slash, den = x.partition("/")
         digits = num[1:] if num[:1] == "-" else num
@@ -46,6 +49,10 @@ def _ratio(x):
                 return p, q  # q = 0 is refused below
         else:
             text = x.replace("−", "-").strip()
+            # Fraction takes "1_000" from Python 3.11 on and "1 / 2" from
+            # 3.12 on; refusing both keeps one grammar on every version
+            if "_" in text or len(text.split()) > 1:
+                raise InputError(f"not a rational: {x!r}")
             if "e" in text or "E" in text:
                 try:
                     exponent = abs(int(text.lower().partition("e")[2]))
@@ -61,7 +68,13 @@ def _ratio(x):
         return x.numerator, x.denominator
     if isinstance(x, int) and not isinstance(x, bool):
         return x, 1
-    raise InputError(f"not a rational: {x!r}")
+    raise InputError(f"not a rational: {_shown(x)}")
+
+
+def _shown(x) -> str:
+    """x as an error message shows it: a list or a dict only by its type,
+    since it may hold a whole document."""
+    return f"a {type(x).__name__}" if isinstance(x, (list, dict)) else repr(x)
 
 
 def rat(x) -> Fraction:
@@ -82,7 +95,7 @@ def _ratio_str(p: int, q: int) -> str:
     try:
         return f"{p}/{q}" if q != 1 else str(p)
     except ValueError as exc:
-        raise PreconditionError(f"result too large to print: {exc}") from exc
+        raise PreconditionError(TOO_LARGE_TO_PRINT) from exc
 
 
 def rat_str(x: Fraction) -> str:
@@ -715,19 +728,28 @@ class Poly:
 
     def _squarefree_ints(self):
         """(whether 0 is a root, h): h is the squarefree part of the
-        polynomial with its factors x removed, times a positive rational
-        that makes it integer, lowest degree first; (1,) if it is constant."""
+        polynomial with its factors x removed, as a primitive integer row
+        with the sign of the leading coefficient, lowest degree first; (1,)
+        if it is constant.
+
+        The polynomial f, cleared of denominators once and made primitive,
+        is divided over Z by the last member of its Sturm chain (Euclid's
+        algorithm, so a multiple of gcd(f, f′)), made primitive with a
+        positive lead; by Gauss's lemma that division is exact."""
         if self.is_zero():
             raise PreconditionError("the zero polynomial has every root")
         cs = self.coeffs
         low = 0
         while cs[low] == 0:
             low += 1
-        f = Poly(cs[low:])
-        if f.degree < 1:
+        if len(cs) - low < 2:
             return low > 0, (1,)
-        h = f.exact_div(f.gcd(f.derivative()))
-        return low > 0, ExactMatrix([h.coeffs]).ints[0]
+        den = lcm(*(c.denominator for c in cs[low:]))
+        f = _primitive([c.numerator * (den // c.denominator) for c in cs[low:]])
+        g = _primitive(_sturm(f)[-1])
+        if g[-1] < 0:
+            g = [-c for c in g]
+        return low > 0, tuple(_divide_exactly(f, g))
 
     def rational_roots(self):
         """All rational roots, sorted, found without factoring an integer.
@@ -778,8 +800,9 @@ def _integer_roots(g):
     lowest degree first, g ≠ 0).
 
     Every root lies within Fujiwara's bound 2·max_k |g_(n−k)/g_n|^(1/k),
-    taken here from bit lengths.  A Sturm chain counts the distinct real
-    roots in (lo, hi] as V(lo) − V(hi), V the number of sign changes.
+    taken here from bit lengths.  The Sturm chain of `_sturm`, on integers,
+    counts the distinct real roots in (lo, hi] as V(lo) − V(hi), V the
+    number of sign changes.
     Intervals are halved until each holds one root, which is simple, so g
     changes sign across it and its interval is halved further on the sign
     of g alone.  A unit interval (k − 1, k] holds an integer root only at k."""
@@ -792,11 +815,7 @@ def _integer_roots(g):
     e = max([-((top - c.bit_length()) // k)
              for k, c in enumerate(reversed(g[:-1]), 1) if c] or [0])
     bound = 2 << max(e, 0)
-    chain = [Poly(g)]
-    chain.append(chain[0].derivative())
-    while chain[-1].degree > 0:
-        chain.append(-chain[-2].divmod(chain[-1])[1])
-    chain = [ExactMatrix([p.coeffs]).ints[0] for p in chain]  # positive scales keep signs
+    chain = _sturm(g)
 
     def changes(x):
         signs = [s for s in (_horner(p, x) for p in chain) if s]
@@ -824,6 +843,45 @@ def _integer_roots(g):
             if not ghi:
                 roots.append(hi)
     return roots
+
+
+def _sturm(g):
+    """The Sturm chain of an integer polynomial g of degree >= 1 (lowest
+    degree first): g, g′, then each pseudo-remainder negated, up to a
+    constant or an exact division, whose divisor is then a multiple of
+    gcd(g, g′).
+
+    Each remainder is taken with the positive multiplier |lead b| at every
+    step and divided by its positive content, so every member is a positive
+    multiple of the chain's member over Q, and sign counts do not change."""
+    chain = [list(g), [k * c for k, c in enumerate(g)][1:]]
+    while len(chain[-1]) > 1:
+        r, b = chain[-2], chain[-1]
+        m, s = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(r) >= len(b):
+            c, k = s * r[-1], len(r) - len(b)
+            r = [m * x for x in r[:k]] + [m * x - c * y for x, y in zip(r[k:-1], b)]
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            break
+        chain.append(_primitive([-x for x in r]))
+    return chain
+
+
+def _divide_exactly(a, b):
+    """a / b for integer rows (lowest degree first) when b divides a over Z."""
+    a, q = list(a), []
+    for k in range(len(a) - len(b), -1, -1):
+        c, r = divmod(a[k + len(b) - 1], b[-1])
+        if r:
+            raise InternalInvariantError("polynomial division was not exact")
+        q.append(c)
+        for j, y in enumerate(b):
+            a[k + j] -= c * y
+    if any(a):
+        raise InternalInvariantError("polynomial division was not exact")
+    return q[::-1]
 
 
 def _horner(coeffs, x):
@@ -997,10 +1055,14 @@ def matrix_to_json(m: ExactMatrix):
 
 
 def int_from_json(value) -> int:
-    """A JSON integer, or a string holding one; booleans and floats are
-    rejected rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise InputError(f"not an integer: {value!r}")
+    """A JSON integer, or a string holding one without "_"; booleans and
+    floats are rejected rather than truncated."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, str))
+        or isinstance(value, str) and "_" in value  # int() takes "1_000"
+    ):
+        raise InputError(f"not an integer: {_shown(value)}")
     try:
         return int(value)
     except ValueError as exc:

@@ -6,6 +6,9 @@ expanding into the free associative algebra and re-expressing the commutator
 in the Lyndon basis through the triangular relationship between a Lyndon
 word and the expansion of its standard bracketing.
 
+Bracket words in the A_ij act by tangential derivations x_i -> [x_i, v_i];
+`adjoint_witness` gives v_i in closed form, with no linear algebra.
+
 Degree caps (n <= 6, total degree <= 8) keep everything at desk scale.
 """
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .exactcore import ExactMatrix, rat, rat_str, solve_right
+from .exactcore import rat, rat_str
 
 MAX_GENERATORS = 6
 MAX_DEGREE = 8
@@ -466,40 +469,31 @@ def verify_braid_relations(n: int) -> list:
 
 
 def adjoint_witness(word: DKWord, i: int, n: int) -> LieElement:
-    """A v with [x_i, v] equal to the action of the given bracket word on
-    x_i.  The action is homogeneous of degree (leaves + 1); v is found by an
-    exact linear solve in Lyndon coordinates and double-checked by
-    re-bracketing.  No solution would contradict the adjoint form of the
-    action and is escalated."""
+    """The v with [x_i, v] equal to the action of the given bracket word on
+    x_i, in closed form by the bracket of tangential derivations
+    (A. Alekseev, C. Torossian, Ann. of Math. 175, 2012, §3).
+
+    A leaf A(a, b) has v = x_b at i = a, v = x_a at i = b and v = 0 at every
+    other i.  If D(x_i) = [x_i, u] and E(x_i) = [x_i, w], the Leibniz rule
+    and the Jacobi identity give [D, E](x_i) = [x_i, [u, w] + D(w) − E(u)],
+    so one pass over the word yields each subword's derivation and witness.
+    For more than one leaf the witness is unique, since ad x_i is injective
+    above degree 1 (the centralizer of x_i is Q·x_i); a leaf's witness has
+    no x_i term.  The result is double-checked by re-bracketing."""
     if not 1 <= i <= n:
         raise InputError(f"generator index {i} outside 1..{n}")
-    target = theta_of_dkword(word, n).image(i)
-    if target.is_zero():
-        return LieElement.zero(n)
-    k = word.leaves()
-    _check_caps(n, k + 1)
-    dom = lyndon_basis(n, k)
-    cod = lyndon_basis(n, k + 1)
-    cod_index = {w: r for r, w in enumerate(cod)}
-    xi = LieElement.generator(n, i)
-    cols = []
-    for w in dom:
-        img = bracket(xi, LieElement.basis_term(n, w))
-        col = [Fraction(0)] * len(cod)
-        for ww, c in img.terms.items():
-            col[cod_index[ww]] = c
-        cols.append(col)
-    mat = ExactMatrix.from_cols(cols, len(cod))
-    rhs_col = [Fraction(0)] * len(cod)
-    for ww, c in target.terms.items():
-        rhs_col[cod_index[ww]] = c
-    rhs = ExactMatrix.from_cols([rhs_col], len(cod))
-    sol = solve_right(mat, rhs)
-    if sol is None:
-        raise InternalInvariantError(
-            "no adjoint witness exists; the action lost its adjoint form"
-        )
-    v = LieElement(n, {w: sol.data[r][0] for r, w in enumerate(dom)})
-    if bracket(xi, v) != target:
+    if word.max_index() > n:
+        raise InputError("bracket word uses generators beyond n")
+
+    def walk(w):
+        if w.is_leaf:
+            other = {w.i: w.j, w.j: w.i}.get(i)
+            v = LieElement.generator(n, other) if other else LieElement.zero(n)
+            return theta(w.i, w.j, n), v
+        (d1, v1), (d2, v2) = walk(w.left), walk(w.right)
+        return d1.commutator(d2), bracket(v1, v2) + d1.apply(v2) - d2.apply(v1)
+
+    d, v = walk(word)
+    if bracket(LieElement.generator(n, i), v) != d.image(i):
         raise InternalInvariantError("adjoint witness failed re-bracketing")
     return v

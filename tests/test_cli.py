@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -401,6 +402,65 @@ def test_numbers_beyond_the_printable_size_keep_the_contract(monkeypatch):
               "residues": {"H1": [[big, big], ["0", "0"]], "H2": [["0", "0"], [big, big]]}}
     code, doc = _run_stdin(monkeypatch, system, "check")
     assert code == 2 and doc["error"].startswith("result too large to print")
+
+
+# -- error texts and the rational grammar on every Python version -------------
+
+AXES = {"dim": 2, "hyperplanes": [{"id": "H1", "normal": [1, 0]}, {"id": "H2", "normal": [0, 1]}]}
+ERROR_CORPUS = [
+    # (stdin text, command, stdout): the same bytes on Python 3.10 to 3.13
+    ("[1,]", "analyze", "cannot read input: not valid JSON"),
+    ('{"a":1,}', "analyze", "cannot read input: not valid JSON"),
+    ("{", "analyze", "cannot read input: not valid JSON"),
+    ('{"matrices": [[[' + "7" * 5000 + "]]]}", "analyze",
+     "cannot read input: a number has more digits than Python reads"),
+    ('{"matrices": [[["1_000"]]]}', "analyze", "not a rational: '1_000'"),
+    ('{"matrices": [[["1 / 2"]]]}', "analyze", "not a rational: '1 / 2'"),
+    ('{"matrices": [[["1_0e3"]]]}', "analyze", "not a rational: '1_0e3'"),
+    ('{"matrices": [[[[1, 2]]]]}', "analyze", "not a rational: a list"),
+    ('{"matrices": [[[{"a": [[[[1]]]]}]]]}', "analyze", "not a rational: a dict"),
+    (json.dumps({"arrangement": AXES, "rank": "1_0", "residues": {}}), "check",
+     "not an integer: '1_0'"),
+    (json.dumps({"arrangement": AXES, "rank": [[1]], "residues": {}}), "check",
+     "not an integer: a list"),
+    (json.dumps({"arrangement": AXES, "rank": 2, "residues": {
+        "H1": [["1e2200", "1e2200"], ["0", "0"]], "H2": [["0", "0"], ["1e2200", "1e2200"]]}}),
+     "check", "result too large to print: an integer has more digits than Python prints"),
+]
+
+
+@pytest.mark.parametrize("text, command, message", ERROR_CORPUS)
+def test_error_texts_do_not_depend_on_the_python_version(monkeypatch, text, command, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run_cli(command, "--input", "-")
+    assert (code, out) == (1 if "large" not in message else 2, json.dumps({"error": message}) + "\n")
+
+
+def test_rational_grammar_refuses_what_older_pythons_refuse(monkeypatch):
+    # Fraction("1_000") is 1000 from Python 3.11 on and Fraction("1 / 2")
+    # is 1/2 from 3.12 on; both are input errors on every version
+    for entry in ("1_000", "1 / 2", "1_0/3", "3/1_0", " 1 /2", "1\t/2", "1 2"):
+        code, doc = _run_stdin(monkeypatch, {"matrices": [[[entry]]]}, "analyze")
+        assert (code, doc) == (1, {"error": f"not a rational: {entry!r}"})
+    for entry in (" 1/2 ", "\t1.5\n", "-1e3"):
+        code, doc = _run_stdin(monkeypatch, {"matrices": [[[entry]]]}, "analyze")
+        assert code == 0
+
+
+def test_rh_check_on_large_rational_residues_in_budget(monkeypatch):
+    """A rank-12 residue of entries randint(±10^20)/randint(1, 10^5): its
+    squarefree part and Sturm chain run on integer pseudo-remainders."""
+    rng = random.Random(7)
+    residue = [[f"{rng.randint(-10**20, 10**20)}/{rng.randint(1, 10**5)}" for _ in range(12)]
+               for _ in range(12)]
+    system = {"arrangement": {"dim": 1, "hyperplanes": [{"id": "H", "normal": [1]}]},
+              "rank": 12, "residues": {"H": residue}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(system)))
+    start = time.perf_counter()
+    code, out, _ = run_cli("rh-check", "--lambda", "1/2", "--line", "1", "--input", "-")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (0, '{\n  "offenders": [],\n  "pass": true\n}\n')
+    assert elapsed < 5
 
 
 # -- exact roots that fail their certificate ----------------------------------

@@ -8,6 +8,7 @@ import pytest
 from mcvlie import freelie
 from mcvlie.cli import main
 from mcvlie.errors import InputError
+from mcvlie.exactcore import ExactMatrix, solve_right
 from mcvlie.freelie import (
     DegreeCapError,
     Derivation,
@@ -503,6 +504,83 @@ def test_adjoint_witness_roundtrip_random():
         lhs = bracket(gen(n, i), v)
         rhs = theta_of_dkword(word, n).apply(gen(n, i))
         assert lhs == rhs
+        assert v == lyndon_solve_witness(word, i, n)
+
+
+def lyndon_solve_witness(word, i, n):
+    """Oracle: the witness as an exact solve of [x_i, v] = target in Lyndon
+    coordinates, over every basis word of the witness's degree; the free x_i
+    coordinate of a one-leaf word is left at 0."""
+    target = theta_of_dkword(word, n).image(i)
+    if target.is_zero():
+        return LieElement.zero(n)
+    dom, cod = lyndon_basis(n, word.leaves()), lyndon_basis(n, word.leaves() + 1)
+    images = [bracket(gen(n, i), LieElement.basis_term(n, w)).terms for w in dom]
+    cols = [[img.get(c, 0) for c in cod] for img in images]
+    rhs = [target.terms.get(c, 0) for c in cod]
+    sol = solve_right(
+        ExactMatrix.from_cols(cols, len(cod)), ExactMatrix.from_cols([rhs], len(cod))
+    )
+    assert sol is not None
+    return LieElement(n, {w: sol[r, 0] for r, w in enumerate(dom)})
+
+
+def test_adjoint_witness_matches_the_lyndon_solve_on_four_leaves():
+    rng = random.Random(44)
+    nonzero = 0
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        word = _rand_dkword(rng, n, max_leaves=4)
+        while word.leaves() != 4:
+            word = _rand_dkword(rng, n, max_leaves=4)
+        for i in range(1, n + 1):
+            v = adjoint_witness(word, i, n)
+            assert v == lyndon_solve_witness(word, i, n)
+            nonzero += not v.is_zero()
+    assert nonzero >= 10
+
+
+def _dk(tree):
+    """DKWord from nested pairs: (a, b) of ints is a leaf A(a, b)."""
+    left, right = tree
+    if isinstance(left, int):
+        return DKWord.gen(left, right)
+    return DKWord.of(_dk(left), _dk(right))
+
+
+@pytest.mark.parametrize(
+    "tree, i, n, budget",
+    [
+        ((((2, 1), (2, 5)), (((1, 2), (1, 5)), (2, 4))), 4, 5, 0.5),
+        ((((2, 6), (2, 4)), ((((3, 5), (4, 3)), (5, 4)), (1, 4))), 5, 6, 2.0),
+    ],
+)
+def test_adjoint_witness_of_five_and_six_leaves_is_fast(tree, i, n, budget):
+    # the Lyndon-coordinate solve took 2.2 s on the 5-leaf word and more
+    # than 6 GB on the 6-leaf one; neither is run against it here
+    word = _dk(tree)
+    t0 = time.perf_counter()
+    v = adjoint_witness(word, i, n)
+    elapsed = time.perf_counter() - t0
+    assert not v.is_zero() and v.max_degree() == word.leaves()
+    assert bracket(gen(n, i), v) == theta_of_dkword(word, n).image(i)
+    assert elapsed < budget
+
+
+def test_adjoint_witness_index_errors():
+    with pytest.raises(InputError, match="generator index 4 outside 1..3"):
+        adjoint_witness(DKWord.gen(1, 2), 4, 3)
+    with pytest.raises(InputError, match="bracket word uses generators beyond n"):
+        adjoint_witness(DKWord.gen(1, 4), 1, 3)
+
+
+def test_adjoint_witness_past_the_degree_cap_raises():
+    # two 4-leaf words whose bracket acts with degree 9
+    word = _dk(
+        (((((1, 3), (2, 3)), (1, 2)), (2, 3)), ((((1, 2), (2, 3)), (2, 3)), (1, 2)))
+    )
+    with pytest.raises(DegreeCapError, match="degree 9 exceeds cap"):
+        adjoint_witness(word, 1, 3)
 
 
 def test_commutator_derivation_is_action_of_bracket_word():
