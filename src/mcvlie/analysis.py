@@ -397,7 +397,7 @@ def composition_harness(mats, lam, mu) -> CompositionReport:
     mid_mu = dr_middle_convolution(mats, mu)
     mid_lm = dr_middle_convolution(mid_mu.matrices, lam)
     mid_sum = dr_middle_convolution(mats, lam + mu)
-    phi = phi_compose(mats, lam, mu)
+    phi = phi_compose(mats, mu)
     src_proj = mid_lm.projection * _block_diag(mid_mu.projection, n)
     phibar = induce_on_quotients(phi, src_proj, mid_sum.projection)
     compose_iso = _iso(phibar, mid_lm.matrices, mid_sum.matrices)

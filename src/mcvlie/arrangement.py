@@ -301,9 +301,11 @@ def _closure_pass(arr: Arrangement, line: Line):
 
 
 def y_closure(arr: Arrangement, line: Line) -> Arrangement:
-    """The minimal Y-closed arrangement containing arr: appends the missing
-    hyperplanes X + Y with generated ids.  A single pass suffices; a second
-    pass over the result certifies that, and finding more is a bug."""
+    """The minimal Y-closed arrangement containing arr: arr itself, or arr's
+    hyperplanes, with their ids and in their order, followed by the missing
+    hyperplanes X + Y.  Each of those contains the line's direction and gets
+    the id `cl:` + X's key, primed until unused.  A single pass suffices; a
+    second pass over the result certifies that, and finding more is a bug."""
     if len(line.direction) != arr.dim:
         raise PreconditionError("line dimension does not match arrangement")
     additions = _closure_pass(arr, line)

@@ -28,7 +28,7 @@ from .exactcore import (
     right_inverse,
     subspace_sum,
 )
-from .holonomy import PfaffianSystem, _zero_extend, check_integrability
+from .holonomy import PfaffianSystem, check_integrability
 
 
 def _square_tuple(mats) -> list:
@@ -181,20 +181,20 @@ def dr_middle_convolution(mats, lam) -> MiddleConvolvedSystem:
 
 
 def haraoka_convolution(system: PfaffianSystem, line: Line, lam) -> ConvolvedSystem:
-    """Convolution along a line: extend to the Y-closure with zero residues,
-    then build one block matrix per hyperplane of the closure.
+    """Convolution along a line: one block matrix per hyperplane of the
+    Y-closure.  The closure keeps the input's hyperplanes, ids and order as
+    its prefix, and every hyperplane it appends contains the line's
+    direction.  So the transverse residues are the input's, and a parallel
+    hyperplane's residue is the input's under its id (zero if appended).
 
     Transverse hyperplanes get the one-variable block-row form.  A parallel
-    (or closure-added) hyperplane acts column by column: the column of a
-    transverse H_j sees the codimension-2 flat cut on the parallel
-    hyperplane by H_j, whose family fixes a diagonal contribution and the
-    off-diagonal drains onto the other transverse members of that family.
+    h meets each transverse H_j in exactly one codimension-2 flat; in column
+    j the flat's other transverse members get -A_j, and H_j gets A_h plus
+    their residues.  These members, over the flats through h, number n.
 
     Integrability is certified twice: on the input (a PreconditionError if
     it fails) and on the output over the closure (the runtime certificate
-    that convolution preserves integrability).  The zero extension in
-    between is not re-checked: an integrable input extends to an integrable
-    system.
+    that convolution preserves integrability).
     """
     lam = rat(lam)
     if check_integrability(system):
@@ -205,29 +205,29 @@ def haraoka_convolution(system: PfaffianSystem, line: Line, lam) -> ConvolvedSys
     n = len(order)
     if n == 0:
         raise PreconditionError("no hyperplane is transverse to the line")
-    ext = _zero_extend(system, closure)
     zero = ExactMatrix.zeros(system.rank, system.rank)
     pos = {hid: i for i, hid in enumerate(order)}
-    matrices = dict(zip(order, dr_convolution([ext.residue(h) for h in order], lam)))
+    res = [system.residue(hid) for hid in order]
+    matrices = dict(zip(order, dr_convolution(res, lam)))
 
-    flats = codim2_flats(closure)
+    neg = [-a for a in res]
+    families = {h.id: [] for h in parallel}  # transverse positions per flat through h
+    for flat in codim2_flats(closure):
+        fam = [pos[m] for m in flat.family if m in pos]
+        for m in families.keys() & flat.family:
+            families[m].append(fam)
     for h in parallel:
         grid = [[zero] * n for _ in range(n)]
-        h_flats = [f for f in flats if h.id in f.family]
-        a_h = ext.residue(h.id)
-        for j, tid in enumerate(order):
-            flat = next((f for f in h_flats if tid in f.family), None)
-            if flat is None:
-                raise InternalInvariantError(
-                    f"no codim-2 flat joins {h.id!r} and {tid!r}"
-                )
-            fam = [m for m in flat.family if m in pos]
-            diag = a_h
-            for m in fam:
-                if m != tid:
-                    diag = diag + ext.residue(m)
-                    grid[pos[m]][j] = -ext.residue(tid)
-            grid[j][j] = diag
+        a_h = system.residues.get(h.id, zero)
+        for fam in families[h.id]:
+            for j in fam:
+                for m in fam:
+                    grid[m][j] = neg[j]
+                grid[j][j] = sum((res[m] for m in fam if m != j), a_h)
+        if sum(map(len, families[h.id])) != n:
+            raise InternalInvariantError(
+                f"the flats through {h.id!r} do not meet each transverse hyperplane once"
+            )
         matrices[h.id] = ExactMatrix.block(grid)
 
     out = ConvolvedSystem(
@@ -272,18 +272,16 @@ def phi_zero(mats) -> ExactMatrix:
     return ExactMatrix.hstack(_square_tuple(mats))
 
 
-def phi_compose(mats, lam, mu) -> ExactMatrix:
-    """The comparison map from the doubly convolved space to the convolved
-    space at lam + mu: outer block i with inner vector w is sent to
-    C_i^(mu)·w.
+def phi_compose(mats, mu) -> ExactMatrix:
+    """The comparison map from the doubly convolved space (inner level mu,
+    outer level lam) to the convolved space at lam + mu: outer block i with
+    inner vector w is sent to C_i^(mu)·w, whatever lam is.
 
     The inner level is the right one: with P_k the row-block-k projector,
     C_k^(mu) - C_k^(lam+mu) = -lam·P_k and P_k·C_i^(mu) = delta_ki·C_i^(mu),
     so this map intertwines the doubly convolved generators with the
     (lam+mu)-convolved ones exactly, and descends to the isomorphism of
     middle convolutions under the genericity conditions."""
-    mats = _square_tuple(mats)
-    rat(lam)
     return ExactMatrix.hstack(dr_convolution(mats, mu))
 
 

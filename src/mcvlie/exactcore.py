@@ -727,15 +727,16 @@ class Poly:
         return out
 
     def _squarefree_ints(self):
-        """(whether 0 is a root, h): h is the squarefree part of the
-        polynomial with its factors x removed, as a primitive integer row
-        with the sign of the leading coefficient, lowest degree first; (1,)
-        if it is constant.
+        """(whether 0 is a root, h, the Sturm chain of h or None): h is the
+        squarefree part of the polynomial with its factors x removed, as a
+        primitive integer row with the sign of the leading coefficient,
+        lowest degree first; (1,) if it is constant.
 
         The polynomial f, cleared of denominators once and made primitive,
         is divided over Z by the last member of its Sturm chain (Euclid's
         algorithm, so a multiple of gcd(f, f′)), made primitive with a
-        positive lead; by Gauss's lemma that division is exact."""
+        positive lead; by Gauss's lemma that division is exact.  When that
+        member is a constant, h = f and the chain is returned with it."""
         if self.is_zero():
             raise PreconditionError("the zero polynomial has every root")
         cs = self.coeffs
@@ -743,13 +744,16 @@ class Poly:
         while cs[low] == 0:
             low += 1
         if len(cs) - low < 2:
-            return low > 0, (1,)
+            return low > 0, (1,), None
         den = lcm(*(c.denominator for c in cs[low:]))
         f = _primitive([c.numerator * (den // c.denominator) for c in cs[low:]])
-        g = _primitive(_sturm(f)[-1])
+        chain = _sturm(f)
+        if len(chain[-1]) == 1:
+            return low > 0, tuple(f), chain
+        g = _primitive(chain[-1])
         if g[-1] < 0:
             g = [-c for c in g]
-        return low > 0, tuple(_divide_exactly(f, g))
+        return low > 0, tuple(_divide_exactly(f, g)), None
 
     def rational_roots(self):
         """All rational roots, sorted, found without factoring an integer.
@@ -757,7 +761,7 @@ class Poly:
         With h from `_squarefree_ints` of degree n and leading coefficient a,
         a rational root x of h has a·x ∈ Z, so the roots are y/a for the
         integer roots y of the monic integer G(y) = a^(n−1)·h(y/a)."""
-        zero, h = self._squarefree_ints()
+        zero, h, _ = self._squarefree_ints()
         n, a = len(h) - 1, h[-1]
         g = [c * a ** (n - 1 - i) for i, c in enumerate(h[:-1])] + [1]
         roots = [Fraction(y, a) for y in _integer_roots(g)]
@@ -766,8 +770,8 @@ class Poly:
     def integer_roots(self):
         """All integer roots, sorted: those of the squarefree part itself,
         searched in x, with no substitution that scales the range."""
-        zero, h = self._squarefree_ints()
-        roots = _integer_roots(h)
+        zero, h, chain = self._squarefree_ints()
+        roots = _integer_roots(h, chain)
         return sorted(roots + [0] if zero else roots)
 
     def derivative(self) -> "Poly":
@@ -795,9 +799,9 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _integer_roots(g):
+def _integer_roots(g, chain=None):
     """Integer roots of a squarefree integer polynomial g (coefficients
-    lowest degree first, g ≠ 0).
+    lowest degree first, g ≠ 0), given its Sturm chain or None.
 
     Every root lies within Fujiwara's bound 2·max_k |g_(n−k)/g_n|^(1/k),
     taken here from bit lengths.  The Sturm chain of `_sturm`, on integers,
@@ -815,7 +819,8 @@ def _integer_roots(g):
     e = max([-((top - c.bit_length()) // k)
              for k, c in enumerate(reversed(g[:-1]), 1) if c] or [0])
     bound = 2 << max(e, 0)
-    chain = _sturm(g)
+    if chain is None:
+        chain = _sturm(g)
 
     def changes(x):
         signs = [s for s in (_horner(p, x) for p in chain) if s]

@@ -320,15 +320,18 @@ class Derivation:
         moved = sorted(self.images.keys() | other.images.keys())
         return Derivation(self.n, {i: self.image(i) + other.image(i) for i in moved})
 
+    def commutator_image(self, other: "Derivation", i: int) -> LieElement:
+        """[self, other](x_i) = self(other(x_i)) - other(self(x_i)), the
+        inner values read from images."""
+        return self.apply(other.image(i)) - other.apply(self.image(i))
+
     def commutator(self, other: "Derivation") -> "Derivation":
-        """[self, other] as a derivation: x_i goes to
-        self(other(x_i)) - other(self(x_i)), the inner values read from images."""
+        """[self, other] as a derivation, one `commutator_image` per moved
+        generator."""
         if self.n != other.n:
             raise PreconditionError("generator counts differ")
-        images = {}
-        for i in sorted(self.images.keys() | other.images.keys()):
-            images[i] = self.apply(other.image(i)) - other.apply(self.image(i))
-        return Derivation(self.n, images)
+        moved = sorted(self.images.keys() | other.images.keys())
+        return Derivation(self.n, {i: self.commutator_image(other, i) for i in moved})
 
 
 def theta(i: int, j: int, n: int) -> Derivation:
@@ -479,21 +482,27 @@ def adjoint_witness(word: DKWord, i: int, n: int) -> LieElement:
     so one pass over the word yields each subword's derivation and witness.
     For more than one leaf the witness is unique, since ad x_i is injective
     above degree 1 (the centralizer of x_i is Q·x_i); a leaf's witness has
-    no x_i term.  The result is double-checked by re-bracketing."""
+    no x_i term.  The result is double-checked by re-bracketing, against
+    the word's derivation built on x_i alone: a DegreeCapError is raised
+    when the witness or the image of x_i passes the cap, whatever the
+    images of the other generators."""
     if not 1 <= i <= n:
         raise InputError(f"generator index {i} outside 1..{n}")
     if word.max_index() > n:
         raise InputError("bracket word uses generators beyond n")
 
-    def walk(w):
+    def walk(w, root=False):
         if w.is_leaf:
             other = {w.i: w.j, w.j: w.i}.get(i)
             v = LieElement.generator(n, other) if other else LieElement.zero(n)
             return theta(w.i, w.j, n), v
         (d1, v1), (d2, v2) = walk(w.left), walk(w.right)
-        return d1.commutator(d2), bracket(v1, v2) + d1.apply(v2) - d2.apply(v1)
+        v = bracket(v1, v2) + d1.apply(v2) - d2.apply(v1)
+        if root:  # only image i is compared
+            return Derivation(n, {i: d1.commutator_image(d2, i)}), v
+        return d1.commutator(d2), v
 
-    d, v = walk(word)
+    d, v = walk(word, root=True)
     if bracket(LieElement.generator(n, i), v) != d.image(i):
         raise InternalInvariantError("adjoint witness failed re-bracketing")
     return v

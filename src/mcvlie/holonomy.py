@@ -124,6 +124,7 @@ def is_integrable(system: PfaffianSystem) -> bool:
 def zero_extend(system: PfaffianSystem, target: Arrangement) -> PfaffianSystem:
     """Extend along an inclusion of arrangements by assigning the zero
     residue to every new hyperplane (the restriction functor of modules).
+    This is the library's only zero extension.
 
     Matching is geometric, so the target may relabel hyperplanes.  The input
     must be integrable, and the output is re-checked: a violation would
@@ -134,24 +135,15 @@ def zero_extend(system: PfaffianSystem, target: Arrangement) -> PfaffianSystem:
         raise PreconditionError("target arrangement does not contain the source")
     if check_integrability(system):
         raise PreconditionError("zero_extend requires an integrable system")
-    out = _zero_extend(system, target)
+    by_key = {h.key: system.residues[h.id] for h in system.arrangement}
+    zero = ExactMatrix.zeros(system.rank, system.rank)
+    residues = {h.id: by_key.get(h.key, zero) for h in target}
+    out = PfaffianSystem(target, system.rank, residues)
     if check_integrability(out):
         raise InternalInvariantError(
             "zero-extension broke integrability; this should be impossible"
         )
     return out
-
-
-def _zero_extend(system: PfaffianSystem, target: Arrangement) -> PfaffianSystem:
-    """zero_extend without its checks, for callers that certify their own
-    input and output; the target must contain the source arrangement."""
-    by_key = {h.key: h.id for h in system.arrangement}
-    zero = ExactMatrix.zeros(system.rank, system.rank)
-    residues = {}
-    for h in target:
-        src = by_key.get(h.key)
-        residues[h.id] = system.residues[src] if src is not None else zero
-    return PfaffianSystem(target, system.rank, residues)
 
 
 def residue_sum(system: PfaffianSystem, ids) -> ExactMatrix:

@@ -520,3 +520,22 @@ def test_closure_random_properties():
         for h in closed.hyperplanes:
             if h.key not in base_keys:
                 assert h.key in candidates
+
+
+def test_closure_keeps_the_input_as_an_id_prefix():
+    # the Haraoka convolution reads the input's residues by these ids
+    rng = random.Random(43)
+    grew = 0
+    for _ in range(60):
+        dim = rng.randint(2, 4)
+        arr = _random_arrangement(rng, dim, max_planes=6)
+        line = _random_line(rng, dim)
+        closed = y_closure(arr, line)
+        head = closed.hyperplanes[: len(arr)]
+        assert [(h.id, h.key) for h in head] == [(h.id, h.key) for h in arr]
+        added = closed.hyperplanes[len(arr):]
+        assert all(h.id.startswith("cl:") for h in added)
+        assert all(h.id not in arr.ids() for h in added)
+        assert split_parallel(Arrangement(dim, added), line)[1].hyperplanes == ()
+        grew += bool(added)
+    assert grew >= 20

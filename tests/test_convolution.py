@@ -1,10 +1,23 @@
+import io
+import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from mcvlie.arrangement import Arrangement, Line, canonicalize
+from mcvlie.arrangement import (
+    Arrangement,
+    Line,
+    canonicalize,
+    codim2_flats,
+    split_parallel,
+    y_closure,
+)
+from mcvlie.cli import main
 from mcvlie.convolution import (
+    ConvolvedSystem,
     dr_convolution,
     dr_k_l,
     dr_middle_convolution,
@@ -23,7 +36,7 @@ from mcvlie.exactcore import (
     kernel,
     right_inverse,
 )
-from mcvlie.holonomy import PfaffianSystem, residue_sum
+from mcvlie.holonomy import PfaffianSystem, residue_sum, zero_extend
 
 from iso_oracle import are_isomorphic
 
@@ -333,7 +346,7 @@ def test_phi_compose_intertwines():
         inner = dr_convolution(mats, mu)
         outer = dr_convolution(inner, lam)
         target = dr_convolution(mats, lam + mu)
-        phi = phi_compose(mats, lam, mu)
+        phi = phi_compose(mats, mu)
         assert phi.rows == n * d and phi.cols == n * n * d
         for kidx in range(n):
             assert phi * outer[kidx] == target[kidx] * phi
@@ -625,3 +638,117 @@ def test_haraoka_integrability_preserved_random():
 
         assert is_integrable(conv.system())
         done += 1
+
+
+# -- Haraoka convolution against the zero-extension construction -----------------
+
+
+def extended_convolution(system, line, lam):
+    """The reference construction: zero-extend the system to the Y-closure,
+    then find the flat of each (parallel, transverse) pair by a search."""
+    lam = F(lam)
+    closure = y_closure(system.arrangement, line)
+    parallel, transverse = split_parallel(closure, line)
+    order = transverse.ids()
+    ext = zero_extend(system, closure)
+    zero = ExactMatrix.zeros(system.rank, system.rank)
+    pos = {hid: i for i, hid in enumerate(order)}
+    matrices = dict(zip(order, dr_convolution([ext.residue(h) for h in order], lam)))
+    flats = codim2_flats(closure)
+    for h in parallel:
+        grid = [[zero] * len(order) for _ in order]
+        for j, tid in enumerate(order):
+            flat = next(f for f in flats if h.id in f.family and tid in f.family)
+            diag = ext.residue(h.id)
+            for m in flat.family:
+                if m in pos and m != tid:
+                    diag = diag + ext.residue(m)
+                    grid[pos[m]][j] = -ext.residue(tid)
+            grid[j][j] = diag
+        matrices[h.id] = ExactMatrix.block(grid)
+    return ConvolvedSystem(base=system, lam=lam, order=order, closure=closure, matrices=matrices)
+
+
+def assert_same_convolution(system, line, lam):
+    conv, want = haraoka_convolution(system, line, lam), extended_convolution(system, line, lam)
+    assert [(h.id, h.key) for h in conv.closure] == [(h.id, h.key) for h in want.closure]
+    assert conv.order == want.order
+    assert list(conv.matrices.items()) == list(want.matrices.items())
+    assert json.dumps(conv.to_json()) == json.dumps(want.to_json())
+    return conv
+
+
+def test_haraoka_matches_the_zero_extension_on_growing_closures():
+    # rank 1 is always integrable; rank 2 uses polynomials in one matrix
+    rng = random.Random(16)
+    done = {1: 0, 2: 0}
+    while min(done.values()) < 6:
+        dim = rng.randint(2, 4)
+        planes, seen = [], set()
+        for k in range(rng.randint(2, 5)):
+            normal = tuple(F(rng.randint(-1, 1)) for _ in range(dim))
+            if any(normal):
+                h = canonicalize(f"H{k}", normal, F(rng.randint(-1, 1)))
+                if h.key not in seen:
+                    seen.add(h.key)
+                    planes.append(h)
+        arr = Arrangement(dim, planes)
+        line = Line.of([F(rng.randint(-1, 1)) for _ in range(dim - 1)] + [F(1)])
+        if len(y_closure(arr, line)) == len(arr) or not split_parallel(arr, line)[1].hyperplanes:
+            continue
+        rank = 1 if done[1] <= done[2] else 2
+        base = rand_matrix(rng, rank)
+        residues = {
+            h.id: base.scale(F(rng.randint(-2, 2))).add_scaled_identity(F(rng.randint(-2, 2), 3))
+            for h in arr
+        }
+        assert_same_convolution(PfaffianSystem(arr, rank, residues), line, F(rng.randint(-3, 3), 2))
+        done[rank] += 1
+
+
+def test_haraoka_matches_the_zero_extension_on_kz():
+    from test_holonomy import kz_residues
+
+    assert_same_convolution(kz_residues(3), Line.of((0, 0, 1)), F(1, 2))
+    assert_same_convolution(kz_residues(3), Line.of((1, 2, 0)), F(-1, 3))
+    assert_same_convolution(kz_residues(4), Line.of((0, 0, 0, 1)), F(1, 3))
+
+
+def test_haraoka_reads_a_residue_under_a_taken_closure_id():
+    # the input already holds a parallel hyperplane under the id the closure
+    # generates for x - y = 0, so the closure appends that id primed
+    two_axes = Arrangement(2, [canonicalize("H1", (1, 0), 0), canonicalize("H2", (0, 1), 0)])
+    line = Line.of((1, 1))
+    taken = y_closure(two_axes, line).hyperplanes[2].id
+    assert taken.startswith("cl:")
+    arr = Arrangement(2, list(two_axes) + [canonicalize(taken, (1, -1), -1)])
+    a_taken = F(2, 7)
+    values = {"H1": F(1, 3), "H2": F(2, 5), taken: a_taken}
+    system = PfaffianSystem(arr, 1, {hid: ExactMatrix([[v]]) for hid, v in values.items()})
+    conv = assert_same_convolution(system, line, F(1, 2))
+    assert conv.closure.ids() == ["H1", "H2", taken, taken + "'"]
+    # x - y = 1 meets x = 0 and y = 0 in two flats of one transverse member each
+    assert conv.matrices[taken] == ExactMatrix.identity(2).scale(a_taken)
+    assert conv.matrices[taken + "'"] == ExactMatrix([[F(2, 5), F(-2, 5)], [F(-1, 3), F(1, 3)]])
+
+
+@pytest.mark.parametrize(
+    "change",
+    [lambda flats: [f for f in flats if "H1" not in f.family], lambda flats: flats + flats[:1]],
+    ids=["dropped", "repeated"],
+)
+def test_haraoka_coverage_invariant_under_a_wrong_flat_list(monkeypatch, change):
+    # on the three lines along x = 0, the one flat holds H1 and both
+    # transverse lines; without it, or with it twice, H1 is not covered once
+    # (the integrability checks keep the true flats)
+    monkeypatch.setattr("mcvlie.convolution.codim2_flats", lambda arr: change(codim2_flats(arr)))
+    system = three_line_system(F(1, 2), F(1, 3), F(1, 5))
+    with pytest.raises(InternalInvariantError, match="'H1'"):
+        haraoka_convolution(system, Line.of((0, 1)), F(1, 7))
+    out, err = io.StringIO(), io.StringIO()
+    data = Path(__file__).parent / "data" / "threelines.json"
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["convolve", "--lambda", "1/7", "--line", "0,1", "--input", str(data)])
+    assert code == 3
+    doc = json.loads(out.getvalue())  # exactly one JSON document
+    assert "'H1'" in doc["error"] and err.getvalue().startswith("mcvlie: internal invariant")

@@ -533,7 +533,8 @@ def test_squarefree_part_matches_the_gcd_over_q():
             if not case % 4:
                 break
         f = Poly([0] * rng.randint(0, 2) + list(f.coeffs))
-        zero, h = f._squarefree_ints()
+        zero, h, chain = f._squarefree_ints()
+        assert chain is None or chain == exactcore._sturm(h)
         low = next(k for k, c in enumerate(f.coeffs) if c)
         g = Poly(f.coeffs[low:])
         want = g.exact_div(g.gcd(g.derivative())) if g.degree else Poly.one()
@@ -562,6 +563,22 @@ def test_integer_roots_search_in_x(monkeypatch):
     monkeypatch.setattr(exactcore, "_horner", lambda c, x: calls.append(x) or real(c, x))
     assert p.integer_roots() == [-5, 3]
     assert len(calls) < 500
+
+
+def test_integer_roots_builds_one_sturm_chain_when_squarefree(monkeypatch):
+    """A squarefree polynomial's chain ends in a constant, so the chain that
+    found its squarefree part is reused by the root search; with a repeated
+    factor the squarefree part needs a chain of its own."""
+    calls = []
+    real = exactcore._sturm
+    monkeypatch.setattr(exactcore, "_sturm", lambda g: calls.append(g) or real(g))
+    squarefree = Poly([5, 1]) * Poly([-3, 1]) * Poly([F(1, 3), 1])
+    assert squarefree.integer_roots() == [-5, 3]
+    assert len(calls) == 1
+    calls.clear()
+    repeated = squarefree * Poly([-3, 1]) * Poly([F(-7, 2), 1])
+    assert repeated.integer_roots() == [-5, 3]
+    assert len(calls) == 2
 
 
 # -- characteristic polynomial -----------------------------------------------

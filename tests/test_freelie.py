@@ -583,6 +583,19 @@ def test_adjoint_witness_past_the_degree_cap_raises():
         adjoint_witness(word, 1, 3)
 
 
+def test_adjoint_witness_reads_the_cap_on_image_i_alone():
+    # the same word at n = 4: x_4 is fixed, so its witness is zero, though
+    # the word's derivation passes the cap on x_1
+    word = _dk(
+        (((((1, 3), (2, 3)), (1, 2)), (2, 3)), ((((1, 2), (2, 3)), (2, 3)), (1, 2)))
+    )
+    with pytest.raises(DegreeCapError, match="degree 9 exceeds cap"):
+        theta_of_dkword(word, 4)
+    assert adjoint_witness(word, 4, 4) == LieElement.zero(4)
+    with pytest.raises(DegreeCapError, match="degree 9 exceeds cap"):
+        adjoint_witness(word, 1, 4)
+
+
 def test_commutator_derivation_is_action_of_bracket_word():
     # [theta(A_13), theta(A_12)] applied pointwise agrees with the nested
     # DKWord evaluation
