@@ -294,7 +294,8 @@ def induce_on_quotients(
     With R a right inverse of src_proj, I - R src_proj maps onto
     ker src_proj, so the defining identity out src_proj = dst_proj phi for
     out = dst_proj phi R holds exactly when phi descends."""
-    out = dst_proj * phi * right_inverse(src_proj)
-    if out * src_proj != dst_proj * phi:
+    image = dst_proj * phi
+    out = image * right_inverse(src_proj)
+    if out * src_proj != image:
         raise InternalInvariantError("map does not descend to the quotients")
     return out

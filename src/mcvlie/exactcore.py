@@ -16,7 +16,8 @@ import itertools
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm
-from operator import add, mul, sub
+from operator import add, lshift, mul, sub
+from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError, PreconditionError
 
@@ -109,6 +110,33 @@ def rat_str(x: Fraction) -> str:
 
 def _scaled(ints, f: int):
     return ints if f == 1 else tuple(tuple(f * x for x in row) for row in ints)
+
+
+# Kronecker substitution: a row (x_0, .., x_{n-1}) of integers packs into the
+# one integer sum x_j 2^(w j).  Balanced digits are unique, so two rows whose
+# entries all lie strictly between -2^(w-1) and 2^(w-1) are equal exactly
+# when their packed integers are.  Row i of a product A B packs as
+# sum_k a_ik packed(B_k): one big-integer multiply-add per nonzero a_ik.
+
+
+def _bits(ints) -> int:
+    """Bit length of the largest absolute entry of integer rows (0 when
+    every entry is 0)."""
+    return max(map(abs, itertools.chain.from_iterable(ints)), default=0).bit_length()
+
+
+def _pack(row, w: int) -> int:
+    """The row as one integer, entry j in the slot of width w at bit w j."""
+    return sum(map(lshift, row, range(0, w * len(row), w)))
+
+
+def _packed_dot(row, packed) -> int:
+    """sum_k row[k] packed[k]: row times the matrix whose packed rows are
+    `packed`, itself packed.  A row with more zeros than nonzeros takes only
+    its nonzero entries."""
+    if 2 * row.count(0) > len(row):
+        return sum(map(mul, filter(None, row), itertools.compress(packed, row)))
+    return sum(map(mul, row, packed))
 
 
 def _transposed(ints, cols: int):
@@ -419,6 +447,56 @@ class ExactMatrix:
 
     def is_invertible(self) -> bool:
         return self.is_square and self.det() != 0
+
+
+class RowSummary(NamedTuple):
+    """A square matrix with what `commuting_with_sum` reads of it in every
+    family it belongs to: the indices of its nonzero rows (none when the
+    matrix is zero) and the bit length of its largest absolute entry."""
+
+    matrix: ExactMatrix
+    nonzero: tuple
+    bits: int
+
+    @classmethod
+    def of(cls, m: ExactMatrix) -> "RowSummary":
+        return cls(m, tuple(i for i, row in enumerate(m.ints) if any(row)), _bits(m.ints))
+
+
+def commuting_with_sum(summaries):
+    """For each summarised square matrix, in order and computed only when
+    asked for, whether it commutes with the sum T of all of them.  No
+    product matrix is built.
+
+    With A = a/den_a and T = t/den_T, both a t and t a lie over
+    den_a den_T, so A commutes with T exactly when row i of a t, packed as
+    sum_k a_ik packed(t_k), equals row i of t a, packed as
+    sum_k t_ik packed(a_k), for every i.  Slots are of width
+    w = bits(max|a|) + bits(max|t|) + bits(rank) + 1, the first term over
+    all the matrices: every entry of a t and t a is at most
+    rank max|a| max|t| < 2^(w-1) in absolute value, where packing is
+    injective.  Rows where every matrix vanishes are zero on both sides and
+    are skipped."""
+    rank = summaries[0].matrix.rows
+    den = lcm(*[s.matrix.den for s in summaries])
+    t_rows = {}  # row index -> row of t, wherever some matrix is nonzero
+    for m, nonzero, _ in summaries:
+        f = den // m.den
+        for i in nonzero:
+            row = m.ints[i] if f == 1 else tuple(map(f.__mul__, m.ints[i]))
+            t_rows[i] = tuple(map(add, t_rows[i], row)) if i in t_rows else row
+    w = max(s.bits for s in summaries) + _bits(t_rows.values()) + rank.bit_length() + 1
+    packed_t = [0] * rank
+    for i, row in t_rows.items():
+        packed_t[i] = _pack(row, w)
+    for m, nonzero, _ in summaries:
+        a = m.ints
+        packed_a = [0] * rank
+        for i in nonzero:
+            packed_a[i] = _pack(a[i], w)
+        yield all(
+            _packed_dot(a[i], packed_t) == _packed_dot(row, packed_a) for i, row in t_rows.items()
+        )
 
 
 def _primitive(ints):

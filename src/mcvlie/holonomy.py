@@ -15,7 +15,15 @@ from math import lcm
 
 from .arrangement import Arrangement, codim2_flats
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .exactcore import ExactMatrix, _scaled, int_from_json, matrix_from_json, matrix_to_json
+from .exactcore import (
+    ExactMatrix,
+    RowSummary,
+    _scaled,
+    commuting_with_sum,
+    int_from_json,
+    matrix_from_json,
+    matrix_to_json,
+)
 
 
 @dataclass(frozen=True)
@@ -97,23 +105,39 @@ def check_integrability(system: PfaffianSystem) -> list:
     failing family member, in family order; an empty list means the system
     is integrable.
 
-    Over a family the commutators with the family sum T add up to [T, T] = 0,
-    so when all but the last vanish the last does too: it is computed only
-    when an earlier member has failed.  The list is then the same as if
+    A zero residue commutes with everything and is skipped.  Over a family
+    the commutators with the family sum T add up to [T, T] = 0, so when all
+    but the last nonzero member pass, the last one does too: it is tested
+    only when an earlier member has failed.  The list is then the same as if
     every member had been checked.
+
+    Each relation is decided on Kronecker-packed integer rows by
+    `exactcore.commuting_with_sum`: with A = a/den_a and T = t/den_T, row i
+    of a t packs as sum_k a_ik packed(t_k) and row i of t a as
+    sum_k t_ik packed(a_k), in slots of width
+    w = bits(max|a|) + bits(max|t|) + bits(rank) + 1.  Every entry of both
+    products lies strictly between -2^(w-1) and 2^(w-1), where packing is
+    injective, so the packed integers agree exactly when the rows do, and no
+    product matrix is built.  Only a failing member's commutator A T - T A
+    is computed, as its witness.
     """
+    summaries = {hid: RowSummary.of(a) for hid, a in system.residues.items()}
     violations = []
     for flat in codim2_flats(system.arrangement):
-        mats = [system.residue(hid) for hid in flat.family]
-        total = _sum_matrices(mats, system.rank)
-        failed = []
-        for k, (hid, a) in enumerate(zip(flat.family, mats)):
-            if k == len(mats) - 1 and not failed:
-                break  # the commutators sum to [T, T] = 0
-            left, right = a * total, total * a
-            if left != right:
-                failed.append(IntegrabilityViolation(flat.family, hid, left - right))
-        violations.extend(failed)
+        members = [(hid, summaries[hid]) for hid in flat.family if summaries[hid].nonzero]
+        if len(members) < 2:
+            continue  # a single nonzero residue commutes with itself
+        tests = commuting_with_sum([s for _, s in members])
+        failing = [m for m, ok in zip(members[:-1], tests) if not ok]
+        # the commutators sum to [T, T] = 0: the last fails only with another
+        if failing and not next(tests):
+            failing.append(members[-1])
+        if failing:
+            total = _sum_matrices([s.matrix for _, s in members], system.rank)
+            violations.extend(
+                IntegrabilityViolation(flat.family, hid, s.matrix * total - total * s.matrix)
+                for hid, s in failing
+            )
     return violations
 
 

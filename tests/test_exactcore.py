@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -7,11 +8,16 @@ import pytest
 from mcvlie.errors import PreconditionError
 from mcvlie.exactcore import (
     ExactMatrix,
+    _bits,
+    _pack,
+    _packed_dot,
     InvarianceError,
     Poly,
     PolyMatrix,
+    RowSummary,
     Subspace,
     charpoly,
+    commuting_with_sum,
     integer_spectrum_hits,
     kernel,
     pencil_full_rank,
@@ -31,6 +37,105 @@ def rand_fraction(rng, lo=-4, hi=4, den=3):
 
 def rand_matrix(rng, r, c, lo=-4, hi=4, den=3):
     return ExactMatrix([[rand_fraction(rng, lo, hi, den) for _ in range(c)] for _ in range(r)])
+
+
+# -- packed rows (Kronecker substitution) -------------------------------------
+
+
+def _unpack(n, w, length):
+    """The balanced base-2^w digits of n, lowest first: the inverse of _pack
+    on rows whose entries lie strictly between -2^(w-1) and 2^(w-1)."""
+    row = []
+    for _ in range(length):
+        x = n & ((1 << w) - 1)
+        if x >= 1 << (w - 1):
+            x -= 1 << w
+        row.append(x)
+        n = (n - x) >> w
+    assert n == 0
+    return tuple(row)
+
+
+def test_bits_of_integer_rows():
+    assert _bits(()) == 0
+    assert _bits(((0, 0), (0, 0))) == 0
+    assert _bits(((0, -8), (7, 0))) == 4
+    assert _bits([(1,), (-(2**100),)]) == 101
+
+
+def test_pack_is_injective_up_to_the_slot_bound():
+    # every row of three entries in (-2^(w-1), 2^(w-1)): the entries at the
+    # bound +-(2^(w-1) - 1) and the negative ones that borrow from the next
+    # slot up included
+    w = 3
+    inside = range(-(2 ** (w - 1)) + 1, 2 ** (w - 1))
+    packs = {_pack(row, w): row for row in itertools.product(inside, repeat=3)}
+    assert len(packs) == len(inside) ** 3
+    assert all(_unpack(n, w, 3) == row for n, row in packs.items())
+    assert _pack((-1, 0, 1), w) == 2 ** (2 * w) - 1
+
+
+def test_pack_collides_past_the_slot_bound():
+    # 2^(w-1) is one past the bound: it equals -2^(w-1) plus a carry
+    w = 5
+    half = 2 ** (w - 1)
+    assert _pack((half, 0), w) == _pack((-half, 1), w)
+    assert _pack((half - 1, 0), w) != _pack((-(half - 1), 1), w)
+
+
+def test_pack_tells_rows_apart_in_the_top_slot():
+    rng = random.Random(12)
+    w = 9
+    bound = 2 ** (w - 1) - 1
+    for length in range(1, 7):
+        for _ in range(30):
+            row = [rng.choice((-bound, bound, rng.randint(-bound, bound))) for _ in range(length)]
+            other = row[:-1] + [rng.choice([x for x in (-bound, 0, bound) if x != row[-1]])]
+            assert _pack(row, w) != _pack(other, w)
+            assert _pack(row, w) - _pack(other, w) == (row[-1] - other[-1]) << (w * (length - 1))
+
+
+def test_packed_dot_is_the_row_times_matrix():
+    rng = random.Random(13)
+    for _ in range(300):
+        k, c = rng.randint(1, 6), rng.randint(1, 6)
+        size = rng.choice((2, 2**20, 10**40))
+
+        def entry():
+            return rng.randint(-size, size) if rng.random() < 0.5 else 0
+
+        row = tuple(entry() for _ in range(k))
+        rows = [tuple(entry() for _ in range(c)) for _ in range(k)]
+        want = tuple(sum(x * r[j] for x, r in zip(row, rows)) for j in range(c))
+        w = _bits([row]) + _bits(rows) + k.bit_length() + 1
+        got = _packed_dot(row, [_pack(r, w) for r in rows])
+        assert _unpack(got, w, c) == want
+
+
+
+def test_commuting_with_sum_matches_the_products():
+    # sparse and dense members, with and without a common denominator, and
+    # families where some members commute with the sum and others do not
+    rng = random.Random(14)
+    verdicts = set()
+    for _ in range(200):
+        d, n = rng.randint(1, 4), rng.randint(1, 4)
+        base = rand_matrix(rng, d, d, den=rng.choice((1, 5)))
+        mats = []
+        for _ in range(n):
+            if rng.random() < 0.5:  # a polynomial in base: commutes with it
+                m = base.scale(rng.randint(-3, 3)).add_scaled_identity(F(rng.randint(-3, 3), 7))
+            else:
+                m = rand_matrix(rng, d, d, den=rng.choice((1, 3)))
+                m = ExactMatrix([[x if rng.random() < 0.6 else 0 for x in row] for row in m.data])
+            mats.append(m)
+        total = mats[0]
+        for m in mats[1:]:
+            total = total + m
+        want = [m * total == total * m for m in mats]
+        assert list(commuting_with_sum([RowSummary.of(m) for m in mats])) == want
+        verdicts.update(want)
+    assert verdicts == {True, False}
 
 
 # -- rationals ---------------------------------------------------------------

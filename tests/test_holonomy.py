@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
 
@@ -12,8 +13,9 @@ from mcvlie.arrangement import (
     codim2_flats,
     y_closure,
 )
+from mcvlie.convolution import haraoka_convolution
 from mcvlie.errors import InputError, PreconditionError
-from mcvlie.exactcore import ExactMatrix
+from mcvlie.exactcore import ExactMatrix, _bits, _pack, _packed_dot, inverse
 from mcvlie.holonomy import (
     PfaffianSystem,
     _sum_matrices,
@@ -63,6 +65,9 @@ THREE_LINES = Arrangement(
         canonicalize("H3", (1, -1), 0),
     ],
 )
+
+
+TWO_AXES = Arrangement(2, [canonicalize("H1", (1, 0), 0), canonicalize("H2", (0, 1), 0)])
 
 
 # -- presentation -------------------------------------------------------------
@@ -168,9 +173,37 @@ def _broken_braid(strands, rng):
     return PfaffianSystem(arr, 2, residues)
 
 
-def test_violations_match_all_members_oracle():
+def _conjugated(system, rng, diagonal):
+    """The system conjugated by D L U: L unit lower and U upper triangular
+    with small entries (so every residue comes out dense), D diagonal with
+    entries drawn from `diagonal` (which sets the size of the rationals)."""
+    d = system.rank
+    lower = ExactMatrix(
+        [[1 if i == j else F(rng.randint(-2, 2), rng.randint(1, 3)) * (i > j) for j in range(d)]
+         for i in range(d)]
+    )
+    upper = ExactMatrix(
+        [[rng.choice((1, -1, 2)) if i == j else rng.randint(-1, 1) * (i < j) for j in range(d)]
+         for i in range(d)]
+    )
+    diag = ExactMatrix([[diagonal() if i == j else 0 for j in range(d)] for i in range(d)])
+    p = diag * lower * upper
+    p_inv = inverse(p)
+    residues = {hid: p * m * p_inv for hid, m in system.residues.items()}
+    return PfaffianSystem(system.arrangement, d, residues)
+
+
+def _broken_braids():
+    """Twelve broken braid(4) and twelve broken braid(5) systems."""
     rng = random.Random(77)
-    systems = [_broken_braid(strands, rng) for strands in (4, 5) for _ in range(12)]
+    return [_broken_braid(strands, rng) for strands in (4, 5) for _ in range(12)]
+
+
+def _oracle_corpus():
+    """The broken braids, KZ3 with one entry bumped, and a dense rank-16
+    conjugate of KZ4 with rationals of about 30 digits, intact and with one
+    entry bumped by such a rational."""
+    systems = _broken_braids()
     kz = kz_residues(3)
     for hid in kz.arrangement.ids():
         bumped = kz.residue(hid).to_lists()
@@ -178,6 +211,24 @@ def test_violations_match_all_members_oracle():
         residues = dict(kz.residues)
         residues[hid] = ExactMatrix(bumped)
         systems.append(PfaffianSystem(kz.arrangement, kz.rank, residues))
+    rng = random.Random(41)
+
+    def digits():
+        return F(rng.randint(10**6, 10**7), rng.randint(10**6, 10**7))
+
+    big = _conjugated(kz_residues(4), rng, digits)
+    systems.append(big)
+    for hid in ("H12", "H34"):
+        bumped = big.residue(hid).to_lists()
+        bumped[3][5] += digits() ** 2
+        residues = dict(big.residues)
+        residues[hid] = ExactMatrix(bumped)
+        systems.append(PfaffianSystem(big.arrangement, big.rank, residues))
+    return systems
+
+
+def test_violations_match_all_members_oracle():
+    systems = _oracle_corpus()
     failing = last_failing = last_passing = 0
     for system in systems:
         expected = _all_members_violations(system)
@@ -190,6 +241,131 @@ def test_violations_match_all_members_oracle():
                 last_passing += hits[-1] != flat.family[-1]
     # both outcomes of the last member's commutator after an earlier failure
     assert failing >= 20 and last_failing >= 5 and last_passing >= 1
+
+
+# -- the packed-row certificate ------------------------------------------------
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """A list that grows by one for every ExactMatrix product."""
+    made = []
+    original = ExactMatrix.__mul__
+
+    def counting(self, other):
+        made.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", counting)
+    return made
+
+
+def _integrable_corpus():
+    rng = random.Random(5)
+    kz3, kz4 = kz_residues(3), kz_residues(4)
+    yield kz3
+    yield kz4
+    yield _conjugated(kz3, rng, lambda: F(rng.randint(1, 9), rng.randint(1, 9)))
+    bigger = Arrangement(3, list(kz3.arrangement.hyperplanes) + [canonicalize("X", (1, 0, 0), -1)])
+    yield zero_extend(kz3, bigger)
+    scalars = scalar_system(TWO_AXES, {"H1": F(2, 3), "H2": F(5, 7)})
+    yield zero_extend(scalars, y_closure(TWO_AXES, Line.of((1, 1))))
+    for system, direction, lam in (
+        (kz3, (0, 0, 1), F(1, 2)),
+        (kz3, (1, 2, 0), F(-1, 3)),
+        (scalars, (1, 1), F(1, 2)),
+        (scalar_system(THREE_LINES, {"H1": F(1, 5), "H2": F(1, 2), "H3": F(1, 3)}), (1, 2), F(2, 7)),
+    ):
+        yield haraoka_convolution(system, Line.of(direction), lam).system()
+
+
+def test_integrable_systems_make_no_products(products):
+    checked = 0
+    for system in _integrable_corpus():
+        products.clear()
+        assert check_integrability(system) == []
+        assert products == []
+        checked += 1
+    assert checked == 9
+
+
+def test_each_violation_costs_two_products(products):
+    violations = 0
+    for system in _broken_braids():
+        products.clear()
+        found = check_integrability(system)
+        assert len(products) == 2 * len(found)
+        violations += len(found)
+    assert violations >= 40
+
+
+def _two_lines(rank, a, b):
+    residues = {"H1": ExactMatrix(a, shape=(rank, rank)), "H2": ExactMatrix(b, shape=(rank, rank))}
+    return PfaffianSystem(TWO_AXES, rank, residues)
+
+
+def test_width_needs_the_rank_term():
+    # Row 0 of a t - t a is (0, 128, -1), and 128 = 2^7 carries into the
+    # next slot at width 7 = bits(7) + bits(7) + 1, where it cancels the -1:
+    # without bits(rank) the packed rows agree although a and t do not
+    # commute.  The family has two members, so the second is tested only
+    # after the first has failed.
+    a = ((7, 7, 6), (0, 0, 0), (0, 0, 0))
+    b = ((-7, 0, -6), (0, 7, -1), (0, 5, 1))
+    t = tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(a, b))
+    narrow = max(_bits(a), _bits(b)) + _bits(t) + 1
+    assert narrow == 7
+    packed_t = [_pack(row, narrow) for row in t]
+    packed_a = [_pack(row, narrow) for row in a]
+    assert all(_packed_dot(r1, packed_t) == _packed_dot(r2, packed_a) for r1, r2 in zip(a, t))
+    system = _two_lines(3, a, b)
+    comm = ExactMatrix([[0, 128, -1], [0, 0, 0], [0, 0, 0]])
+    assert _violation_tuples(system) == [
+        (("H1", "H2"), "H1", comm),
+        (("H1", "H2"), "H2", -comm),
+    ]
+    assert _violation_tuples(system) == _all_members_violations(system)
+
+
+def test_rows_that_differ_only_in_the_top_slot():
+    # row 0 of a t is (5, 15, 20) and row 0 of t a is (5, 15, 16): the packed
+    # rows differ in the top slot only, and every other row agrees
+    a = ((5, 0, 1), (0, 5, 0), (0, 0, 5))
+    b = ((-4, 3, 2), (0, 0, 0), (0, 0, 0))
+    system = _two_lines(3, a, b)
+    comm = ExactMatrix([[0, 0, 4], [0, 0, 0], [0, 0, 0]])
+    assert _violation_tuples(system) == [
+        (("H1", "H2"), "H1", comm),
+        (("H1", "H2"), "H2", -comm),
+    ]
+
+
+def test_rows_where_the_member_or_the_sum_is_zero_are_compared():
+    # a vanishes in rows 1 and 2, yet row 2 of t a is nonzero
+    system = _two_lines(3, [[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[2, 1, 1], [0, 2, 0], [3, 1, 1]])
+    comm = ExactMatrix([[0, 0, 0], [0, 0, 0], [0, -3, 0]])
+    assert _violation_tuples(system) == [
+        (("H1", "H2"), "H1", comm),
+        (("H1", "H2"), "H2", -comm),
+    ]
+    # row 0 of t = [[0, 0], [0, 2]] cancels, yet row 0 of a t is nonzero
+    system = _two_lines(2, [[1, 1], [0, 1]], [[-1, -1], [0, 1]])
+    comm = ExactMatrix([[0, 2], [0, 0]])
+    assert _violation_tuples(system) == [
+        (("H1", "H2"), "H1", comm),
+        (("H1", "H2"), "H2", -comm),
+    ]
+
+
+def test_integers_too_long_to_print(products):
+    # rank 1 always commutes; rank 2 does not, and the witness is exact
+    huge = 7**6000  # 5,071 digits
+    rank1 = scalar_system(THREE_LINES, {"H1": F(huge, 3), "H2": F(-huge - 1, huge + 2), "H3": F(1, huge)})
+    assert check_integrability(rank1) == []
+    assert products == []
+    system = _two_lines(2, [[huge, 1], [0, 0]], [[0, 0], [F(1, huge), -huge]])
+    assert _violation_tuples(system) == _all_members_violations(system)
+    assert len(check_integrability(system)) == 2
 
 
 # -- zero extension -----------------------------------------------------------
