@@ -5,9 +5,9 @@ the integer-eigenvalue hypotheses of the Riemann-Hilbert comparison."""
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, prod
 from operator import mul
 
 from .arrangement import Line, split_parallel
@@ -20,6 +20,7 @@ from .convolution import (
 )
 from .errors import InternalInvariantError, PreconditionError
 from .exactcore import (
+    P,
     ExactMatrix,
     Poly,
     Subspace,
@@ -29,6 +30,15 @@ from .exactcore import (
     matrix_to_json,
     rat,
     rat_str,
+    _bits,
+    _crt,
+    _ModSpan,
+    _pack,
+    _packed_dot,
+    _prime_below,
+    _reconstruct,
+    _transposed,
+    _unpack,
 )
 from .holonomy import PfaffianSystem, residue_sum
 
@@ -157,42 +167,162 @@ def check_star_conditions(mats) -> StarReport:
 
 
 def is_irreducible(mats) -> bool:
-    """Absolute irreducibility: the unital algebra generated by the tuple
-    has full dimension d^2 (Burnside), computed by closing a spanning set
-    under right multiplication by the generators.
+    """Absolute irreducibility: the unital algebra A generated by the tuple
+    has full dimension d^2 (Burnside).
 
     Each generator is scaled to an integer matrix first: a word in the
     scaled generators is a nonzero multiple of the same word in the
     originals, so the span, and every membership answer, is unchanged.
-    The words are integer matrices, so words whose residues mod P are
-    independent are independent over Q: a span that reaches d^2 mod P
-    (`_spin`) proves irreducibility.  A shorter one decides nothing, and
-    the exact closure of the words it found (`_closed_span`) decides; only
-    it answers False."""
+
+    - True is proven mod P: the identity closed under right multiplication
+      by the generators mod P (`_spin`) reaches dimension d^2.  Words are
+      integer matrices, so words independent mod P are independent over Q.
+    - False is proven by a proper subspace S of Q^(d^2) that holds the
+      identity and is closed under right multiplication by every
+      generator, checked exactly: S then holds every word, so
+      dim A <= dim S < d^2.  S is the span of the words found mod P,
+      lifted by rational reconstruction (`_lift`).
+    - Only when the lift gives up does the exact closure of those words
+      (`_closed_span`), rebuilt from their recipes, decide."""
     mats = _square_tuple(mats)
     d = mats[0].rows
     if d == 1:
         return True
-    gens = [tuple(zip(*a.ints)) for a in mats]  # columns
-    words = _spin(gens)
-    return len(words) == d * d or _closed_span(words, gens).dim == d * d
+    gens = [a.ints for a in mats]
+    span, recipes = _spin(gens)
+    if span.dim == d * d:
+        return True
+    if _lift(span, recipes, gens) is not None:
+        return False
+    cols = [tuple(zip(*g)) for g in gens]
+    return _closed_span(_words(recipes, cols), cols).dim == d * d
 
 
-def _spin(gens) -> list:
+def _spin(gens):
     """Close the identity under right multiplication by the generators
-    (given by their integer columns), mod P: the words that enlarged the
-    span mod P, in the order found, up to the first d^2 of them."""
+    (integer rows) mod P, breadth first, up to d^2 words.  Returns the span
+    and, for each word after the identity in the order found, its recipe
+    (parent word, generator).
+
+    A word is multiplied through its echelon row: that row is the word over
+    a nonzero scalar plus a combination of earlier words, whose products
+    with every generator are in the span already (breadth first), so the
+    row's product enlarges the span exactly when the word's would."""
     d = len(gens[0])
-    span = _ModSpan(d * d)
-    words = [tuple(tuple(int(i == j) for j in range(d)) for i in range(d))]
-    span.add(_vec(words[0]))
-    for m in words:  # breadth first: the loop reaches the words it appends
-        for cols in gens:
-            p = _times(m, cols)
-            if span.add(_vec(p)):
-                words.append(p)
+    span = _ModSpan(d * d, d)
+    shifted = [_shifted([span.pack(row) for row in g], span.w) for g in gens]
+    rows = [span.insert(span.pack(_identity(d)))]
+    recipes = []
+    for t, row in enumerate(rows):  # breadth first: the loop reaches the rows it appends
+        for k, g in enumerate(shifted):
+            new = span.insert(_packed_dot(row, g))
+            if new is not None:
+                rows.append(new)
+                recipes.append((t, k))
                 if span.dim == span.width:
-                    return words
+                    return span, recipes
+    return span, recipes
+
+
+def _shifted(packed, w: int) -> list:
+    """The packed rows of a d×d matrix g (slots of width w), row k shifted
+    to row block a at index a·d + k: the packed dot of the d^2 entries of a
+    matrix m with them (`_packed_dot`) is m·g packed, with slot a·d + c
+    the sum over k of m_ak g_kc."""
+    d = len(packed)
+    return [row << (w * d * a) for a in range(d) for row in packed]
+
+
+def _replay(recipes, gens, q: int):
+    """The span mod q of the words the recipes build from the identity, or
+    None when they are dependent mod q."""
+    d = len(gens[0])
+    span = _ModSpan(d * d, d, q)
+    shifted = [_shifted([span.pack(row) for row in g], span.w) for g in gens]
+    v = span.pack(_identity(d))
+    words = [span.unpack(v)]
+    span.insert(v)
+    for parent, k in recipes:
+        v = _packed_dot(words[parent], shifted[k])
+        words.append([x % q for x in span.unpack(v)])
+        if span.insert(v) is None:
+            return None
+    return span
+
+
+def _lift(span, recipes, gens):
+    """A proper subspace of Q^(d^2) that holds the identity and is closed
+    under right multiplication by the generators, or None.
+
+    The candidate is the span of the words found mod P: its reduced echelon
+    form mod M, lifted by rational reconstruction (`_reconstruct`).  M is P
+    at first, then times each further prime q below P (`_prime_below`)
+    whose replay of the recipes (`_replay`) has the same pivots as mod P;
+    a q with other pivots is skipped.  Only the exact test
+    (`_closed_subspace`) accepts a candidate, so a wrong lift costs time,
+    never a wrong answer.
+
+    It gives up when two successive moduli give the same candidate and it
+    fails the test: the words' span is then not closed.  A bound stops it
+    in any case.  The entries of the reduced form are ratios of r×r minors
+    of the word matrix, at most H = prod ||w|| (Hadamard; the Frobenius
+    norm has ||w·g|| <= ||w|| ||g||).  So once M > 2H^2, with every prime
+    of M lucky, the lift is exact.  The unlucky primes divide one nonzero
+    minor, so their product is at most H.  When P is lucky, M passes 2H^2
+    before the primes tried reach 2·P·H^3, the last prime adding less than
+    a factor P; past that bound P itself was unlucky."""
+    d = len(gens[0])
+    norms = [d]  # bounds on the squared norms of the words
+    for parent, k in recipes:
+        norms.append(norms[parent] * sum(x * x for row in gens[k] for x in row))
+    h2 = prod(norms)
+    limit = 2 * P * h2 * (isqrt(h2) + 1)
+    rows, m = span.reduced(), P
+    q = tried = P
+    previous = None
+    while True:
+        lifted = _reconstruct(rows, m)
+        if lifted is not None:
+            if lifted == previous:
+                return None
+            closed = _closed_subspace(*lifted, gens)
+            if closed is not None:
+                return closed
+        previous = lifted
+        while True:
+            q = _prime_below(q)
+            tried *= q
+            if tried > limit:
+                return None
+            other = _replay(recipes, gens, q)
+            if other is not None and other.pivots == span.pivots:
+                break
+        rows, m = _crt(rows, m, other.reduced(), q), m * q
+
+
+def _closed_subspace(rows, den, gens):
+    """The span S of the matrices given by the flat integer rows of a
+    reduced echelon form over den, when it holds the identity and b·g lies
+    in S for every basis matrix b of S and every generator g (one
+    `Subspace.coordinates` batch); else None."""
+    d = len(gens[0])
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    s = Subspace._of(ExactMatrix._of(_transposed(rows, d * d), den, d * d, len(rows)), pivots)
+    w = _bits(rows) + max(map(_bits, gens)) + d.bit_length() + 1  # |(b·g)_ac| < 2^(w-1)
+    tests = [_identity(d)]
+    for g in gens:
+        shifted = _shifted([_pack(row, w) for row in g], w)
+        tests += [_unpack(_packed_dot(b, shifted), w, d * d) for b in rows]
+    batch = ExactMatrix._of(tuple(zip(*tests)), 1, d * d, len(tests))
+    return s if s.coordinates(batch) is not None else None
+
+
+def _words(recipes, cols) -> list:
+    """The integer words the recipes build from the identity, given the
+    generators by their integer columns."""
+    words = [_unit(len(cols[0]))]
+    for parent, k in recipes:
+        words.append(_times(words[parent], cols[k]))
     return words
 
 
@@ -226,59 +356,29 @@ def _times(m, cols):
     return tuple(tuple(sum(map(mul, row, c)) for c in cols) for row in m)
 
 
+def _unit(d: int):
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+
+
+def _identity(d: int) -> list:
+    """The d×d identity, flat."""
+    return [int(k % (d + 1) == 0) for k in range(d * d)]
+
+
 def _vec(m):
     return [x for row in m for x in row]
 
 
-# A prime below 2^30: residues are single-digit ints, and a product of two
-# fits a machine word.
-P = 1073741789
-
-
-class _ModSpan:
-    """Span of integer vectors reduced mod P, kept as echelon rows with
-    pivot entry 1, each stored from its pivot on, so a reduction touches
-    only the entries from that pivot on.
-
-    The rank mod P of integer vectors is at most their rank over Q: a
-    rational relation scaled to coprime integers stays a relation mod P.
-    So `dim` never exceeds the exact span's, and reaching full width proves
-    full rank over Q; a shorter span proves nothing."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows = []  # row k holds the entries from pivots[k] on
-        self.pivots = []  # strictly increasing
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def add(self, vec) -> bool:
-        """Insert an integer vector; True when it enlarges the span mod P."""
-        v = [x % P for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            f = v[p]
-            if f:
-                v[p:] = [(x - f * y) % P for x, y in zip(v[p:], row)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        inv = pow(v[piv], -1, P)
-        at = bisect(self.pivots, piv)
-        self.rows.insert(at, [x * inv % P for x in v[piv:]])
-        self.pivots.insert(at, piv)
-        return True
-
-
 def _full_rank_mod_p(rows, width: int) -> bool:
     """Whether the integer rows have rank `width` mod P, reading no more of
-    them than it takes; True proves rank `width` over Q."""
+    them than it takes; True proves rank `width` over Q.  A row that would
+    fill the span is only tested, not inserted."""
     span = _ModSpan(width)
     for row in rows:
-        if span.dim == width:
-            break
-        span.add(row)
+        if span.dim < width - 1:
+            span.add(row)
+        elif not span.holds(row):
+            return True
     return span.dim == width
 
 

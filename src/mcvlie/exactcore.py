@@ -12,9 +12,12 @@ equality coincides with equality of spans.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from bisect import bisect
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import isqrt
 from math import lcm
 from operator import add, lshift, mul, sub
 from typing import NamedTuple
@@ -130,6 +133,15 @@ def _pack(row, w: int) -> int:
     return sum(map(lshift, row, range(0, w * len(row), w)))
 
 
+def _unpack(v: int, w: int, count: int) -> list:
+    """The `count` entries of a packed row whose entries lie strictly
+    between -2^(w-1) and 2^(w-1).  With 2^(w-1) added to every slot, each
+    slot holds its entry plus 2^(w-1), in [0, 2^w), with no carry."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    v += _pack([half] * count, w)
+    return [(v >> s & mask) - half for s in range(0, w * count, w)]
+
+
 def _packed_dot(row, packed) -> int:
     """sum_k row[k] packed[k]: row times the matrix whose packed rows are
     `packed`, itself packed.  A row with more zeros than nonzeros takes only
@@ -141,6 +153,185 @@ def _packed_dot(row, packed) -> int:
 
 def _transposed(ints, cols: int):
     return tuple(zip(*ints)) if ints else ((),) * cols
+
+
+# The modulus of the rank certificates: a prime below 2^30, so a residue is
+# a one-digit int, a product of two fits a machine word, and a `_ModSpan`
+# slot that sums d^2 + d such products (d×d words) stays near 70 bits.
+P = 1073741789
+
+
+class _ModSpan:
+    """Span of integer vectors mod a prime q (P unless given), kept as
+    echelon rows with pivot entry 1 and entries in [0, q), each packed into
+    one integer with slots of w bits (entry j at bit w·j, as `_pack` does).
+
+    A vector enters packed, with nonnegative slots below terms·q^2.
+    Reducing it at pivot p is a shift, a mask and % q to read slot p as f,
+    then one multiply-add of (q − f) times the echelon row: that clears slot
+    p mod q and adds less than q^2 to each slot, with no borrow.  The slots
+    are sized for terms + width such steps, so no slot reaches the next and
+    the packed integer stays exact.  Only the reduced vector is read slot by
+    slot: up to its pivot, and in full once when it becomes a row.
+
+    The rank mod q of integer vectors is at most their rank over Q: a
+    rational relation scaled to coprime integers stays a relation mod q.
+    So `dim` never exceeds the exact span's, and reaching full width proves
+    full rank over Q; a shorter span proves nothing."""
+
+    __slots__ = ("width", "q", "w", "mask", "rows", "pivots")
+
+    def __init__(self, width: int, terms: int = 1, q: int = P):
+        self.width, self.q = width, q
+        self.w = (terms + width).bit_length() + 2 * q.bit_length()  # 2^w > (terms + width)·q^2
+        self.mask = (1 << self.w) - 1
+        self.rows = []  # packed, entries in [0, q)
+        self.pivots = []  # strictly increasing
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def pack(self, vec) -> int:
+        """An integer vector reduced mod q and packed."""
+        w = self.w
+        return sum(map(lshift, map(self.q.__rmod__, vec), range(0, w * len(vec), w)))
+
+    def unpack(self, v: int) -> list:
+        """The slots of a packed vector, as they stand (not reduced)."""
+        w, mask = self.w, self.mask
+        return [v >> s & mask for s in range(0, w * self.width, w)]
+
+    def _reduce(self, v: int):
+        """The packed vector reduced by every row, and the shift of its
+        pivot slot, the first one not 0 mod q (None when there is none)."""
+        q, mask, w = self.q, self.mask, self.w
+        for row, p in zip(self.rows, self.pivots):
+            f = (v >> p * w & mask) % q
+            if f:
+                v += (q - f) * row
+        for shift in range(0, w * self.width, w):
+            if (v >> shift & mask) % q:
+                return v, shift
+        return v, None
+
+    def holds(self, vec) -> bool:
+        """Whether an integer vector lies in the span mod q."""
+        return self._reduce(self.pack(vec))[1] is None
+
+    def add(self, vec) -> bool:
+        """Insert an integer vector; True when it enlarges the span mod q."""
+        if self.rows:
+            return self.insert(self.pack(vec)) is not None
+        q = self.q  # nothing to reduce by: the residues are the row up to a scalar
+        v = [x % q for x in vec]
+        piv = next((j for j, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        inv = pow(v[piv], -1, q)
+        self.rows.append(_pack([x * inv % q for x in v], self.w))
+        self.pivots.append(piv)
+        return True
+
+    def insert(self, v: int):
+        """Reduce a packed vector and insert it when it is not in the span:
+        returns its echelon row, unpacked, or None."""
+        v, shift = self._reduce(v)
+        if shift is None:
+            return None
+        q, mask, w = self.q, self.mask, self.w
+        inv = pow((v >> shift & mask) % q, -1, q)
+        entries = [(v >> s & mask) * inv % q for s in range(0, w * self.width, w)]
+        piv = shift // w
+        at = bisect(self.pivots, piv)
+        self.rows.insert(at, _pack(entries, w))
+        self.pivots.insert(at, piv)
+        return entries
+
+    def reduced(self) -> list:
+        """The reduced echelon form mod q, unpacked: from the last row up,
+        each row is cleared at every later pivot (at most `width` steps per
+        row, so the slots hold), then read off mod q."""
+        q, mask, w = self.q, self.mask, self.w
+        rows = list(self.rows)
+        out = [None] * len(rows)
+        for k in reversed(range(len(rows))):
+            out[k] = entries = [x % q for x in self.unpack(rows[k])]
+            row, shift = _pack(entries, w), self.pivots[k] * w
+            for j in range(k):
+                f = (rows[j] >> shift & mask) % q
+                if f:
+                    rows[j] += (q - f) * row
+        return out
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2, 7 and 61, which decide every n below
+    4,759,123,141 (G. Jaeschke, Math. Comp. 61, 1993); so every n up to P."""
+    if n < 62:
+        return n in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+    if not n % 2:
+        return False
+    odd, s = n - 1, 0
+    while not odd % 2:
+        odd, s = odd // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.cache
+def _prime_below(n: int) -> int:
+    """The largest prime below n (n at most P); the lifts walk the same
+    primes down from P, so each is found once per process."""
+    n -= 1
+    while not _is_prime(n):
+        n -= 1
+    return n
+
+
+def _crt(a_rows, m: int, b_rows, q: int) -> list:
+    """Entrywise the x mod m·q with x = a mod m and x = b mod q (q prime,
+    not dividing m)."""
+    u = pow(m, -1, q)
+    return [[a + m * ((b - a) * u % q) for a, b in zip(ra, rb)] for ra, rb in zip(a_rows, b_rows)]
+
+
+def _reconstruct(rows, m: int):
+    """Rational reconstruction over one denominator (P. S. Wang, M. J. T.
+    Guy, J. H. Davenport, SIGSAM Bull. 16, 1982): integer rows n and a
+    denominator den with den·x = n mod m for every entry x of the rows and
+    |n|·den < m/2^8; or None.
+
+    An entry that den does not already make such a numerator is read as a
+    fraction y/t with |y|, |t| <= isqrt(m/2) by the half-extended Euclidean
+    algorithm, and den takes the factor |t|.  Such a fraction exists for
+    most residues, true or not; the margin of 2^8 lets a residue that is no
+    small fraction through only rarely, and a false candidate costs one
+    exact test."""
+    bound, limit, half = isqrt(m // 2), m >> 8, m // 2
+    den = 1
+    for x in itertools.chain.from_iterable(rows):
+        if abs((x * den + half) % m - half) * den >= limit:
+            r0, r1, t0, t1 = m, x * den % m, 0, 1
+            while r1 > bound:
+                k = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+            den *= abs(t1)
+            if den > bound:
+                return None
+    out = tuple(tuple((x * den + half) % m - half for x in row) for row in rows)
+    if max(map(abs, itertools.chain.from_iterable(out)), default=0) * den >= limit:
+        return None
+    return out, den
 
 
 class ExactMatrix:
@@ -559,6 +750,15 @@ class Subspace:
         self.basis = ExactMatrix._of(_transposed(red.ints[:r], ambient_dim), red.den, ambient_dim, r)
         self.pivots = pivots
 
+    @classmethod
+    def _of(cls, basis: ExactMatrix, pivots) -> "Subspace":
+        """Trusted constructor for a basis computed here that is already in
+        reduced column echelon form, with identity rows at `pivots`; it is
+        not checked."""
+        s = cls.__new__(cls)
+        s.ambient_dim, s.basis, s.pivots = basis.rows, basis, tuple(pivots)
+        return s
+
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim)
@@ -574,11 +774,26 @@ class Subspace:
     def coordinates(self, m: ExactMatrix):
         """The X with basis · X = m, or None when a column of m lies outside
         the span.  The basis has identity rows at its pivots, so X can only
-        be the rows of m at the pivots."""
+        be the rows of m at the pivots.
+
+        No product is built.  With basis = b/den, basis·X = m exactly when
+        row i of b times the integer rows of m at the pivots, packed as
+        sum_k b_ik packed(m_(p_k)), is den·packed(m_i) for every row i off
+        the pivots.  Every entry of either side is at most
+        dim·max|b|·max|m| in absolute value (den is an entry of b), so
+        slots of width bits(b) + bits(m) + bits(dim) + 1 make packing
+        injective (see `_pack`)."""
         if m.rows != self.ambient_dim:
             raise PreconditionError("vector length does not match ambient dimension")
-        x = m.submatrix(self.pivots, range(m.cols))
-        return x if self.basis * x == m else None
+        if m.cols and self.dim < self.ambient_dim:
+            b, ints, den = self.basis.ints, m.ints, self.basis.den
+            w = _bits(b) + _bits(ints) + self.dim.bit_length() + 1
+            packed = [_pack(ints[p], w) for p in self.pivots]
+            pivot_set = set(self.pivots)
+            for i, row in enumerate(b):
+                if i not in pivot_set and _packed_dot(row, packed) != den * _pack(ints[i], w):
+                    return None
+        return m.submatrix(self.pivots, range(m.cols))
 
     def contains(self, vec) -> bool:
         return self.coordinates(ExactMatrix([vec]).transpose()) is not None

@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from mcvlie import analysis
 from mcvlie.analysis import (
     P,
     StarReport,
     StarWitness,
     _closed_span,
+    _closed_subspace,
     _full_rank_mod_p,
     _spin,
     _star_defect,
+    _words,
     check_star_conditions,
     composition_harness,
     is_irreducible,
@@ -20,7 +23,15 @@ from mcvlie.analysis import (
 from mcvlie.arrangement import Arrangement, Line, canonicalize
 from mcvlie.convolution import dr_middle_convolution
 from mcvlie.errors import PreconditionError
-from mcvlie.exactcore import ExactMatrix, Poly, PolyMatrix, inverse, kernel, pencil_full_rank
+from mcvlie.exactcore import (
+    ExactMatrix,
+    Poly,
+    PolyMatrix,
+    _prime_below,
+    inverse,
+    kernel,
+    pencil_full_rank,
+)
 from mcvlie.holonomy import PfaffianSystem
 
 from iso_oracle import are_isomorphic, intertwiner_space
@@ -201,7 +212,7 @@ def test_modulus_is_a_fixed_prime_below_2_to_30():
 
 
 def _mod_p_spin_dim(mats):
-    return len(_spin([tuple(zip(*a.ints)) for a in mats]))
+    return _spin([a.ints for a in mats])[0].dim
 
 
 def _conjugate(rng, mats):
@@ -209,41 +220,170 @@ def _conjugate(rng, mats):
     return [p * m * inverse(p) for m in mats]
 
 
+def _spy(monkeypatch, name):
+    """Record the calls of the analysis function `name`, which still runs."""
+    calls = []
+    real = getattr(analysis, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analysis, name, spy)
+    return calls
+
+
+def _forbid(monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError(f"{name} was reached")
+
+    monkeypatch.setattr(analysis, name, refuse)
+
+
 E12 = ExactMatrix([[0, 1], [0, 0]])
 SHIFT3 = ExactMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
 
-def test_unlucky_prime_irreducible_tuple_reaches_the_exact_path():
-    # P·E21 vanishes mod P: the span mod P is that of I and E12 alone
+def test_unlucky_prime_irreducible_tuple_reaches_the_exact_path(monkeypatch):
+    # P·E21 vanishes mod P: the span mod P is that of I and E12 alone, and
+    # its lift is not closed under P·E21
+    closures = _spy(monkeypatch, "_closed_span")
     mats = [E12, ExactMatrix([[0, 0], [P, 0]])]
     assert _mod_p_spin_dim(mats) == 2
     assert is_irreducible(mats)
+    assert len(closures) == 1
 
 
-def test_unlucky_prime_reducible_tuple_grows_the_exact_closure():
+def test_unlucky_prime_reducible_tuple_grows_the_exact_closure(monkeypatch):
     # E12 and P·E21, padded with zeros to 3×3, span M_2 + Q·E33 (dimension
     # 5) over Q but only I and E12 mod P: the exact closure has to grow from
     # the two words found mod P before it can answer False
+    closures = _spy(monkeypatch, "_closed_span")
     a = ExactMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     b = ExactMatrix([[0, 0, 0], [P, 0, 0], [0, 0, 0]])
+    span, recipes = _spin([a.ints, b.ints])
     gens = [tuple(zip(*m.ints)) for m in (a, b)]
-    words = _spin(gens)
-    assert len(words) == 2
+    words = _words(recipes, gens)
+    assert span.dim == len(words) == 2
     assert _closed_span(words, gens).dim == 5
+    closures.clear()
     assert not is_irreducible([a, b])
     assert not ref_is_irreducible([a, b])
+    assert len(closures) == 1
 
 
-def test_unlucky_prime_conjugated_3x3_tuples_reach_the_exact_path():
+def test_unlucky_prime_conjugated_3x3_tuples_reach_the_exact_path(monkeypatch):
     # the shift with P·E31 is irreducible, with P·E13 it fixes the line of
-    # e1; mod P both are the shift alone, even after a rational conjugation
+    # e1; mod P both are the shift alone, even after a rational conjugation.
+    # P·E13 is P times the shift squared, so there the words found mod P
+    # span the algebra and their lift proves "reducible"; with P·E31 the
+    # lift is not closed and the exact closure decides.
+    closures = _spy(monkeypatch, "_closed_span")
     rng = random.Random(71)
     for corner, irreducible in (((2, 0), True), ((0, 2), False)):
         b = [[0] * 3 for _ in range(3)]
         b[corner[0]][corner[1]] = P
         for mats in ([SHIFT3, ExactMatrix(b)], _conjugate(rng, [SHIFT3, ExactMatrix(b)])):
+            closures.clear()
             assert _mod_p_spin_dim(mats) == 3
             assert is_irreducible(mats) == ref_is_irreducible(mats) == irreducible
+            assert len(closures) == irreducible
+
+
+def _reducible(rng, n, d, k, conjugator):
+    """n generators with the first k coordinates invariant (block upper
+    triangular, diagonal shifted by 6), conjugated by `conjugator`."""
+    mats = []
+    for _ in range(n):
+        m = [[F(rng.randint(-2, 2) + 6 * (i == j)) for j in range(d)] for i in range(d)]
+        for i in range(k, d):
+            for j in range(k):
+                m[i][j] = F(0)
+        mats.append(conjugator * ExactMatrix(m) * inverse(conjugator))
+    return mats
+
+
+def _unit_lu(rng, d, den, spread):
+    """A unit lower triangular matrix (entries up to `spread` over `den`)
+    times an upper triangular one with diagonal entries ±1 or 2."""
+    lower = ExactMatrix([[F(int(i == j)) if i <= j else F(rng.randint(-spread, spread), rng.randint(1, den))
+                          for j in range(d)] for i in range(d)])
+    upper = ExactMatrix([[F(rng.choice((1, -1, 2))) if i == j else F(rng.randint(-1, 1)) * (i < j)
+                          for j in range(d)] for i in range(d)])
+    return lower * upper
+
+
+def test_reducible_tuples_lift_at_the_first_prime(monkeypatch):
+    # the shapes of the benchmark's reducible tuples: the reduced echelon
+    # form of their algebra has small entries, so the first prime lifts it
+    replays = _spy(monkeypatch, "_replay")
+    _forbid(monkeypatch, "_closed_span")
+    rng = random.Random(81)
+    for n, d in ((2, 3), (3, 4), (2, 5), (3, 2), (2, 6), (4, 3), (2, 7)):
+        mats = _reducible(rng, n, d, d // 2, _unit_lu(rng, d, 2, 2))
+        assert not is_irreducible(mats)
+        if d <= 4:
+            assert not ref_is_irreducible(mats)
+    assert replays == []
+
+
+def test_large_conjugator_needs_a_second_prime(monkeypatch):
+    # a conjugator with entries up to 1000 and determinant near 10^12 puts
+    # large numerators and denominators into the reduced echelon form, past
+    # what one prime reconstructs
+    replays = _spy(monkeypatch, "_replay")
+    _forbid(monkeypatch, "_closed_span")
+    rng = random.Random(83)
+    p = ExactMatrix([[rng.randint(-1000, 1000) for _ in range(4)] for _ in range(4)])
+    assert abs(p.det()) > 10**9
+    mats = _reducible(rng, 2, 4, 2, p)
+    assert not is_irreducible(mats)
+    assert not ref_is_irreducible(mats)
+    assert len(replays) >= 1
+
+
+def test_a_prime_with_other_pivots_is_skipped(monkeypatch):
+    # q is the first prime below P.  With the first generator times q,
+    # every word through it vanishes mod q; with [[0, q], [1, 5]] the word
+    # keeps its rank mod q but moves its pivot.  Either way q must not
+    # enter the reconstruction, and the lift completes with the primes
+    # after it.
+    q = _prime_below(P)
+    rng = random.Random(83)
+    p = ExactMatrix([[rng.randint(-1000, 1000) for _ in range(4)] for _ in range(4)])
+    a, b = _reducible(rng, 2, 4, 2, p)
+    for mats in ([a.scale(q), b], [ExactMatrix([[0, q], [1, 5]])]):
+        with monkeypatch.context() as patch:
+            replays = _spy(patch, "_replay")
+            _forbid(patch, "_closed_span")
+            assert not is_irreducible(mats)
+            assert not ref_is_irreducible(mats)
+        assert [args[2] for args in replays][:2] == [q, _prime_below(q)]
+
+
+def test_closure_test_needs_the_identity_and_every_generator():
+    # E12 and E21 generate M_2.  The matrices with a zero second row form a
+    # right ideal: closed under both generators, but without the identity.
+    # The span of I and E12 holds the identity and is closed under E12
+    # alone.
+    gens = [E12.ints, ExactMatrix([[0, 0], [1, 0]]).ints]
+    first_row = ((1, 0, 0, 0), (0, 1, 0, 0))
+    assert _closed_subspace(first_row, 1, gens) is None
+    assert _closed_subspace(first_row, 1, gens[::-1]) is None
+    upper = ((1, 0, 0, 1), (0, 1, 0, 0))
+    assert _closed_subspace(upper, 1, gens) is None
+    assert _closed_subspace(upper, 1, gens[::-1]) is None
+    assert _closed_subspace(upper, 1, gens[:1]).dim == 2
+    assert _closed_subspace(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)), 1, gens[:1]).dim == 3
+
+
+def test_conjugated_block_triangular_12x12_pair_is_decided_by_the_lift(monkeypatch):
+    # the exact closure took minutes here; the lift proves "reducible"
+    # without it
+    _forbid(monkeypatch, "_closed_span")
+    rng = random.Random(12)
+    mats = _reducible(rng, 2, 12, 6, _unit_lu(rng, 12, 2, 2))
+    assert not is_irreducible(mats)
 
 
 def test_unlucky_prime_star_pencils_reach_the_exact_path():

@@ -4,22 +4,25 @@ and the parser of rationals against plain Fraction algorithms, kept here as
 reference implementations, on seeded random rational inputs."""
 
 import random
+from bisect import bisect
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from mcvlie import exactcore
-from mcvlie.analysis import P, _ModSpan, is_irreducible
+from mcvlie.analysis import is_irreducible
 from mcvlie.errors import InputError
 from mcvlie.exactcore import (
     MAX_EXPONENT,
+    P,
     ExactMatrix,
     Poly,
     Subspace,
     charpoly,
     inverse,
     matrix_to_json,
+    _ModSpan,
     rat,
 )
 
@@ -401,6 +404,17 @@ def test_subspace_coordinates_match_fraction_oracle():
         assert (batch is not None) == all(inside)
 
 
+def _echelon_rows(span):
+    """The span's echelon rows, unpacked, each checked to hold its pivot
+    entry 1 after zeros and only residues in [0, P)."""
+    assert span.pivots == sorted(set(span.pivots))
+    rows = [span.unpack(row) for row in span.rows]
+    for row, p in zip(rows, span.pivots):
+        assert row[:p] == [0] * p and row[p] == 1
+        assert all(type(x) is int and 0 <= x < P for x in row)
+    return rows
+
+
 def test_mod_p_span_never_exceeds_the_exact_span():
     # vectors congruent mod P to earlier ones are independent over Q but
     # not mod P, so the modular span falls short; it never runs ahead
@@ -426,10 +440,90 @@ def test_mod_p_span_never_exceeds_the_exact_span():
             added.append(vec)
             assert span.dim <= len(ref.rows)
         short += span.dim < len(ref.rows)
-        assert span.pivots == sorted(set(span.pivots))
-        for row in span.rows:
-            assert row[0] == 1 and all(type(x) is int and 0 <= x < P for x in row)
+        _echelon_rows(span)
     assert short > 10
+
+
+class RefModSpan:
+    """Echelon rows mod P as lists, each stored from its pivot on with
+    pivot entry 1: the span before rows were packed."""
+
+    def __init__(self):
+        self.rows, self.pivots = [], []
+
+    def add(self, vec) -> bool:
+        v = [x % P for x in vec]
+        for row, p in zip(self.rows, self.pivots):
+            f = v[p]
+            if f:
+                v[p:] = [(x - f * y) % P for x, y in zip(v[p:], row)]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        inv = pow(v[piv], -1, P)
+        at = bisect(self.pivots, piv)
+        self.rows.insert(at, [x * inv % P for x in v[piv:]])
+        self.pivots.insert(at, piv)
+        return True
+
+    def unpacked(self):
+        return [[0] * p + row for row, p in zip(self.rows, self.pivots)]
+
+
+def _assert_same_span(span, ref):
+    assert span.pivots == ref.pivots
+    assert _echelon_rows(span) == ref.unpacked()
+
+
+def _staircase(width, count):
+    """Rows e_k - (e_(k+1) + ... + e_(width-1)) for k < count, which the
+    span stores as e_k with P - 1 in every later slot.  A vector whose slot
+    k is 1 - k mod P reads 1 at each of their pivots as it is reduced, so
+    each of the count reductions adds (P - 1)^2 to every later slot."""
+    return [[0] * k + [1] + [-1] * (width - k - 1) for k in range(count)]
+
+
+def test_packed_span_matches_the_list_span_at_slot_boundaries():
+    for width in range(1, 10):
+        # every entry P - 1 (or -1): the largest residue in every slot
+        span, ref = _ModSpan(width), RefModSpan()
+        for vec in ([P - 1] * width, [-1] * width, [P - 1] + [1] * (width - 1),
+                    [2 * P - 1] * width, list(range(width))):
+            assert span.add(vec) == ref.add(vec)
+            _assert_same_span(span, ref)
+        # the largest number of reductions a row can take: width - 1
+        span, ref = _ModSpan(width), RefModSpan()
+        for row in _staircase(width, width - 1):
+            assert span.add(row) and ref.add(row)
+        _assert_same_span(span, ref)
+        vec = [(1 - k) % P for k in range(width - 1)] + [P - 1]
+        assert span.holds(vec) == (not ref.add(vec)) == (width == 2)
+        assert span.add(vec) == (width != 2)
+        _assert_same_span(span, ref)
+
+
+def test_a_slot_one_bit_narrower_would_carry_into_the_next():
+    # a span of width 5 for products of two residues summed twice (terms
+    # 2, as the spin's at d = 2) takes slots below 2P^2.  After the three
+    # reductions of the staircase, slots 3 and 4 hold about 5P^2 > 2^62,
+    # which fits the 63-bit slots; in 62-bit slots slot 3 carries into
+    # slot 4, and the new echelon row comes out wrong.
+    slots = [2 * P * P - P + (1 - k) % P for k in range(4)] + [2 * P * P - 1]
+    ref = RefModSpan()
+    for row in _staircase(5, 3):
+        ref.add(row)
+    ref.add(slots)
+    rows = []
+    for narrower in (0, 1):
+        span = _ModSpan(5, 2)
+        assert span.w == 63 and max(slots) < 2 * P * P
+        span.w -= narrower
+        span.mask >>= narrower
+        for row in _staircase(5, 3):
+            span.add(row)
+        rows.append(span.insert(sum(x << (span.w * j) for j, x in enumerate(slots))))
+    assert rows[0] == ref.unpacked()[3] == [0, 0, 0, 1, 2]
+    assert rows[1] != rows[0]
 
 
 def _block_triangular(rng, n, d, style):
