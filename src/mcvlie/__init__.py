@@ -54,7 +54,6 @@ from .exactcore import (
     kernel,
     pencil_full_rank,
     quotient_map,
-    subspace_meet,
     subspace_sum,
 )
 from .freelie import (

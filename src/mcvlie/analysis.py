@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
-from operator import mul
 
 from .arrangement import Line, split_parallel
 from .convolution import (
@@ -174,42 +173,64 @@ def is_irreducible(mats) -> bool:
     scaled generators is a nonzero multiple of the same word in the
     originals, so the span, and every membership answer, is unchanged.
 
-    - True is proven mod P: the identity closed under right multiplication
-      by the generators mod P (`_spin`) reaches dimension d^2.  Words are
-      integer matrices, so words independent mod P are independent over Q.
+    The primes p = P, `_prime_below(P)`, ... are walked until one decides:
+
+    - True is proven mod p: the identity closed under right multiplication
+      by the generators mod p (`_spin`) reaches dimension d^2.  Words are
+      integer matrices, so words independent mod p are independent over Q.
     - False is proven by a proper subspace S of Q^(d^2) that holds the
       identity and is closed under right multiplication by every
       generator, checked exactly: S then holds every word, so
-      dim A <= dim S < d^2.  S is the span of the words found mod P,
+      dim A <= dim S < d^2.  S is the span of the words found mod p,
       lifted by rational reconstruction (`_lift`).
-    - Only when the lift gives up does the exact closure of those words
-      (`_closed_span`), rebuilt from their recipes, decide."""
+
+    The walk is bounded.  Take the Q-basis of A made of the words found
+    breadth first over Q, so word i has length at most i and squared
+    Frobenius norm at most d·G2^i, G2 the largest squared norm of the
+    integer generators (at least 1).  A prime is unlucky, its span short
+    of dim A, only if it divides M, a nonzero maximal minor of those
+    words, so the unlucky primes walked multiply to at most |M|.  By
+    Hadamard M^2 <= d^(d^2)·G2^(d^2(d^2 - 1)/2), so once the square of the
+    product of the primes walked exceeds that bound, one of them was
+    lucky.  At a lucky prime the spin reaches d^2 when A is everything,
+    and otherwise spans A, whose lift fails only by giving up on a
+    repeated wrong reconstruction.  Exhausting the bound would mean
+    exactly that, at every lucky prime walked; it raises
+    InternalInvariantError and returns no verdict."""
     mats = _square_tuple(mats)
     d = mats[0].rows
     if d == 1:
         return True
     gens = [a.ints for a in mats]
-    span, recipes = _spin(gens)
-    if span.dim == d * d:
-        return True
-    if _lift(span, recipes, gens) is not None:
-        return False
-    cols = [tuple(zip(*g)) for g in gens]
-    return _closed_span(_words(recipes, cols), cols).dim == d * d
+    g2 = max(1, max(sum(x * x for row in g for x in row) for g in gens))
+    bound = d ** (d * d) * g2 ** (d * d * (d * d - 1) // 2)
+    p, walked, primes = P, 1, 0
+    while walked * walked <= bound:
+        span, recipes = _spin(gens, p)
+        if span.dim == d * d:
+            return True
+        if _lift(span, recipes, gens, p) is not None:
+            return False
+        walked, primes = walked * p, primes + 1
+        p = _prime_below(p)
+    raise InternalInvariantError(
+        f"is_irreducible: no verdict at d = {d} after {primes} primes, past"
+        " the Hadamard bound on the unlucky ones: the lift gave up at a lucky prime"
+    )
 
 
-def _spin(gens):
+def _spin(gens, p: int):
     """Close the identity under right multiplication by the generators
-    (integer rows) mod P, breadth first, up to d^2 words.  Returns the span
-    and, for each word after the identity in the order found, its recipe
-    (parent word, generator).
+    (integer rows) mod the prime p, breadth first, up to d^2 words.  Returns
+    the span and, for each word after the identity in the order found, its
+    recipe (parent word, generator).
 
     A word is multiplied through its echelon row: that row is the word over
     a nonzero scalar plus a combination of earlier words, whose products
     with every generator are in the span already (breadth first), so the
     row's product enlarges the span exactly when the word's would."""
     d = len(gens[0])
-    span = _ModSpan(d * d, d)
+    span = _ModSpan(d * d, d, p)
     shifted = [_shifted([span.pack(row) for row in g], span.w) for g in gens]
     rows = [span.insert(span.pack(_identity(d)))]
     recipes = []
@@ -250,17 +271,17 @@ def _replay(recipes, gens, q: int):
     return span
 
 
-def _lift(span, recipes, gens):
+def _lift(span, recipes, gens, p: int):
     """A proper subspace of Q^(d^2) that holds the identity and is closed
     under right multiplication by the generators, or None.
 
-    The candidate is the span of the words found mod P: its reduced echelon
-    form mod M, lifted by rational reconstruction (`_reconstruct`).  M is P
-    at first, then times each further prime q below P (`_prime_below`)
-    whose replay of the recipes (`_replay`) has the same pivots as mod P;
-    a q with other pivots is skipped.  Only the exact test
-    (`_closed_subspace`) accepts a candidate, so a wrong lift costs time,
-    never a wrong answer.
+    The candidate is the span of the words found mod the prime p: its
+    reduced echelon form mod M, lifted by rational reconstruction
+    (`_reconstruct`).  M is p at first, then times each further prime q
+    below p (`_prime_below`) whose replay of the recipes (`_replay`) has
+    the same pivots as mod p; a q with other pivots is skipped.  Only the
+    exact test (`_closed_subspace`) accepts a candidate, so a wrong lift
+    costs time, never a wrong answer.
 
     It gives up when two successive moduli give the same candidate and it
     fails the test: the words' span is then not closed.  A bound stops it
@@ -268,17 +289,17 @@ def _lift(span, recipes, gens):
     of the word matrix, at most H = prod ||w|| (Hadamard; the Frobenius
     norm has ||w·g|| <= ||w|| ||g||).  So once M > 2H^2, with every prime
     of M lucky, the lift is exact.  The unlucky primes divide one nonzero
-    minor, so their product is at most H.  When P is lucky, M passes 2H^2
-    before the primes tried reach 2·P·H^3, the last prime adding less than
-    a factor P; past that bound P itself was unlucky."""
+    minor, so their product is at most H.  When p is lucky, M passes 2H^2
+    before the primes tried reach 2·p·H^3, the last prime adding less than
+    a factor p; past that bound p itself was unlucky."""
     d = len(gens[0])
     norms = [d]  # bounds on the squared norms of the words
     for parent, k in recipes:
         norms.append(norms[parent] * sum(x * x for row in gens[k] for x in row))
     h2 = prod(norms)
-    limit = 2 * P * h2 * (isqrt(h2) + 1)
-    rows, m = span.reduced(), P
-    q = tried = P
+    limit = 2 * p * h2 * (isqrt(h2) + 1)
+    rows, m = span.reduced(), p
+    q = tried = p
     previous = None
     while True:
         lifted = _reconstruct(rows, m)
@@ -317,56 +338,9 @@ def _closed_subspace(rows, den, gens):
     return s if s.coordinates(batch) is not None else None
 
 
-def _words(recipes, cols) -> list:
-    """The integer words the recipes build from the identity, given the
-    generators by their integer columns."""
-    words = [_unit(len(cols[0]))]
-    for parent, k in recipes:
-        words.append(_times(words[parent], cols[k]))
-    return words
-
-
-def _closed_span(words, gens) -> Subspace:
-    """The algebra the generators span, as a Subspace of Q^(d^2), from
-    words that contain the identity and are independent over Q.  Their
-    span grows by every product of a word with a generator that lies
-    outside it, first for the given words, then for each word so added,
-    until none does.  The span then holds the identity and is closed under
-    right multiplication by the generators, so it holds every word; and it
-    is spanned by words."""
-    d = len(gens[0])
-    span = Subspace(d * d, columns=[_vec(m) for m in words])
-    frontier = words
-    while frontier:
-        products = [_times(m, cols) for m in frontier for cols in gens]
-        batch = ExactMatrix.from_cols(map(_vec, products), d * d)
-        if span.coordinates(batch) is not None:
-            break
-        frontier = []
-        for j, p in enumerate(products):
-            col = batch.submatrix(range(d * d), [j])
-            if span.coordinates(col) is None:
-                span = Subspace(d * d, basis=ExactMatrix.hstack([span.basis, col]))
-                frontier.append(p)
-    return span
-
-
-def _times(m, cols):
-    """The integer matrix m (rows) times the matrix given by its columns."""
-    return tuple(tuple(sum(map(mul, row, c)) for c in cols) for row in m)
-
-
-def _unit(d: int):
-    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-
-
 def _identity(d: int) -> list:
     """The d×d identity, flat."""
     return [int(k % (d + 1) == 0) for k in range(d * d)]
-
-
-def _vec(m):
-    return [x for row in m for x in row]
 
 
 def _full_rank_mod_p(rows, width: int) -> bool:

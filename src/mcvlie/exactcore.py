@@ -873,15 +873,6 @@ def quotient_all(matrices, s: Subspace):
     return proj, qdim, induced
 
 
-def subspace_meet(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection of spans, via the kernel of the stacked constraints."""
-    if s1.ambient_dim != s2.ambient_dim:
-        raise PreconditionError("subspace_meet: ambient dimension mismatch")
-    c1, _ = quotient_map(s1.ambient_dim, s1)
-    c2, _ = quotient_map(s2.ambient_dim, s2)
-    return kernel(ExactMatrix.vstack([c1, c2]))
-
-
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
     if s1.ambient_dim != s2.ambient_dim:
         raise PreconditionError("subspace_sum: ambient dimension mismatch")

@@ -1,20 +1,19 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from mcvlie import analysis
+from mcvlie import analysis, cli
 from mcvlie.analysis import (
     P,
     StarReport,
     StarWitness,
-    _closed_span,
     _closed_subspace,
     _full_rank_mod_p,
     _spin,
     _star_defect,
-    _words,
     check_star_conditions,
     composition_harness,
     is_irreducible,
@@ -22,7 +21,7 @@ from mcvlie.analysis import (
 )
 from mcvlie.arrangement import Arrangement, Line, canonicalize
 from mcvlie.convolution import dr_middle_convolution
-from mcvlie.errors import PreconditionError
+from mcvlie.errors import InternalInvariantError, PreconditionError
 from mcvlie.exactcore import (
     ExactMatrix,
     Poly,
@@ -30,6 +29,7 @@ from mcvlie.exactcore import (
     _prime_below,
     inverse,
     kernel,
+    matrix_to_json,
     pencil_full_rank,
 )
 from mcvlie.holonomy import PfaffianSystem
@@ -212,7 +212,7 @@ def test_modulus_is_a_fixed_prime_below_2_to_30():
 
 
 def _mod_p_spin_dim(mats):
-    return _spin([a.ints for a in mats])[0].dim
+    return _spin([a.ints for a in mats], P)[0].dim
 
 
 def _conjugate(rng, mats):
@@ -233,61 +233,58 @@ def _spy(monkeypatch, name):
     return calls
 
 
-def _forbid(monkeypatch, name):
-    def refuse(*args):
-        raise AssertionError(f"{name} was reached")
-
-    monkeypatch.setattr(analysis, name, refuse)
-
-
 E12 = ExactMatrix([[0, 1], [0, 0]])
 SHIFT3 = ExactMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
 
+def _spin_primes(spins):
+    """The primes of the recorded `_spin` calls, in order."""
+    return [args[1] for args in spins]
+
+
 def test_unlucky_prime_irreducible_tuple_reaches_the_exact_path(monkeypatch):
     # P·E21 vanishes mod P: the span mod P is that of I and E12 alone, and
-    # its lift is not closed under P·E21
-    closures = _spy(monkeypatch, "_closed_span")
+    # its lift is not closed under P·E21; the next prime decides
+    spins = _spy(monkeypatch, "_spin")
     mats = [E12, ExactMatrix([[0, 0], [P, 0]])]
     assert _mod_p_spin_dim(mats) == 2
+    spins.clear()
     assert is_irreducible(mats)
-    assert len(closures) == 1
+    assert _spin_primes(spins) == [P, _prime_below(P)]
 
 
-def test_unlucky_prime_reducible_tuple_grows_the_exact_closure(monkeypatch):
+def test_unlucky_prime_reducible_tuple_is_decided_at_the_second_prime(monkeypatch):
     # E12 and P·E21, padded with zeros to 3×3, span M_2 + Q·E33 (dimension
-    # 5) over Q but only I and E12 mod P: the exact closure has to grow from
-    # the two words found mod P before it can answer False
-    closures = _spy(monkeypatch, "_closed_span")
+    # 5) over Q but only I and E12 mod P: the lift of those two words is not
+    # closed under P·E21, and the next prime finds and lifts all five
+    spins = _spy(monkeypatch, "_spin")
     a = ExactMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     b = ExactMatrix([[0, 0, 0], [P, 0, 0], [0, 0, 0]])
-    span, recipes = _spin([a.ints, b.ints])
-    gens = [tuple(zip(*m.ints)) for m in (a, b)]
-    words = _words(recipes, gens)
-    assert span.dim == len(words) == 2
-    assert _closed_span(words, gens).dim == 5
-    closures.clear()
+    gens = [a.ints, b.ints]
+    assert _spin(gens, P)[0].dim == 2
+    assert _spin(gens, _prime_below(P))[0].dim == 5
+    spins.clear()
     assert not is_irreducible([a, b])
     assert not ref_is_irreducible([a, b])
-    assert len(closures) == 1
+    assert _spin_primes(spins) == [P, _prime_below(P)]
 
 
 def test_unlucky_prime_conjugated_3x3_tuples_reach_the_exact_path(monkeypatch):
     # the shift with P·E31 is irreducible, with P·E13 it fixes the line of
     # e1; mod P both are the shift alone, even after a rational conjugation.
     # P·E13 is P times the shift squared, so there the words found mod P
-    # span the algebra and their lift proves "reducible"; with P·E31 the
-    # lift is not closed and the exact closure decides.
-    closures = _spy(monkeypatch, "_closed_span")
+    # span the algebra and their lift proves "reducible" at P; with P·E31
+    # the lift is not closed and the next prime decides.
+    spins = _spy(monkeypatch, "_spin")
     rng = random.Random(71)
     for corner, irreducible in (((2, 0), True), ((0, 2), False)):
         b = [[0] * 3 for _ in range(3)]
         b[corner[0]][corner[1]] = P
         for mats in ([SHIFT3, ExactMatrix(b)], _conjugate(rng, [SHIFT3, ExactMatrix(b)])):
-            closures.clear()
             assert _mod_p_spin_dim(mats) == 3
+            spins.clear()
             assert is_irreducible(mats) == ref_is_irreducible(mats) == irreducible
-            assert len(closures) == irreducible
+            assert _spin_primes(spins) == [P, _prime_below(P)][: 1 + irreducible]
 
 
 def _reducible(rng, n, d, k, conjugator):
@@ -317,11 +314,13 @@ def test_reducible_tuples_lift_at_the_first_prime(monkeypatch):
     # the shapes of the benchmark's reducible tuples: the reduced echelon
     # form of their algebra has small entries, so the first prime lifts it
     replays = _spy(monkeypatch, "_replay")
-    _forbid(monkeypatch, "_closed_span")
+    spins = _spy(monkeypatch, "_spin")
     rng = random.Random(81)
     for n, d in ((2, 3), (3, 4), (2, 5), (3, 2), (2, 6), (4, 3), (2, 7)):
         mats = _reducible(rng, n, d, d // 2, _unit_lu(rng, d, 2, 2))
+        spins.clear()
         assert not is_irreducible(mats)
+        assert _spin_primes(spins) == [P]
         if d <= 4:
             assert not ref_is_irreducible(mats)
     assert replays == []
@@ -332,7 +331,7 @@ def test_large_conjugator_needs_a_second_prime(monkeypatch):
     # large numerators and denominators into the reduced echelon form, past
     # what one prime reconstructs
     replays = _spy(monkeypatch, "_replay")
-    _forbid(monkeypatch, "_closed_span")
+    spins = _spy(monkeypatch, "_spin")
     rng = random.Random(83)
     p = ExactMatrix([[rng.randint(-1000, 1000) for _ in range(4)] for _ in range(4)])
     assert abs(p.det()) > 10**9
@@ -340,6 +339,7 @@ def test_large_conjugator_needs_a_second_prime(monkeypatch):
     assert not is_irreducible(mats)
     assert not ref_is_irreducible(mats)
     assert len(replays) >= 1
+    assert _spin_primes(spins) == [P]
 
 
 def test_a_prime_with_other_pivots_is_skipped(monkeypatch):
@@ -355,10 +355,11 @@ def test_a_prime_with_other_pivots_is_skipped(monkeypatch):
     for mats in ([a.scale(q), b], [ExactMatrix([[0, q], [1, 5]])]):
         with monkeypatch.context() as patch:
             replays = _spy(patch, "_replay")
-            _forbid(patch, "_closed_span")
+            spins = _spy(patch, "_spin")
             assert not is_irreducible(mats)
             assert not ref_is_irreducible(mats)
         assert [args[2] for args in replays][:2] == [q, _prime_below(q)]
+        assert _spin_primes(spins) == [P]
 
 
 def test_closure_test_needs_the_identity_and_every_generator():
@@ -378,12 +379,64 @@ def test_closure_test_needs_the_identity_and_every_generator():
 
 
 def test_conjugated_block_triangular_12x12_pair_is_decided_by_the_lift(monkeypatch):
-    # the exact closure took minutes here; the lift proves "reducible"
-    # without it
-    _forbid(monkeypatch, "_closed_span")
+    # the reduced echelon form of this algebra has small entries: the lift
+    # at P proves "reducible"
+    spins = _spy(monkeypatch, "_spin")
     rng = random.Random(12)
     mats = _reducible(rng, 2, 12, 6, _unit_lu(rng, 12, 2, 2))
     assert not is_irreducible(mats)
+    assert _spin_primes(spins) == [P]
+
+
+def _analyze(capsys, tmp_path, mats):
+    """Exit code and stdout of `mcvlie analyze` on the tuple; stdout must
+    be exactly one JSON document."""
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps({"matrices": [matrix_to_json(m) for m in mats]}))
+    code = cli.main(["analyze", "--input", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_generator_a_multiple_of_p_costs_one_more_spin(monkeypatch, capsys, tmp_path):
+    # [A, P·B] at d = 12 is A alone mod P: the lift of the powers of A is
+    # not closed under P·B, and the next prime spans M_12
+    rng = random.Random(12)
+    mats = [ExactMatrix([[c * rng.randint(-3, 3) for _ in range(12)] for _ in range(12)])
+            for c in (1, P)]
+    spins = _spy(monkeypatch, "_spin")
+    code, doc = _analyze(capsys, tmp_path, mats)
+    assert code == 0 and doc["irreducible"] is True
+    assert _spin_primes(spins) == [P, _prime_below(P)]
+
+
+def test_reducible_pair_with_a_multiple_of_p_is_lifted_at_the_second_prime(monkeypatch):
+    rng = random.Random(6)
+    a, b = _reducible(rng, 2, 6, 3, _unit_lu(rng, 6, 2, 2))
+    mats = [a, b.scale(P)]
+    spins = _spy(monkeypatch, "_spin")
+    assert not is_irreducible(mats)
+    assert not ref_is_irreducible(mats)
+    assert _spin_primes(spins) == [P, _prime_below(P)]
+
+
+def test_a_lift_that_always_gives_up_exhausts_the_bound(monkeypatch, capsys, tmp_path):
+    # with the lift disabled a reducible tuple has no proof at any prime:
+    # the walk stops once the square of the product of its primes passes
+    # the Hadamard bound d^(d^2)·G2^(d^2(d^2 - 1)/2), and names no verdict
+    rng = random.Random(3)
+    mats = _reducible(rng, 2, 3, 1, _unit_lu(rng, 3, 2, 2))
+    g2 = max(sum(x * x for row in m.ints for x in row) for m in mats)
+    bound = 3**9 * g2**36
+    walked, expected, p = 1, 0, P
+    while walked * walked <= bound:
+        walked, expected, p = walked * p, expected + 1, _prime_below(p)
+    monkeypatch.setattr(analysis, "_lift", lambda *args: None)
+    spins = _spy(monkeypatch, "_spin")
+    with pytest.raises(InternalInvariantError, match=f"d = 3 after {expected} primes"):
+        is_irreducible(mats)
+    assert len(spins) == expected <= 12
+    code, doc = _analyze(capsys, tmp_path, mats)
+    assert code == 3 and "no verdict" in doc["error"]
 
 
 def test_unlucky_prime_star_pencils_reach_the_exact_path():

@@ -24,7 +24,6 @@ from mcvlie.exactcore import (
     quotient_all,
     quotient_map,
     rat,
-    subspace_meet,
     subspace_sum,
 )
 
@@ -215,15 +214,14 @@ def test_meet_and_sum_examples():
     e1 = Subspace(2, columns=[[1, 0]])
     e1e2 = Subspace(2, columns=[[1, 1]])
     e2 = Subspace(2, columns=[[0, 1]])
-    assert subspace_meet(e1, e1) == e1
     assert subspace_sum(e1, e1) == e1
-    assert subspace_meet(e1, e1e2).dim == 0  # a·e1 = b·(e1+e2) forces a=b=0
     assert subspace_sum(e1, e2) == Subspace.full(2)
+    assert subspace_sum(e1, e1e2) == Subspace.full(2)
 
 
-def test_meet_requires_matching_ambient():
+def test_sum_requires_matching_ambient():
     with pytest.raises(PreconditionError):
-        subspace_meet(Subspace.zero(2), Subspace.zero(3))
+        subspace_sum(Subspace.zero(2), Subspace.zero(3))
 
 
 def test_modular_dimension_law_random():
@@ -232,7 +230,8 @@ def test_modular_dimension_law_random():
         amb = rng.randint(1, 5)
         s1 = Subspace(amb, columns=[rand_matrix(rng, amb, 1).col(0) for _ in range(rng.randint(0, amb))])
         s2 = Subspace(amb, columns=[rand_matrix(rng, amb, 1).col(0) for _ in range(rng.randint(0, amb))])
-        assert s1.dim + s2.dim == subspace_meet(s1, s2).dim + subspace_sum(s1, s2).dim
+        stacked = ExactMatrix.vstack([s1.basis.transpose(), s2.basis.transpose()])
+        assert subspace_sum(s1, s2).dim == stacked.rank()
 
 
 # -- quotients ---------------------------------------------------------------
