@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, prod
 
 from .arrangement import Line, split_parallel
 from .convolution import (
@@ -167,63 +166,85 @@ def check_star_conditions(mats) -> StarReport:
 
 def is_irreducible(mats) -> bool:
     """Absolute irreducibility: the unital algebra A generated by the tuple
-    has full dimension d^2 (Burnside).
+    has full dimension d^2 (Burnside).  A 1×1 tuple is irreducible; the zero
+    module (d = 0) is not, by the usual convention.
 
     Each generator is scaled to an integer matrix first: a word in the
     scaled generators is a nonzero multiple of the same word in the
     originals, so the span, and every membership answer, is unchanged.
 
-    The primes p = P, `_prime_below(P)`, ... are walked until one decides:
+    One walk over the primes p = P, `_prime_below(P)`, ... decides:
 
     - True is proven mod p: the identity closed under right multiplication
       by the generators mod p (`_spin`) reaches dimension d^2.  Words are
       integer matrices, so words independent mod p are independent over Q.
     - False is proven by a proper subspace S of Q^(d^2) that holds the
       identity and is closed under right multiplication by every
-      generator, checked exactly: S then holds every word, so
-      dim A <= dim S < d^2.  S is the span of the words found mod p,
-      lifted by rational reconstruction (`_lift`).
+      generator, checked exactly (`_closed_subspace`): S then holds every
+      word, so dim A <= dim S < d^2.  S is read by rational reconstruction
+      (`_reconstruct`) from the reduced echelon forms of the short spins,
+      combined (`_crt`) over the primes of the least key (-dim, pivots)
+      seen: a smaller key starts afresh, a larger one is left out.
 
-    The walk is bounded.  Take the Q-basis of A made of the words found
-    breadth first over Q, so word i has length at most i and squared
-    Frobenius norm at most d·G2^i, G2 the largest squared norm of the
-    integer generators (at least 1).  A prime is unlucky, its span short
-    of dim A, only if it divides M, a nonzero maximal minor of those
-    words, so the unlucky primes walked multiply to at most |M|.  By
-    Hadamard M^2 <= d^(d^2)·G2^(d^2(d^2 - 1)/2), so once the square of the
-    product of the primes walked exceeds that bound, one of them was
-    lucky.  At a lucky prime the spin reaches d^2 when A is everything,
-    and otherwise spans A, whose lift fails only by giving up on a
-    repeated wrong reconstruction.  Exhausting the bound would mean
-    exactly that, at every lucky prime walked; it raises
-    InternalInvariantError and returns no verdict."""
+    The key.  Let r = dim A, R its reduced echelon form with pivots J, and
+    W a basis of A made of words found breadth first over Q.  A spin mod p
+    spans integer points of A reduced mod p, so its rank on the first j
+    coordinates is at most A's for every j: no key is below (-r, J).  At
+    key (-r, J) the spin is all of (A ∩ Z^(d^2)) mod p, whose columns J
+    are invertible mod p, so its reduced form is R mod p and the combined
+    rows are R mod M, M the product of the primes of that key.  A prime
+    not dividing det W_J keeps W independent, so it has key (-r, J) (and
+    reaches d^2 when r = d^2).  The primes of other keys thus multiply to
+    at most |det W_J| <= B^(1/2) by Hadamard: word i has length at most i,
+    so squared Frobenius norm at most d·G2^i, G2 the largest squared norm
+    of the integer generators (at least 1), and B = d^(d^2)·G2^(d^2(d^2-1)/2).
+
+    The bound.  R = N/D, the entries of N and D minors of W, so at most
+    B^(1/2), and D prime to M.  Once M > 2^8·B, `_reconstruct` finds each
+    new factor of D by its Euclidean step, unique at that size
+    (Wang-Guy-Davenport), and |N|·D <= B passes its check; it misses R
+    only if an entry that the denominator found so far leaves fractional
+    has a residue below M/2^8 over it.  The walk stops once
+    walked^2 > 2^18·B^3 (walked the product of the primes spun, compared
+    on bit lengths), when M >= walked/B^(1/2) > 2^9·B.  Exhausting the
+    bound would mean that such residues misled every reading past 2^8·B;
+    it raises InternalInvariantError and returns no verdict."""
     mats = _square_tuple(mats)
     d = mats[0].rows
-    if d == 1:
-        return True
+    if d < 2:
+        return d == 1
     gens = [a.ints for a in mats]
     g2 = max(1, max(sum(x * x for row in g for x in row) for g in gens))
-    bound = d ** (d * d) * g2 ** (d * d * (d * d - 1) // 2)
+    b_bits = d * d * d.bit_length() + d * d * (d * d - 1) // 2 * g2.bit_length()  # B < 2^b_bits
     p, walked, primes = P, 1, 0
-    while walked * walked <= bound:
-        span, recipes = _spin(gens, p)
+    key = rows = m = tested = None
+    while 2 * (walked.bit_length() - 1) <= 18 + 3 * b_bits:
+        span = _spin(gens, p)
         if span.dim == d * d:
             return True
-        if _lift(span, recipes, gens, p) is not None:
-            return False
+        new = (-span.dim, span.pivots)
+        if key is None or new < key:
+            key, rows, m = new, span.reduced(), p
+        elif new == key:
+            rows, m = _crt(rows, m, span.reduced(), p), m * p
+        if new == key:  # this prime restarted or joined the combination
+            lifted = _reconstruct(rows, m)
+            if lifted is not None and lifted != tested:
+                tested = lifted
+                if _closed_subspace(*lifted, gens) is not None:
+                    return False
         walked, primes = walked * p, primes + 1
         p = _prime_below(p)
     raise InternalInvariantError(
         f"is_irreducible: no verdict at d = {d} after {primes} primes, past"
-        " the Hadamard bound on the unlucky ones: the lift gave up at a lucky prime"
+        " the bound on the unlucky ones: no lifted subspace was closed"
     )
 
 
 def _spin(gens, p: int):
-    """Close the identity under right multiplication by the generators
-    (integer rows) mod the prime p, breadth first, up to d^2 words.  Returns
-    the span and, for each word after the identity in the order found, its
-    recipe (parent word, generator).
+    """The span mod the prime p of the identity closed under right
+    multiplication by the generators (integer rows), found breadth first,
+    up to d^2 words.
 
     A word is multiplied through its echelon row: that row is the word over
     a nonzero scalar plus a combination of earlier words, whose products
@@ -233,16 +254,14 @@ def _spin(gens, p: int):
     span = _ModSpan(d * d, d, p)
     shifted = [_shifted([span.pack(row) for row in g], span.w) for g in gens]
     rows = [span.insert(span.pack(_identity(d)))]
-    recipes = []
-    for t, row in enumerate(rows):  # breadth first: the loop reaches the rows it appends
-        for k, g in enumerate(shifted):
+    for row in rows:  # breadth first: the loop reaches the rows it appends
+        for g in shifted:
             new = span.insert(_packed_dot(row, g))
             if new is not None:
                 rows.append(new)
-                recipes.append((t, k))
                 if span.dim == span.width:
-                    return span, recipes
-    return span, recipes
+                    return span
+    return span
 
 
 def _shifted(packed, w: int) -> list:
@@ -252,73 +271,6 @@ def _shifted(packed, w: int) -> list:
     the sum over k of m_ak g_kc."""
     d = len(packed)
     return [row << (w * d * a) for a in range(d) for row in packed]
-
-
-def _replay(recipes, gens, q: int):
-    """The span mod q of the words the recipes build from the identity, or
-    None when they are dependent mod q."""
-    d = len(gens[0])
-    span = _ModSpan(d * d, d, q)
-    shifted = [_shifted([span.pack(row) for row in g], span.w) for g in gens]
-    v = span.pack(_identity(d))
-    words = [span.unpack(v)]
-    span.insert(v)
-    for parent, k in recipes:
-        v = _packed_dot(words[parent], shifted[k])
-        words.append([x % q for x in span.unpack(v)])
-        if span.insert(v) is None:
-            return None
-    return span
-
-
-def _lift(span, recipes, gens, p: int):
-    """A proper subspace of Q^(d^2) that holds the identity and is closed
-    under right multiplication by the generators, or None.
-
-    The candidate is the span of the words found mod the prime p: its
-    reduced echelon form mod M, lifted by rational reconstruction
-    (`_reconstruct`).  M is p at first, then times each further prime q
-    below p (`_prime_below`) whose replay of the recipes (`_replay`) has
-    the same pivots as mod p; a q with other pivots is skipped.  Only the
-    exact test (`_closed_subspace`) accepts a candidate, so a wrong lift
-    costs time, never a wrong answer.
-
-    It gives up when two successive moduli give the same candidate and it
-    fails the test: the words' span is then not closed.  A bound stops it
-    in any case.  The entries of the reduced form are ratios of r×r minors
-    of the word matrix, at most H = prod ||w|| (Hadamard; the Frobenius
-    norm has ||w·g|| <= ||w|| ||g||).  So once M > 2H^2, with every prime
-    of M lucky, the lift is exact.  The unlucky primes divide one nonzero
-    minor, so their product is at most H.  When p is lucky, M passes 2H^2
-    before the primes tried reach 2·p·H^3, the last prime adding less than
-    a factor p; past that bound p itself was unlucky."""
-    d = len(gens[0])
-    norms = [d]  # bounds on the squared norms of the words
-    for parent, k in recipes:
-        norms.append(norms[parent] * sum(x * x for row in gens[k] for x in row))
-    h2 = prod(norms)
-    limit = 2 * p * h2 * (isqrt(h2) + 1)
-    rows, m = span.reduced(), p
-    q = tried = p
-    previous = None
-    while True:
-        lifted = _reconstruct(rows, m)
-        if lifted is not None:
-            if lifted == previous:
-                return None
-            closed = _closed_subspace(*lifted, gens)
-            if closed is not None:
-                return closed
-        previous = lifted
-        while True:
-            q = _prime_below(q)
-            tried *= q
-            if tried > limit:
-                return None
-            other = _replay(recipes, gens, q)
-            if other is not None and other.pivots == span.pivots:
-                break
-        rows, m = _crt(rows, m, other.reduced(), q), m * q
 
 
 def _closed_subspace(rows, den, gens):

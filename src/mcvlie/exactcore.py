@@ -290,8 +290,8 @@ def _is_prime(n: int) -> bool:
 
 @functools.cache
 def _prime_below(n: int) -> int:
-    """The largest prime below n (n at most P); the lifts walk the same
-    primes down from P, so each is found once per process."""
+    """The largest prime below n (n at most P); every irreducibility walk
+    steps down the same primes from P, so each is found once per process."""
     n -= 1
     while not _is_prime(n):
         n -= 1

@@ -212,7 +212,7 @@ def test_modulus_is_a_fixed_prime_below_2_to_30():
 
 
 def _mod_p_spin_dim(mats):
-    return _spin([a.ints for a in mats], P)[0].dim
+    return _spin([a.ints for a in mats], P).dim
 
 
 def _conjugate(rng, mats):
@@ -261,8 +261,8 @@ def test_unlucky_prime_reducible_tuple_is_decided_at_the_second_prime(monkeypatc
     a = ExactMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     b = ExactMatrix([[0, 0, 0], [P, 0, 0], [0, 0, 0]])
     gens = [a.ints, b.ints]
-    assert _spin(gens, P)[0].dim == 2
-    assert _spin(gens, _prime_below(P))[0].dim == 5
+    assert _spin(gens, P).dim == 2
+    assert _spin(gens, _prime_below(P)).dim == 5
     spins.clear()
     assert not is_irreducible([a, b])
     assert not ref_is_irreducible([a, b])
@@ -313,7 +313,7 @@ def _unit_lu(rng, d, den, spread):
 def test_reducible_tuples_lift_at_the_first_prime(monkeypatch):
     # the shapes of the benchmark's reducible tuples: the reduced echelon
     # form of their algebra has small entries, so the first prime lifts it
-    replays = _spy(monkeypatch, "_replay")
+    crts = _spy(monkeypatch, "_crt")
     spins = _spy(monkeypatch, "_spin")
     rng = random.Random(81)
     for n, d in ((2, 3), (3, 4), (2, 5), (3, 2), (2, 6), (4, 3), (2, 7)):
@@ -323,14 +323,14 @@ def test_reducible_tuples_lift_at_the_first_prime(monkeypatch):
         assert _spin_primes(spins) == [P]
         if d <= 4:
             assert not ref_is_irreducible(mats)
-    assert replays == []
+    assert crts == []
 
 
 def test_large_conjugator_needs_a_second_prime(monkeypatch):
     # a conjugator with entries up to 1000 and determinant near 10^12 puts
     # large numerators and denominators into the reduced echelon form, past
-    # what one prime reconstructs
-    replays = _spy(monkeypatch, "_replay")
+    # what one prime reconstructs: further primes are spun and combined
+    crts = _spy(monkeypatch, "_crt")
     spins = _spy(monkeypatch, "_spin")
     rng = random.Random(83)
     p = ExactMatrix([[rng.randint(-1000, 1000) for _ in range(4)] for _ in range(4)])
@@ -338,28 +338,28 @@ def test_large_conjugator_needs_a_second_prime(monkeypatch):
     mats = _reducible(rng, 2, 4, 2, p)
     assert not is_irreducible(mats)
     assert not ref_is_irreducible(mats)
-    assert len(replays) >= 1
-    assert _spin_primes(spins) == [P]
+    assert len(spins) > 1 and _spin_primes(spins)[0] == P
+    assert len(crts) >= 1
 
 
 def test_a_prime_with_other_pivots_is_skipped(monkeypatch):
     # q is the first prime below P.  With the first generator times q,
     # every word through it vanishes mod q; with [[0, q], [1, 5]] the word
-    # keeps its rank mod q but moves its pivot.  Either way q must not
-    # enter the reconstruction, and the lift completes with the primes
-    # after it.
+    # keeps its rank mod q but moves its pivot.  Either way q is spun but
+    # must not enter the reconstruction, and the lift completes with the
+    # primes after it.
     q = _prime_below(P)
     rng = random.Random(83)
     p = ExactMatrix([[rng.randint(-1000, 1000) for _ in range(4)] for _ in range(4)])
     a, b = _reducible(rng, 2, 4, 2, p)
     for mats in ([a.scale(q), b], [ExactMatrix([[0, q], [1, 5]])]):
         with monkeypatch.context() as patch:
-            replays = _spy(patch, "_replay")
+            crts = _spy(patch, "_crt")
             spins = _spy(patch, "_spin")
             assert not is_irreducible(mats)
             assert not ref_is_irreducible(mats)
-        assert [args[2] for args in replays][:2] == [q, _prime_below(q)]
-        assert _spin_primes(spins) == [P]
+        assert _spin_primes(spins)[:2] == [P, q]
+        assert crts and all(m % q and r != q for _, m, _, r in crts)
 
 
 def test_closure_test_needs_the_identity_and_every_generator():
@@ -379,13 +379,14 @@ def test_closure_test_needs_the_identity_and_every_generator():
 
 
 def test_conjugated_block_triangular_12x12_pair_is_decided_by_the_lift(monkeypatch):
-    # the reduced echelon form of this algebra has small entries: the lift
-    # at P proves "reducible"
+    # the reduced echelon form of this algebra has small entries, yet too
+    # large for P alone: the spins at P and at the next prime, combined,
+    # lift to the algebra and prove "reducible"
     spins = _spy(monkeypatch, "_spin")
     rng = random.Random(12)
     mats = _reducible(rng, 2, 12, 6, _unit_lu(rng, 12, 2, 2))
     assert not is_irreducible(mats)
-    assert _spin_primes(spins) == [P]
+    assert _spin_primes(spins) == [P, _prime_below(P)]
 
 
 def _analyze(capsys, tmp_path, mats):
@@ -398,43 +399,53 @@ def _analyze(capsys, tmp_path, mats):
 
 
 def test_generator_a_multiple_of_p_costs_one_more_spin(monkeypatch, capsys, tmp_path):
-    # [A, P·B] at d = 12 is A alone mod P: the lift of the powers of A is
-    # not closed under P·B, and the next prime spans M_12
+    # [A, P·B] at d = 12 is A alone mod P, whose powers' reduced echelon
+    # form mod P does not reconstruct: nothing is tested for closure, and
+    # the next prime spans M_12
     rng = random.Random(12)
     mats = [ExactMatrix([[c * rng.randint(-3, 3) for _ in range(12)] for _ in range(12)])
             for c in (1, P)]
     spins = _spy(monkeypatch, "_spin")
+    closed = _spy(monkeypatch, "_closed_subspace")
     code, doc = _analyze(capsys, tmp_path, mats)
     assert code == 0 and doc["irreducible"] is True
     assert _spin_primes(spins) == [P, _prime_below(P)]
+    assert closed == []
 
 
 def test_reducible_pair_with_a_multiple_of_p_is_lifted_at_the_second_prime(monkeypatch):
+    # mod P the span is that of a alone, whose lift is tested and is not
+    # closed under P·b; the next prime's larger span restarts the
+    # combination, and its lift is closed
     rng = random.Random(6)
     a, b = _reducible(rng, 2, 6, 3, _unit_lu(rng, 6, 2, 2))
     mats = [a, b.scale(P)]
     spins = _spy(monkeypatch, "_spin")
+    closed = _spy(monkeypatch, "_closed_subspace")
     assert not is_irreducible(mats)
     assert not ref_is_irreducible(mats)
     assert _spin_primes(spins) == [P, _prime_below(P)]
+    assert len(closed) == 1
 
 
-def test_a_lift_that_always_gives_up_exhausts_the_bound(monkeypatch, capsys, tmp_path):
-    # with the lift disabled a reducible tuple has no proof at any prime:
-    # the walk stops once the square of the product of its primes passes
-    # the Hadamard bound d^(d^2)·G2^(d^2(d^2 - 1)/2), and names no verdict
+def test_a_closure_test_that_never_passes_exhausts_the_bound(monkeypatch, capsys, tmp_path):
+    # a mutation: with the exact closure test made to fail, a reducible
+    # tuple has no proof at any prime.  The walk stops once the square of
+    # the product of its primes passes 2^18·B^3, B the Hadamard bound
+    # d^(d^2)·G2^(d^2(d^2 - 1)/2), compared on bit lengths, and names no
+    # verdict
     rng = random.Random(3)
     mats = _reducible(rng, 2, 3, 1, _unit_lu(rng, 3, 2, 2))
     g2 = max(sum(x * x for row in m.ints for x in row) for m in mats)
-    bound = 3**9 * g2**36
+    b_bits = 9 * (3).bit_length() + 36 * g2.bit_length()
     walked, expected, p = 1, 0, P
-    while walked * walked <= bound:
+    while 2 * (walked.bit_length() - 1) <= 18 + 3 * b_bits:
         walked, expected, p = walked * p, expected + 1, _prime_below(p)
-    monkeypatch.setattr(analysis, "_lift", lambda *args: None)
+    monkeypatch.setattr(analysis, "_closed_subspace", lambda *args: None)
     spins = _spy(monkeypatch, "_spin")
     with pytest.raises(InternalInvariantError, match=f"d = 3 after {expected} primes"):
         is_irreducible(mats)
-    assert len(spins) == expected <= 12
+    assert len(spins) == expected <= 40
     code, doc = _analyze(capsys, tmp_path, mats)
     assert code == 3 and "no verdict" in doc["error"]
 

@@ -286,6 +286,22 @@ def test_negative_dimension_exits_1(monkeypatch):
     assert code == 1 and "dimension" in doc["error"]
 
 
+def test_rank_zero_system_keeps_the_contract(monkeypatch):
+    # the zero module: every command on it exits 0-3 with one JSON
+    # document, and it is not irreducible
+    planes = [{"id": "H1", "normal": ["1", "0"]}, {"id": "H2", "normal": ["0", "1"]},
+              {"id": "H3", "normal": ["1", "-1"]}]
+    system = {"arrangement": {"dim": 2, "hyperplanes": planes}, "rank": 0,
+              "residues": {"H1": [], "H2": [], "H3": []}}
+    along = ("--lambda", "1/2", "--line", "1,1")
+    for argv in (("check",), ("convolve", *along), ("mc", *along), ("rh-check", *along),
+                 ("analyze",), ("compose-check", "--lambda", "1/2", "--mu", "1/3")):
+        code, doc = _run_stdin(monkeypatch, system, *argv)
+        assert 0 <= code <= 3, argv
+        if argv[0] == "analyze":
+            assert doc["irreducible"] is False
+
+
 def test_rh_check_without_transverse_hyperplane_exits_2(monkeypatch):
     # no residue was supplied, so no rank x rank matrix may be built either:
     # at rank 10^7 one zero residue would take over 100 MB
