@@ -85,7 +85,7 @@ def _poly_json(p: Poly):
     return [rat_str(c) for c in p.coeffs]
 
 
-def _star_defect(mats, i: int) -> Poly:
+def _star_defect(mats, i: int, full_rank=None) -> Poly:
     """Gcd of the maximal minors of the pencil [A_i - c; A_j (j != i)], by
     the Hautus reduction: the characteristic polynomial of A_i restricted
     to N = ker [C; C·A_i; ...; C·A_i^(d-1)], C the stack of the other
@@ -101,10 +101,13 @@ def _star_defect(mats, i: int) -> Poly:
     proves rank d over Q (`_ModSpan`), so N = 0 and the defect is 1.  A
     shorter rank mod P decides nothing, and the exact iteration runs; the
     matrix of A_i on N comes from `Subspace.restrict`, which also checks
-    that N is invariant."""
+    that N is invariant.  `full_rank`, when given, is that answer for C,
+    known from elsewhere."""
     a = mats[i]
     others = [m for j, m in enumerate(mats) if j != i]
-    if _full_rank_mod_p((row for m in others for row in m.ints), a.rows):
+    if full_rank is None:
+        full_rank = _full_rank_mod_p((row for m in others for row in m.ints), a.rows)
+    if full_rank:
         return Poly.one()
     if others:
         block = stack = ExactMatrix.vstack(others)
@@ -132,12 +135,17 @@ def check_star_conditions(mats) -> StarReport:
     transposes.  Rank drops exactly at the roots of the defect polynomial
     (`_star_defect`), so the quantifier over all complex c is eliminated
     exactly.
+
+    With two generators, C is the other generator for the kernel condition
+    and its transpose for the image condition.  A square matrix has the
+    rank of its transpose, so one rank test mod P serves both.
     """
     mats = _square_tuple(mats)
     transposes = [m.transpose() for m in mats]
     star_defects, dstar_defects, witnesses = [], [], []
     for i, a in enumerate(mats):
-        defect = _star_defect(mats, i)
+        full_rank = _full_rank_mod_p(mats[1 - i].ints, a.rows) if len(mats) == 2 else None
+        defect = _star_defect(mats, i, full_rank)
         star_defects.append(defect)
         roots = defect.rational_roots()
         if roots:
@@ -150,7 +158,7 @@ def check_star_conditions(mats) -> StarReport:
                     " leaves the stacked pencil with a zero kernel"
                 )
             witnesses.append(StarWitness(generator=i, c=c, vector=ker.basis.col(0)))
-        dstar_defects.append(_star_defect(transposes, i))
+        dstar_defects.append(_star_defect(transposes, i, full_rank))
     return StarReport(
         holds_star=all(d.is_constant() for d in star_defects),
         holds_dstar=all(d.is_constant() for d in dstar_defects),
@@ -200,15 +208,14 @@ def is_irreducible(mats) -> bool:
     of the integer generators (at least 1), and B = d^(d^2)·G2^(d^2(d^2-1)/2).
 
     The bound.  R = N/D, the entries of N and D minors of W, so at most
-    B^(1/2), and D prime to M.  Once M > 2^8·B, `_reconstruct` finds each
-    new factor of D by its Euclidean step, unique at that size
-    (Wang-Guy-Davenport), and |N|·D <= B passes its check; it misses R
-    only if an entry that the denominator found so far leaves fractional
-    has a residue below M/2^8 over it.  The walk stops once
-    walked^2 > 2^18·B^3 (walked the product of the primes spun, compared
-    on bit lengths), when M >= walked/B^(1/2) > 2^9·B.  Exhausting the
-    bound would mean that such residues misled every reading past 2^8·B;
-    it raises InternalInvariantError and returns no verdict."""
+    B^(1/2), and D prime to M.  Over any divisor of D an entry of R is a
+    fraction whose numerator and denominator are at most B^(1/2), so once
+    M > 2^8·B, below (M/2)^(1/2), `_reconstruct` reads R exactly
+    (Wang-Guy-Davenport), and |N|·D <= B passes its check.  The walk stops
+    once walked^2 > 2^18·B^3 (walked the product of the primes spun,
+    compared on bit lengths), when M >= walked/B^(1/2) > 2^9·B.  Exhausting
+    the bound would contradict this; it raises InternalInvariantError and
+    returns no verdict."""
     mats = _square_tuple(mats)
     d = mats[0].rows
     if d < 2:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .exactcore import ExactMatrix, int_from_json, matrix_to_json
+from .exactcore import ExactMatrix, _read_rows, int_from_json, matrix_to_json
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,33 @@ def _row_form(ints):
     return ExactMatrix._of((tuple(ints),), lead, 1, len(ints)), c
 
 
-def canonicalize(hid: str, normal, offset) -> Hyperplane:
-    """The hyperplane normal·x + offset = 0 in echelon form."""
-    row = ExactMatrix([list(normal) + [offset]]).ints[0]
+def _hyperplane(hid: str, row) -> Hyperplane:
+    """The hyperplane of the integer row [normal…, offset], up to a
+    positive factor, in echelon form."""
     found = _row_form(row)
     if found is None or found[1] == len(row) - 1:
         raise InputError(f"hyperplane {hid!r} has zero normal")
     return Hyperplane(hid, found[0])
+
+
+def canonicalize(hid: str, normal, offset) -> Hyperplane:
+    """The hyperplane normal·x + offset = 0 in echelon form."""
+    return _hyperplane(hid, ExactMatrix([list(normal) + [offset]]).ints[0])
+
+
+def _planes_in_one_pass(hyperplanes):
+    """The hyperplanes of a JSON array of objects, their rows [normal…,
+    offset] read at once by `_read_rows`; None when an object is malformed
+    or the read declines, and the caller reads them one by one, which
+    raises the first error in order."""
+    if not all(isinstance(h, dict) and isinstance(h.get("normal"), list) and "id" in h
+               for h in hyperplanes):
+        return None
+    rows = [h["normal"] + [h.get("offset", 0)] for h in hyperplanes]
+    read = _read_rows(rows, len(rows[0])) if rows else None
+    if read is None:
+        return None
+    return [_hyperplane(str(h["id"]), row) for h, row in zip(hyperplanes, read[0])]
 
 
 @dataclass(frozen=True)
@@ -169,13 +189,15 @@ class Arrangement:
             hyperplanes = data["hyperplanes"]
             if not isinstance(hyperplanes, list):
                 raise TypeError("hyperplanes must be an array")
-            planes = []
-            for h in hyperplanes:
-                if not isinstance(h, dict) or not isinstance(h["normal"], list):
-                    raise TypeError("each hyperplane must be an object with a normal array")
-                planes.append(
-                    canonicalize(str(h["id"]), h["normal"], h.get("offset", 0))
-                )
+            planes = _planes_in_one_pass(hyperplanes)
+            if planes is None:
+                planes = []
+                for h in hyperplanes:
+                    if not isinstance(h, dict) or not isinstance(h["normal"], list):
+                        raise TypeError("each hyperplane must be an object with a normal array")
+                    planes.append(
+                        canonicalize(str(h["id"]), h["normal"], h.get("offset", 0))
+                    )
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed arrangement JSON: {exc}") from exc
         return Arrangement(dim, planes)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import re
 import sys
@@ -249,9 +250,41 @@ def _render(payload, fmt: str) -> str:
     try:
         if fmt == "text":
             return _render_text(payload)
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return _dumps(payload)
     except ValueError as exc:  # an integer with more digits than Python prints
         raise PreconditionError(TOO_LARGE_TO_PRINT) from exc
+
+
+_quoted = json.encoder.encode_basestring_ascii
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _dumps(value, pad="\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, with
+    `pad` the newline and indent of value's own level.  Strings, ints,
+    bools, None, lists and str-keyed dicts are written here, a list of
+    strings (a matrix row) in one join; every other value goes to
+    json.dumps.  An int past 4300 digits raises ValueError, as there."""
+    kind = type(value)
+    if kind is str:
+        return _quoted(value)
+    if kind is int:
+        return str(value)
+    if kind is bool or value is None:
+        return _LITERALS[value]
+    if not value and (kind is list or kind is dict):
+        return "[]" if kind is list else "{}"
+    inner = pad + "  "
+    if kind is list:
+        if set(map(type, value)) == {str}:
+            items = map(_quoted, value)
+        else:
+            items = map(_dumps, value, itertools.repeat(inner))
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if kind is dict and set(map(type, value)) == {str}:
+        items = (_quoted(k) + ": " + _dumps(v, inner) for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
 
 
 def _is_matrix(value) -> bool:

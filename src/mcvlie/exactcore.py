@@ -3,9 +3,12 @@ univariate polynomials, polynomial pencils and integer spectra.
 
 Everything here is exact.  A matrix is stored as integer rows over one
 positive denominator, in lowest terms, and every matrix operation computes
-on those integers, the characteristic polynomial included;
-`fractions.Fraction` appears only at the API edges (`rat`, entry access,
-`data`, scalars and polynomial coefficients).
+on those integers, the characteristic polynomial included.
+`fractions.Fraction` appears only at the API edges: `rat`, entry access,
+`data`, scalars and polynomial coefficients.  The JSON edge needs none:
+`matrix_from_json` reads a matrix of plain "p" / "p/q" strings in one pass
+into integer rows (`_read_rows`) and any other matrix entry by entry, and
+`matrix_to_json` writes the integer rows as reduced strings.
 Subspaces are kept in reduced column echelon form so that structural
 equality coincides with equality of spans.
 """
@@ -311,16 +314,19 @@ def _reconstruct(rows, m: int):
     denominator den with den·x = n mod m for every entry x of the rows and
     |n|·den < m/2^8; or None.
 
-    An entry that den does not already make such a numerator is read as a
-    fraction y/t with |y|, |t| <= isqrt(m/2) by the half-extended Euclidean
-    algorithm, and den takes the factor |t|.  Such a fraction exists for
-    most residues, true or not; the margin of 2^8 lets a residue that is no
-    small fraction through only rarely, and a false candidate costs one
-    exact test."""
+    An entry that den makes a residue of at most isqrt(m/2) in balanced
+    form is read as that integer over den; any other is read as a fraction
+    y/t with |y|, |t| <= isqrt(m/2) by the half-extended Euclidean
+    algorithm, and den takes the factor |t|.  Both readings are unique at
+    that size, so rows of fractions whose numerators and denominators over
+    every divisor of their common denominator stay within isqrt(m/2) are
+    read back exactly.  A residue of no such fraction may still read as
+    one; the margin of 2^8 lets it through only rarely, and a false
+    candidate costs one exact test."""
     bound, limit, half = isqrt(m // 2), m >> 8, m // 2
     den = 1
     for x in itertools.chain.from_iterable(rows):
-        if abs((x * den + half) % m - half) * den >= limit:
+        if abs((x * den + half) % m - half) > bound:
             r0, r1, t0, t1 = m, x * den % m, 0, 1
             while r1 > bound:
                 k = r0 // r1
@@ -1339,8 +1345,18 @@ def integer_spectrum_hits(a: ExactMatrix, shift) -> list:
 
 
 def matrix_to_json(m: ExactMatrix):
+    """The rows as reduced "p/q" or "p" strings; a number with more digits
+    than Python prints is a PreconditionError."""
     d = m.den
-    return [[_ratio_str(x, d) for x in row] for row in m.ints]
+    try:
+        if d == 1:
+            return [list(map(str, row)) for row in m.ints]
+        return [
+            [str(x // d) if (g := int_gcd(x, d)) == d else f"{x // g}/{d // g}" for x in row]
+            for row in m.ints
+        ]
+    except ValueError as exc:
+        raise PreconditionError(TOO_LARGE_TO_PRINT) from exc
 
 
 def int_from_json(value) -> int:
@@ -1358,11 +1374,63 @@ def int_from_json(value) -> int:
         raise InputError(f"not an integer: {value!r}") from exc
 
 
+# what a plain "p" / "p/q" entry holds besides its digits, and the joiner
+_SIGN_SLASH_COMMA = str.maketrans("", "", "-/,")
+
+
+def _read_rows(rows, cols: int):
+    """(ints, den): the entries of `rows` (lists of `cols` entries each) as
+    integer row tuples over one positive denominator, not always in lowest
+    terms, read in one pass; or None, and the caller reads entry by entry.
+
+    Only exact ints, and ASCII strings "p" or "p/q" (q > 0) of the kind
+    that `_ratio` reads with int(), are read here: the joined entries are
+    checked once for ASCII digits, "-", "/" and ",", each numerator is
+    parsed with int() and each distinct denominator once.  Anything else
+    ("1/", "1/-2", "--1", a part past 4300 digits, a bool, a float, a
+    decimal) declines, so every value and every error is `_ratio`'s."""
+    if not cols or not rows or set(map(len, rows)) != {cols}:
+        return None
+    flat = list(itertools.chain.from_iterable(rows))
+    kinds = set(map(type, flat))
+    if kinds == {int}:
+        return tuple(map(tuple, rows)), 1
+    try:
+        if kinds == {int, str}:
+            flat = list(map(str, flat))  # str() refuses more than 4300 digits
+        elif kinds != {str}:
+            return None
+        text = ",".join(flat)
+        if (
+            not (text.isascii() and text.translate(_SIGN_SLASH_COMMA).isdigit())
+            or "/," in text
+            or text[-1] == "/"  # "1/"
+        ):
+            return None
+        nums, _, qs = zip(*map(str.partition, flat, itertools.repeat("/")))
+        dens = {q: int(q) if q else 1 for q in set(qs)}
+        if min(dens.values()) < 1:  # "1/0", "1/-2"
+            return None
+        den = lcm(*dens.values())
+        scale = {q: den // v for q, v in dens.items()}
+        ints = list(map(mul, map(int, nums), map(scale.__getitem__, qs)))
+    except ValueError:  # "--1", "1-2", "1/2/3", a part past 4300 digits
+        return None
+    return tuple(zip(*[iter(ints)] * cols)), den
+
+
 def matrix_from_json(data, shape=None) -> ExactMatrix:
+    """The matrix of a JSON array of row arrays, with `shape` (rows, cols)
+    when given.  Plain entries are read in one pass (`_read_rows`); every
+    other input goes through `ExactMatrix(data, shape)`, entry by entry."""
     if (
         not isinstance(data, list)
         or (not data and shape is None)
         or not all(isinstance(row, list) for row in data)
     ):
         raise InputError("matrix JSON must be a non-empty array of arrays")
-    return ExactMatrix(data, shape=shape)
+    r, c = shape if shape is not None else (len(data), len(data[0]))
+    read = _read_rows(data, c) if len(data) == r else None
+    if read is None:
+        return ExactMatrix(data, shape=shape)
+    return ExactMatrix._of(*read, r, c)

@@ -27,6 +27,7 @@ from mcvlie.exactcore import (
     Poly,
     PolyMatrix,
     _prime_below,
+    _reconstruct,
     inverse,
     kernel,
     matrix_to_json,
@@ -203,12 +204,45 @@ def test_star_conditions_match_minors_oracle():
     assert nonconstant > 300 and witnessed > 150
 
 
+def test_two_generator_star_conditions_test_each_rank_once(monkeypatch):
+    # with two generators C is the other generator, and its transpose for
+    # the image condition; both have one rank mod P, tested once
+    calls = _spy(monkeypatch, "_full_rank_mod_p")
+    rng = random.Random(2104)
+    singular = ExactMatrix([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    for mats, tests in (
+        ([rand_matrix(rng, 3), rand_matrix(rng, 3)], 2),
+        ([rand_matrix(rng, 3), singular], 2),  # rank 2: the exact iteration runs
+        ([rand_matrix(rng, 2), rand_matrix(rng, 2), rand_matrix(rng, 2)], 6),
+    ):
+        calls.clear()
+        assert check_star_conditions(mats) == _minors_star_conditions(mats)
+        assert len(calls) == tests
+
+
 # -- modular rank certificates ------------------------------------------------------
 
 
 def test_modulus_is_a_fixed_prime_below_2_to_30():
     assert type(P) is int and 2 < P < 2**30
     assert all(P % q for q in range(2, math.isqrt(P) + 1))
+
+
+def test_reconstruct_reads_small_fractions_back_exactly():
+    # an integer reading is taken only up to isqrt(m/2), where it is unique:
+    # 48/271 mod P is 3962147·271 mod P, and 3962147 < P/2^8
+    assert _reconstruct([[48 * pow(271, -1, P) % P]], P) == (((48,),), 271)
+    for a in range(1, 60, 5):
+        for b in range(257, 2000, 7):
+            if math.gcd(a, b) == 1:
+                n, den = _reconstruct([[a * pow(b, -1, P) % P]], P)
+                assert F(n[0][0], den) == F(a, b)
+    q = _prime_below(P)
+    m = P * q
+    row = [F(1, 3), F(5, 7), F(-2), F(0), F(-(10**8), 9)]
+    residues = [[x.numerator * pow(x.denominator, -1, m) % m for x in row]]
+    n, den = _reconstruct(residues, m)
+    assert den == 63 and [F(x, den) for x in n[0]] == row
 
 
 def _mod_p_spin_dim(mats):

@@ -500,7 +500,7 @@ def _assert_breach(monkeypatch, payload, *argv):
 
 def test_star_root_with_zero_kernel_is_an_invariant_breach(monkeypatch):
     # x - 5 is no defect of this tuple: [A_1 - 5; A_2] has a zero kernel
-    monkeypatch.setattr(analysis, "_star_defect", lambda mats, i: Poly([-5, 1]))
+    monkeypatch.setattr(analysis, "_star_defect", lambda mats, i, full_rank=None: Poly([-5, 1]))
     mats = [ExactMatrix(m) for m in DIAG_TUPLE["matrices"]]
     with pytest.raises(InternalInvariantError, match="c = 5 of generator 1 "):
         analysis.check_star_conditions(mats)
