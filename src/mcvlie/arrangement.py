@@ -7,11 +7,13 @@ codimension-2 flat the 2-row echelon form of its equations, and a line
 through the origin the primitive integer row of its direction.  JSON prints
 hyperplanes with the first nonzero normal entry 1.
 
-No echelon form here runs a general elimination: a 1-row form is the row
-over its first nonzero entry, and the 2-row form of a pair is two rows of
-its Plücker coordinates p_kl = a_k·b_l − a_l·b_k over one of them, O(dim)
-per pair (`_flat_from_pair`).  The whole Plücker vector would key a flat
-too, but its C(dim+1, 2) entries cost O(dim²) per pair.
+No echelon form here runs a general elimination.  `codim2_flats` finds the
+families without building any equations: each pair costs one
+multiply-subtract on Kronecker-packed integer rows, a few bit operations
+and a hash mod P, and only pairs that land in one bucket are compared
+exactly.  A flat builds its 2-row form (`_flat_from_pair`, O(dim) from its
+Plücker coordinates) only when its equations are read; the closure reads
+them only for the flats that add a hyperplane.
 
 The module computes codimension-2 flats with their maximal families, the
 split into hyperplanes parallel/transverse to a line through the origin, the
@@ -21,10 +23,20 @@ Y-closedness criterion and the Y-closure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import mul
 
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .exactcore import ExactMatrix, _read_rows, int_from_json, matrix_to_json
+from .exactcore import (
+    P,
+    ExactMatrix,
+    _bits,
+    _pack,
+    _read_rows,
+    _unpack,
+    int_from_json,
+    matrix_to_json,
+)
 
 
 @dataclass(frozen=True)
@@ -203,14 +215,55 @@ class Arrangement:
         return Arrangement(dim, planes)
 
 
-@dataclass(frozen=True)
 class Flat2:
     """Codimension-2 flat: `equations`, the 2×(dim+1) reduced echelon
-    ExactMatrix of the affine forms cutting it, plus the maximal family of
-    arrangement hyperplanes containing it."""
+    ExactMatrix of the affine forms cutting it, plus `family`, the ids of
+    the maximal family of arrangement hyperplanes containing it, in
+    arrangement order.
 
-    equations: ExactMatrix
-    family: tuple  # hyperplane ids in arrangement order
+    A flat found by `codim2_flats` keeps the two hyperplanes that found it
+    and builds `equations` from them (`_flat_from_pair`) on first read, since
+    most callers read only the family.  Construction from equations,
+    equality, hashing and repr are those of a dataclass with the fields
+    (equations, family).  A flat is not to be changed after construction.
+    """
+
+    __slots__ = ("family", "_pair", "_equations")
+
+    def __init__(self, equations: ExactMatrix, family: tuple):
+        self.family, self._pair, self._equations = family, None, equations
+
+    @classmethod
+    def _found(cls, h1: Hyperplane, h2: Hyperplane, family: tuple) -> "Flat2":
+        """The flat h1 ∩ h2 of two intersecting hyperplanes, its equations
+        not built yet."""
+        flat = cls.__new__(cls)
+        flat.family, flat._pair, flat._equations = family, (h1, h2), None
+        return flat
+
+    @property
+    def equations(self) -> ExactMatrix:
+        if self._equations is None:
+            self._equations = _flat_from_pair(*self._pair)
+        return self._equations
+
+    def _spanning_rows(self):
+        """Two integer rows spanning the flat's forms: the found pair's, or
+        the equations'."""
+        if self._pair is None:
+            return self._equations.ints
+        return self._pair[0].form.ints[0], self._pair[1].form.ints[0]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.equations, self.family) == (other.equations, other.family)
+
+    def __hash__(self):
+        return hash((self.equations, self.family))
+
+    def __repr__(self):
+        return f"Flat2(equations={self.equations!r}, family={self.family!r})"
 
     def cuts_form(self, form: ExactMatrix) -> bool:
         """Whether the affine form (a 1×(dim+1) row) vanishes on the flat,
@@ -257,23 +310,85 @@ def codim2_flats(arr: Arrangement) -> list:
 
     Two distinct hyperplanes containing a codimension-2 flat X meet in
     exactly X, so the family of X is the set of hyperplanes in the pairs
-    whose canonical equations are X's.  Flats come in the order of their
-    first pair (i < j, lexicographic), families in arrangement order.  The
-    flats are computed once per arrangement and cached on it.
+    that cut X.  Flats come in the order of their first pair (i < j,
+    lexicographic), families in arrangement order.  The families are found
+    by `_families` on packed rows; each flat builds its equations only when
+    they are read.  The flats are computed once per arrangement and cached
+    on it.
     """
     if arr._flats is None:
-        members = {}  # equations -> indices of the hyperplanes containing X
-        planes = arr.hyperplanes
-        for i, h1 in enumerate(planes):
-            for j in range(i + 1, len(planes)):
-                eqs = _flat_from_pair(h1, planes[j])
-                if eqs is not None:
-                    members.setdefault(eqs, set()).update((i, j))
+        planes, ids = arr.hyperplanes, arr.ids()
         arr._flats = tuple(
-            Flat2(equations=eqs, family=tuple(planes[k].id for k in sorted(idx)))
-            for eqs, idx in members.items()
+            Flat2._found(planes[family[0]], planes[family[1]], tuple(map(ids.__getitem__, family)))
+            for family in _families([h.form.ints[0] for h in planes], arr.dim)
         )
     return list(arr._flats)
+
+
+def _families(rows, n: int):
+    """The family of every codimension-2 flat cut by the hyperplanes with
+    integer rows `rows` (normal…, offset; column n is the offset), as a
+    tuple of row indices in increasing order, in the order of the first
+    pair.
+
+    A flat through h_i is h_i ∩ h_j for the later h_j, and it is fixed by
+    the restriction r = a_c·b − b_c·a of b = row j to h_i, a = row i and c
+    its first nonzero column: r kills column c, so two later planes cut the
+    same flat with h_i exactly when their restrictions are proportional, and
+    h_j is parallel to h_i when r is zero on every normal column.  On rows
+    packed in slots of w bits (`exactcore._pack`), r is one multiply-subtract
+    of packed integers, and the lowest set bit lies in the slot of r's first
+    nonzero entry, the lead.  Entries of the rows are below 2^m, those of r
+    below 2^(2m+1) and products lead·r below 2^(4m+2), so w = 4m + 3 holds
+    each of them in a balanced slot, where packing is injective.
+
+    A restriction R with lead l goes into the bucket (lead slot,
+    R·l⁻¹ mod P), which is the same for proportional rows, and it joins a
+    group of the bucket only when l'·R == l·R' exactly, so a colliding key
+    costs one comparison and never merges two flats: any modulus gives the
+    same families, and P keeps collisions rare.  When P divides l, the row
+    is first made primitive, and when P still divides its lead every
+    multiple of it shares the key (lead slot, None).  A family is emitted
+    at its least member; the pairs of later members are the same flat and
+    are skipped.
+    """
+    w = 4 * _bits(rows) + 3
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    q = P
+    packed = [_pack(row, w) for row in rows]
+    covered = {}  # plane index -> later planes of an emitted family through it
+    for i, a in enumerate(rows[:-1]):
+        c = next(filter(a.__getitem__, range(n)))
+        ac, A = a[c], packed[i]
+        skip = covered.pop(i, ())
+        buckets, groups = {}, []
+        for j in range(i + 1, len(rows)):
+            if j in skip:
+                continue
+            R = ac * packed[j] - rows[j][c] * A
+            slot = ((R & -R).bit_length() - 1) // w
+            if slot == n:
+                continue  # parallel
+            lead = R >> slot * w & mask
+            if lead >= half:
+                lead -= mask + 1
+            if lead % q == 0:
+                g = gcd(*_unpack(R, w, n + 1))
+                R, lead = R // g, lead // g
+            key = (slot, R % q * pow(lead, -1, q) % q if lead % q else None)
+            bucket = buckets.setdefault(key, [])
+            for lead2, R2, members in bucket:
+                if lead2 * R == lead * R2:
+                    members.append(j)
+                    break
+            else:
+                members = [i, j]
+                bucket.append((lead, R, members))
+                groups.append(members)
+        for members in groups:
+            for t in range(2, len(members)):  # later members of a family of 3 or more
+                covered.setdefault(members[t - 1], set()).update(members[t:])
+            yield tuple(members)
 
 
 def split_parallel(arr: Arrangement, line: Line):
@@ -292,7 +407,7 @@ def split_parallel(arr: Arrangement, line: Line):
 def _flat_plus_line(flat: Flat2, line: Line):
     """The echelon form of the hyperplane flat + line, or None when the
     direction lies in the flat (then flat + line = flat)."""
-    e1, e2 = flat.equations.ints
+    e1, e2 = flat._spanning_rows()
     d1 = sum(map(mul, e1, line.direction))
     d2 = sum(map(mul, e2, line.direction))
     if d1 == 0 and d2 == 0:

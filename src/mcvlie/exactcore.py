@@ -131,9 +131,22 @@ def _bits(ints) -> int:
     return max(map(abs, itertools.chain.from_iterable(ints)), default=0).bit_length()
 
 
+# the longest row `_pack` sums entry by entry (a quadratic cost that is
+# smaller than the recursion's overhead below about 32 entries)
+_PACK_RUN = 32
+
+
 def _pack(row, w: int) -> int:
-    """The row as one integer, entry j in the slot of width w at bit w j."""
-    return sum(map(lshift, row, range(0, w * len(row), w)))
+    """The row (a sequence of any integers) as one integer, entry j in the
+    slot of width w at bit w j.  A long row is packed by halves, so each
+    level of the recursion adds numbers of the packed size once: summing
+    the shifted entries one by one would redo the growing partial sum for
+    every entry, quadratic in the length."""
+    n = len(row)
+    if n <= _PACK_RUN:
+        return sum(map(lshift, row, range(0, w * n, w)))
+    h = n // 2
+    return _pack(row[:h], w) + (_pack(row[h:], w) << w * h)
 
 
 def _unpack(v: int, w: int, count: int) -> list:
@@ -1401,11 +1414,11 @@ def _read_rows(rows, cols: int):
         elif kinds != {str}:
             return None
         text = ",".join(flat)
-        if (
-            not (text.isascii() and text.translate(_SIGN_SLASH_COMMA).isdigit())
-            or "/," in text
-            or text[-1] == "/"  # "1/"
-        ):
+        if not (text.isascii() and text.translate(_SIGN_SLASH_COMMA).isdigit()):
+            return None
+        if "/" not in text:  # integers, over den 1
+            return tuple(zip(*[map(int, flat)] * cols)), 1
+        if "/," in text or text[-1] == "/":  # "1/"
             return None
         nums, _, qs = zip(*map(str.partition, flat, itertools.repeat("/")))
         dens = {q: int(q) if q else 1 for q in set(qs)}

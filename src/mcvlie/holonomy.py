@@ -120,7 +120,12 @@ def check_integrability(system: PfaffianSystem) -> list:
     injective, so the packed integers agree exactly when the rows do, and no
     product matrix is built.  Only a failing member's commutator A T - T A
     is computed, as its witness.
+
+    Residues of rank 0 or 1 are scalars and commute, so such a system is
+    integrable without looking at its flats.
     """
+    if system.rank <= 1:
+        return []
     summaries = {hid: RowSummary.of(a) for hid, a in system.residues.items()}
     violations = []
     for flat in codim2_flats(system.arrangement):

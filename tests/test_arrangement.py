@@ -1,4 +1,7 @@
+import io
+import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,7 +21,7 @@ from mcvlie.arrangement import (
     y_closure,
 )
 from mcvlie.errors import InputError, PreconditionError
-from mcvlie.exactcore import ExactMatrix
+from mcvlie.exactcore import P, ExactMatrix
 
 F = Fraction
 
@@ -172,6 +175,140 @@ def test_flats_match_probe_oracle_braid():
     for n in range(3, 8):
         arr = braid_arrangement(n)
         assert codim2_flats(arr) == _probe_flats(arr)
+
+
+def _integer_arrangement(rng, dim, size):
+    """Planes with integer rows of entries up to `size` (a third of them
+    0), parallel copies, and planes through the flat of the last two."""
+    rows = []
+    for _ in range(rng.randint(3, 6)):
+        rows.append([rng.choice((0, rng.randint(-size, size), size)) for _ in range(dim + 1)])
+        if rng.random() < 0.3:
+            rows.append(rows[-1][:-1] + [rows[-1][-1] + rng.randint(1, size)])
+        if len(rows) >= 2 and rng.random() < 0.5:
+            s, t = rng.randint(1, 3), rng.randint(-3, -1)
+            rows.append([s * x + t * y for x, y in zip(rows[-1], rows[-2])])
+    planes = {}
+    for row in rows:
+        if any(row[:-1]):
+            h = canonicalize(f"H{len(planes) + 1}", row[:-1], row[-1])
+            planes.setdefault(h.key, h)
+    return Arrangement(dim, list(planes.values()))
+
+
+# x = 0 meets P·y + 1 = 0 and x + P·y + 1 = 0 in one point, and 2P·y + 1 = 0
+# and P·x + 2P·y + 1 = 0 in another: restricted to x = 0, the four rows have
+# leads that are multiples of P, and share one bucket
+MULTIPLE_OF_P = Arrangement(2, [
+    canonicalize("X", (1, 0), 0),
+    canonicalize("PY", (0, P), 1),
+    canonicalize("D", (1, 1), 5),
+    canonicalize("XPY", (1, P), 1),
+    canonicalize("TWO", (0, 2 * P), 1),
+    canonicalize("E", (P, 2 * P), 1),
+])
+
+
+def _flat_search_corpus():
+    rng = random.Random(62)
+    corpus = [MULTIPLE_OF_P, braid_arrangement(5)]
+    for k in range(120):
+        dim = 1 + k % 4
+        corpus.append(_integer_arrangement(rng, dim, rng.choice((3, 2**62, 2**64 + 13))))
+        corpus.append(_oracle_arrangement(rng, dim))
+    return corpus
+
+
+def test_flat_search_matches_probe_oracle_on_large_and_multiple_of_p_entries():
+    corpus = _flat_search_corpus()
+    sizes = [max((abs(x) for h in arr for x in h.form.ints[0]), default=0) for arr in corpus]
+    assert sum(size >= 2**62 for size in sizes) >= 30
+    multi = 0
+    for arr in corpus:
+        flats = codim2_flats(arr)
+        assert flats == _probe_flats(arr)
+        if arr.dim == 1:
+            assert flats == []
+        multi += sum(len(f.family) > 2 for f in flats)
+    assert multi > 40
+    assert [f.family for f in codim2_flats(MULTIPLE_OF_P)] == [
+        ("X", "PY", "XPY"), ("X", "D"), ("X", "TWO", "E"), ("PY", "D"), ("PY", "E"),
+        ("D", "XPY"), ("D", "TWO"), ("D", "E"), ("XPY", "TWO"), ("XPY", "E"),
+    ]
+
+
+def test_flat_search_does_not_trust_colliding_keys(monkeypatch):
+    """With the bucket modulus 2 almost every key collides, and a lead is
+    even half of the time: the exact comparison alone separates the flats."""
+    corpus = _flat_search_corpus()
+    expected = [_probe_flats(arr) for arr in corpus]
+    monkeypatch.setattr("mcvlie.arrangement.P", 2)
+    for arr, flats in zip(corpus, expected):
+        assert codim2_flats(Arrangement(arr.dim, arr.hyperplanes)) == flats
+
+
+def test_found_flats_build_equations_only_when_read(monkeypatch):
+    import mcvlie.arrangement as arrangement
+
+    calls = []
+
+    def counted(h1, h2):
+        calls.append((h1.id, h2.id))
+        return _flat_from_pair(h1, h2)
+
+    monkeypatch.setattr(arrangement, "_flat_from_pair", counted)
+    arr = _oracle_arrangement(random.Random(8), dim=3)
+    flats = codim2_flats(arr)
+    assert len(flats) > 3 and calls == []
+    eager = [Flat2(equations=_flat_from_pair(*(h for h in arr if h.id in f.family[:2])),
+                   family=f.family) for f in flats]
+    assert calls == []
+    assert list(map(repr, flats)) == list(map(repr, eager))
+    assert list(map(hash, flats)) == list(map(hash, eager))
+    assert flats == eager and len(calls) == len(flats)
+    flats[0].equations
+    assert len(calls) == len(flats)  # built once
+    # the closure builds the equations of the flats that add a hyperplane only
+    calls.clear()
+    line = Line.of((1, 2, -1))
+    closed = y_closure(Arrangement(arr.dim, arr.hyperplanes), line)
+    assert 0 < len(calls) == len(closed) - len(arr)
+
+
+def _commuting_system(rng, planes, dim):
+    """A rank-2 system on `planes` random planes in Q^dim, every residue a
+    polynomial in one matrix, as CLI JSON."""
+    found = {}
+    while len(found) < planes:
+        normal = [rng.randint(-2, 2) for _ in range(dim)]
+        if any(normal):
+            h = canonicalize(f"H{len(found) + 1}", normal, rng.randint(-2, 2))
+            found.setdefault(h.key, h)
+    arr = Arrangement(dim, list(found.values()))
+    residues = {
+        hid: [[str(a), str(2 * b)], ["0", str(a - b)]]
+        for hid, a, b in ((hid, rng.randint(-3, 3), rng.randint(-3, 3)) for hid in arr.ids())
+    }
+    return {"arrangement": arr.to_json(), "rank": 2, "residues": residues}
+
+
+def test_check_on_thirty_planes_builds_no_equations(monkeypatch, tmp_path):
+    import mcvlie.arrangement as arrangement
+    from mcvlie.cli import main
+
+    calls, flats = [], []
+    monkeypatch.setattr(arrangement, "_flat_from_pair", lambda *pair: calls.append(pair))
+    monkeypatch.setattr(
+        "mcvlie.holonomy.codim2_flats", lambda arr: flats.extend(codim2_flats(arr)) or flats
+    )
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(_commuting_system(random.Random(30), 30, 3)))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["check", "--input", str(path)]) == 0
+    assert json.loads(out.getvalue()) == {"ok": True, "violations": []}
+    assert len(flats) > 100 and any(len(f.family) > 2 for f in flats)
+    assert calls == []
 
 
 # -- Fraction reference for the echelon storage --------------------------------

@@ -163,6 +163,17 @@ def test_golden_mc_output_file():
     assert out == golden
 
 
+def test_golden_closure_output_file():
+    # five planes in Q^3 whose closure along (1, 2, -1) appends ten
+    code, out, _ = run_cli(
+        "closure", "--line", "1,2,-1", "--input", str(DATA / "closure_fiveplanes.json")
+    )
+    assert code == 0
+    golden = (DATA / "golden_closure_fiveplanes.json").read_text(encoding="utf-8")
+    assert out == golden
+    assert len(json.loads(golden)["hyperplanes"]) == 15
+
+
 def test_text_format_renders_grid():
     code, out, _ = run_cli(
         "mc",

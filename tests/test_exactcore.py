@@ -94,6 +94,22 @@ def test_pack_tells_rows_apart_in_the_top_slot():
             assert _pack(row, w) - _pack(other, w) == (row[-1] - other[-1]) << (w * (length - 1))
 
 
+def test_pack_by_halves_is_the_sum_of_shifted_entries():
+    # the rows around the length where packing turns to halves, and long
+    # ones, with negative entries, entries at the slot bound and past it
+    rng = random.Random(14)
+    for length in (1, 2, 31, 32, 33, 64, 65, 577):
+        for w in (1, 3, 17, 64):
+            bound = 2 ** (w - 1) - 1
+            for _ in range(4):
+                row = [
+                    rng.choice((-bound, bound, -bound - 1, 2**w - 1, rng.randint(-(2**w), 2**w)))
+                    for _ in range(length)
+                ]
+                want = sum(x << (w * j) for j, x in enumerate(row))
+                assert _pack(row, w) == _pack(tuple(row), w) == want
+
+
 def test_packed_dot_is_the_row_times_matrix():
     rng = random.Random(13)
     for _ in range(300):

@@ -243,6 +243,39 @@ def test_violations_match_all_members_oracle():
     assert failing >= 20 and last_failing >= 5 and last_passing >= 1
 
 
+def test_rank_at_most_one_skips_the_flats(monkeypatch):
+    """1×1 residues commute, so a rank-0 or rank-1 system is integrable
+    without a call to `codim2_flats`; the all-members loop agrees on seeded
+    systems with concurrent planes and large rationals."""
+    rng = random.Random(53)
+    systems = []
+    for _ in range(20):
+        dim = rng.randint(2, 4)
+        planes, count = {}, rng.randint(3, 9)
+        while len(planes) < count:
+            normal = [rng.randint(-2, 2) for _ in range(dim)]
+            if any(normal):
+                h = canonicalize(f"H{len(planes) + 1}", normal, rng.randint(-1, 1))
+                planes.setdefault(h.key, h)
+        arr = Arrangement(dim, list(planes.values()))
+        values = {
+            hid: F(rng.randint(-(10**20), 10**20), rng.randint(1, 10**9)) for hid in arr.ids()
+        }
+        systems.append(scalar_system(arr, values))
+        zero = ExactMatrix.zeros(0, 0)
+        systems.append(PfaffianSystem(arr, 0, {hid: zero for hid in arr.ids()}))
+    assert any(len(f.family) > 2 for s in systems for f in codim2_flats(s.arrangement))
+    expected = [_all_members_violations(s) for s in systems]
+    calls = []
+    monkeypatch.setattr(
+        "mcvlie.holonomy.codim2_flats", lambda arr: calls.append(arr) or codim2_flats(arr)
+    )
+    assert [_violation_tuples(s) for s in systems] == expected == [[]] * len(systems)
+    assert calls == []
+    assert check_integrability(_broken_braids()[0])
+    assert len(calls) == 1  # rank 2 still reads the flats
+
+
 # -- the packed-row certificate ------------------------------------------------
 
 
