@@ -35,8 +35,10 @@ from .exactcore import (
     _packed_dot,
     _prime_below,
     _reconstruct,
+    _shifted,
     _transposed,
     _unpack,
+    _width,
 )
 from .holonomy import PfaffianSystem, residue_sum
 
@@ -271,15 +273,6 @@ def _spin(gens, p: int):
     return span
 
 
-def _shifted(packed, w: int) -> list:
-    """The packed rows of a d×d matrix g (slots of width w), row k shifted
-    to row block a at index a·d + k: the packed dot of the d^2 entries of a
-    matrix m with them (`_packed_dot`) is m·g packed, with slot a·d + c
-    the sum over k of m_ak g_kc."""
-    d = len(packed)
-    return [row << (w * d * a) for a in range(d) for row in packed]
-
-
 def _closed_subspace(rows, den, gens):
     """The span S of the matrices given by the flat integer rows of a
     reduced echelon form over den, when it holds the identity and b·g lies
@@ -288,7 +281,7 @@ def _closed_subspace(rows, den, gens):
     d = len(gens[0])
     pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
     s = Subspace._of(ExactMatrix._of(_transposed(rows, d * d), den, d * d, len(rows)), pivots)
-    w = _bits(rows) + max(map(_bits, gens)) + d.bit_length() + 1  # |(b·g)_ac| < 2^(w-1)
+    w = _width(_bits(rows) + max(map(_bits, gens)), d)  # (b·g)_ac sums d products
     tests = [_identity(d)]
     for g in gens:
         shifted = _shifted([_pack(row, w) for row in g], w)

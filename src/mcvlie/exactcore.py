@@ -11,6 +11,13 @@ into integer rows (`_read_rows`) and any other matrix entry by entry, and
 `matrix_to_json` writes the integer rows as reduced strings.
 Subspaces are kept in reduced column echelon form so that structural
 equality coincides with equality of spans.
+
+The Kronecker-packing layer (`_width`, `_pack`, `_slots`, `_unpack`,
+`_packed_dot`, `_shifted`) is the one place that knows how an integer row
+is packed into one integer and how wide its slots must be.  Every packed
+product check uses it: `commuting_with_sum`, `Subspace.coordinates`, the
+mod-p span `_ModSpan`, and, outside this module, the Burnside span and its
+closed-subspace test in `analysis` and the flat search in `arrangement`.
 """
 
 from __future__ import annotations
@@ -119,16 +126,31 @@ def _scaled(ints, f: int):
 
 
 # Kronecker substitution: a row (x_0, .., x_{n-1}) of integers packs into the
-# one integer sum x_j 2^(w j).  Balanced digits are unique, so two rows whose
-# entries all lie strictly between -2^(w-1) and 2^(w-1) are equal exactly
-# when their packed integers are.  Row i of a product A B packs as
+# one integer sum x_j 2^(w j).  Row i of a product A B packs as
 # sum_k a_ik packed(B_k): one big-integer multiply-add per nonzero a_ik.
+# The packing layer named in the module docstring follows.
 
 
 def _bits(ints) -> int:
     """Bit length of the largest absolute entry of integer rows (0 when
     every entry is 0)."""
     return max(map(abs, itertools.chain.from_iterable(ints)), default=0).bit_length()
+
+
+def _width(bits: int, terms: int) -> int:
+    """The slot width at which packing is injective on rows whose entries
+    are sums of at most `terms` products, each below 2^bits in absolute
+    value (bits = the sum of the factors' bit lengths).
+
+    Such an entry is below terms·2^bits < 2^(bits + bits(terms)) = 2^(w-1)
+    in absolute value.  Balanced base-2^w digits are unique, so two rows
+    whose entries all lie strictly between -2^(w-1) and 2^(w-1) are equal
+    exactly when their packed integers are.  The rule has no bit to spare
+    at terms = 2^k - 1 with k >= 2 and factors of at least 3 bits: there
+    the extreme sum (2^k - 1)(2^b1 - 1)(2^b2 - 1) reaches 2^(w-2), so in
+    slots one bit narrower it packs as the row with that entry less 2^(w-1)
+    and a carry of 1 into the next slot."""
+    return bits + terms.bit_length() + 1
 
 
 # the longest row `_pack` sums entry by entry (a quadratic cost that is
@@ -149,13 +171,20 @@ def _pack(row, w: int) -> int:
     return _pack(row[:h], w) + (_pack(row[h:], w) << w * h)
 
 
+def _slots(v: int, w: int, count: int) -> list:
+    """The first `count` slots of width w of a nonnegative packed integer,
+    as they stand: the entries of a packed row whose entries lie in
+    [0, 2^w)."""
+    mask = (1 << w) - 1
+    return [v >> s & mask for s in range(0, w * count, w)]
+
+
 def _unpack(v: int, w: int, count: int) -> list:
     """The `count` entries of a packed row whose entries lie strictly
     between -2^(w-1) and 2^(w-1).  With 2^(w-1) added to every slot, each
     slot holds its entry plus 2^(w-1), in [0, 2^w), with no carry."""
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    v += _pack([half] * count, w)
-    return [(v >> s & mask) - half for s in range(0, w * count, w)]
+    half = 1 << (w - 1)
+    return [x - half for x in _slots(v + _pack([half] * count, w), w, count)]
 
 
 def _packed_dot(row, packed) -> int:
@@ -165,6 +194,15 @@ def _packed_dot(row, packed) -> int:
     if 2 * row.count(0) > len(row):
         return sum(map(mul, filter(None, row), itertools.compress(packed, row)))
     return sum(map(mul, row, packed))
+
+
+def _shifted(packed, w: int) -> list:
+    """The packed rows of a d×d matrix g (slots of width w), row k shifted
+    to row block a at index a·d + k: the packed dot of the d^2 entries of a
+    matrix m with them (`_packed_dot`) is m·g packed, with slot a·d + c
+    the sum over k of m_ak g_kc."""
+    d = len(packed)
+    return [row << (w * d * a) for a in range(d) for row in packed]
 
 
 def _transposed(ints, cols: int):
@@ -180,27 +218,28 @@ P = 1073741789
 class _ModSpan:
     """Span of integer vectors mod a prime q (P unless given), kept as
     echelon rows with pivot entry 1 and entries in [0, q), each packed into
-    one integer with slots of w bits (entry j at bit w·j, as `_pack` does).
+    one integer with slots of w bits (`_pack`).
 
     A vector enters packed, with nonnegative slots below terms·q^2.
     Reducing it at pivot p is a shift, a mask and % q to read slot p as f,
     then one multiply-add of (q − f) times the echelon row: that clears slot
     p mod q and adds less than q^2 to each slot, with no borrow.  The slots
     are sized for terms + width such steps, so no slot reaches the next and
-    the packed integer stays exact.  Only the reduced vector is read slot by
-    slot: up to its pivot, and in full once when it becomes a row.
+    the packed integer stays exact; the slots are never negative, so this
+    width is unsigned, not `_width`'s.  Only the reduced vector is read slot
+    by slot (`_slots`): up to its pivot, and in full once when it becomes a
+    row.
 
     The rank mod q of integer vectors is at most their rank over Q: a
     rational relation scaled to coprime integers stays a relation mod q.
     So `dim` never exceeds the exact span's, and reaching full width proves
     full rank over Q; a shorter span proves nothing."""
 
-    __slots__ = ("width", "q", "w", "mask", "rows", "pivots")
+    __slots__ = ("width", "q", "w", "rows", "pivots")
 
     def __init__(self, width: int, terms: int = 1, q: int = P):
         self.width, self.q = width, q
         self.w = (terms + width).bit_length() + 2 * q.bit_length()  # 2^w > (terms + width)·q^2
-        self.mask = (1 << self.w) - 1
         self.rows = []  # packed, entries in [0, q)
         self.pivots = []  # strictly increasing
 
@@ -210,18 +249,14 @@ class _ModSpan:
 
     def pack(self, vec) -> int:
         """An integer vector reduced mod q and packed."""
-        w = self.w
-        return sum(map(lshift, map(self.q.__rmod__, vec), range(0, w * len(vec), w)))
-
-    def unpack(self, v: int) -> list:
-        """The slots of a packed vector, as they stand (not reduced)."""
-        w, mask = self.w, self.mask
-        return [v >> s & mask for s in range(0, w * self.width, w)]
+        return _pack([x % self.q for x in vec], self.w)
 
     def _reduce(self, v: int):
         """The packed vector reduced by every row, and the shift of its
-        pivot slot, the first one not 0 mod q (None when there is none)."""
-        q, mask, w = self.q, self.mask, self.w
+        pivot slot, the first one not 0 mod q (None when there is none).
+        The slots are read inline: this is the spin's inner loop."""
+        q, w = self.q, self.w
+        mask = (1 << w) - 1
         for row, p in zip(self.rows, self.pivots):
             f = (v >> p * w & mask) % q
             if f:
@@ -237,17 +272,7 @@ class _ModSpan:
 
     def add(self, vec) -> bool:
         """Insert an integer vector; True when it enlarges the span mod q."""
-        if self.rows:
-            return self.insert(self.pack(vec)) is not None
-        q = self.q  # nothing to reduce by: the residues are the row up to a scalar
-        v = [x % q for x in vec]
-        piv = next((j for j, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        inv = pow(v[piv], -1, q)
-        self.rows.append(_pack([x * inv % q for x in v], self.w))
-        self.pivots.append(piv)
-        return True
+        return self.insert(self.pack(vec)) is not None
 
     def insert(self, v: int):
         """Reduce a packed vector and insert it when it is not in the span:
@@ -255,10 +280,11 @@ class _ModSpan:
         v, shift = self._reduce(v)
         if shift is None:
             return None
-        q, mask, w = self.q, self.mask, self.w
-        inv = pow((v >> shift & mask) % q, -1, q)
-        entries = [(v >> s & mask) * inv % q for s in range(0, w * self.width, w)]
+        q, w = self.q, self.w
         piv = shift // w
+        slots = _slots(v, w, self.width)
+        inv = pow(slots[piv] % q, -1, q)
+        entries = [x * inv % q for x in slots]
         at = bisect(self.pivots, piv)
         self.rows.insert(at, _pack(entries, w))
         self.pivots.insert(at, piv)
@@ -268,11 +294,12 @@ class _ModSpan:
         """The reduced echelon form mod q, unpacked: from the last row up,
         each row is cleared at every later pivot (at most `width` steps per
         row, so the slots hold), then read off mod q."""
-        q, mask, w = self.q, self.mask, self.w
+        q, w = self.q, self.w
+        mask = (1 << w) - 1
         rows = list(self.rows)
         out = [None] * len(rows)
         for k in reversed(range(len(rows))):
-            out[k] = entries = [x % q for x in self.unpack(rows[k])]
+            out[k] = entries = [x % q for x in _slots(rows[k], w, self.width)]
             row, shift = _pack(entries, w), self.pivots[k] * w
             for j in range(k):
                 f = (rows[j] >> shift & mask) % q
@@ -681,12 +708,11 @@ def commuting_with_sum(summaries):
     With A = a/den_a and T = t/den_T, both a t and t a lie over
     den_a den_T, so A commutes with T exactly when row i of a t, packed as
     sum_k a_ik packed(t_k), equals row i of t a, packed as
-    sum_k t_ik packed(a_k), for every i.  Slots are of width
-    w = bits(max|a|) + bits(max|t|) + bits(rank) + 1, the first term over
-    all the matrices: every entry of a t and t a is at most
-    rank max|a| max|t| < 2^(w-1) in absolute value, where packing is
-    injective.  Rows where every matrix vanishes are zero on both sides and
-    are skipped."""
+    sum_k t_ik packed(a_k), for every i.  Every entry of a t and t a sums
+    rank products of an entry of a and one of t, so slots of width
+    `_width(bits(max|a|) + bits(max|t|), rank)` make packing injective, the
+    first term over all the matrices.  Rows where every matrix vanishes
+    are zero on both sides and are skipped."""
     rank = summaries[0].matrix.rows
     den = lcm(*[s.matrix.den for s in summaries])
     t_rows = {}  # row index -> row of t, wherever some matrix is nonzero
@@ -695,7 +721,7 @@ def commuting_with_sum(summaries):
         for i in nonzero:
             row = m.ints[i] if f == 1 else tuple(map(f.__mul__, m.ints[i]))
             t_rows[i] = tuple(map(add, t_rows[i], row)) if i in t_rows else row
-    w = max(s.bits for s in summaries) + _bits(t_rows.values()) + rank.bit_length() + 1
+    w = _width(max(s.bits for s in summaries) + _bits(t_rows.values()), rank)
     packed_t = [0] * rank
     for i, row in t_rows.items():
         packed_t[i] = _pack(row, w)
@@ -798,15 +824,14 @@ class Subspace:
         No product is built.  With basis = b/den, basis·X = m exactly when
         row i of b times the integer rows of m at the pivots, packed as
         sum_k b_ik packed(m_(p_k)), is den·packed(m_i) for every row i off
-        the pivots.  Every entry of either side is at most
-        dim·max|b|·max|m| in absolute value (den is an entry of b), so
-        slots of width bits(b) + bits(m) + bits(dim) + 1 make packing
-        injective (see `_pack`)."""
+        the pivots.  Every entry of either side sums at most dim products
+        of an entry of b and one of m (den is an entry of b), so slots of
+        width `_width(bits(b) + bits(m), dim)` make packing injective."""
         if m.rows != self.ambient_dim:
             raise PreconditionError("vector length does not match ambient dimension")
         if m.cols and self.dim < self.ambient_dim:
             b, ints, den = self.basis.ints, m.ints, self.basis.den
-            w = _bits(b) + _bits(ints) + self.dim.bit_length() + 1
+            w = _width(_bits(b) + _bits(ints), self.dim)
             packed = [_pack(ints[p], w) for p in self.pivots]
             pivot_set = set(self.pivots)
             for i, row in enumerate(b):

@@ -114,9 +114,7 @@ def check_integrability(system: PfaffianSystem) -> list:
     Each relation is decided on Kronecker-packed integer rows by
     `exactcore.commuting_with_sum`: with A = a/den_a and T = t/den_T, row i
     of a t packs as sum_k a_ik packed(t_k) and row i of t a as
-    sum_k t_ik packed(a_k), in slots of width
-    w = bits(max|a|) + bits(max|t|) + bits(rank) + 1.  Every entry of both
-    products lies strictly between -2^(w-1) and 2^(w-1), where packing is
+    sum_k t_ik packed(a_k), in slots of `exactcore._width`, where packing is
     injective, so the packed integers agree exactly when the rows do, and no
     product matrix is built.  Only a failing member's commutator A T - T A
     is computed, as its witness.

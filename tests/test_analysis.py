@@ -412,6 +412,57 @@ def test_closure_test_needs_the_identity_and_every_generator():
     assert _closed_subspace(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)), 1, gens[:1]).dim == 3
 
 
+def _flat(m):
+    return [x for row in m.data for x in row]
+
+
+def _in_span(span_rows, vecs) -> bool:
+    rank = ExactMatrix(span_rows).rank()
+    return all(ExactMatrix(span_rows + [v]).rank() == rank for v in vecs)
+
+
+def _word_algebra(gens, d):
+    """The reduced echelon form of the span of all words in the generators,
+    found over Fractions by ranks."""
+    words = frontier = [ExactMatrix.identity(d)]
+    while frontier:
+        new = []
+        for m in frontier:
+            for g in gens:
+                w = m * g
+                if not _in_span([_flat(u) for u in words], [_flat(w)]):
+                    words, new = words + [w], new + [w]
+        frontier = new
+    return ExactMatrix([_flat(w) for w in words]).rref()[0]
+
+
+def test_closed_subspace_at_extreme_entries():
+    # generators with entries +-(2^b - 1) and a zero lower-left block,
+    # plain or conjugated by a unimodular matrix: the algebra of their words
+    # is closed, and without one of its rows it is closed only by chance;
+    # every verdict is checked by ranks over Fractions
+    rng = random.Random(17)
+    verdicts = set()
+    for t in range(16):
+        d, b = 2 + t % 2, rng.choice((1, 5, 31, 64))
+        k, top = rng.randint(1, d - 1), 2**b - 1
+        gens = [ExactMatrix([[0 if i >= k > j else rng.choice((top, -top, top, 1, -1, 0))
+                              for j in range(d)] for i in range(d)]) for _ in range(2)]
+        if t % 4 > 1:
+            c = ExactMatrix([[int(i == j) + (i == 0 < j) * top for j in range(d)] for i in range(d)])
+            gens = [c * g * inverse(c) for g in gens]
+        algebra = _word_algebra(gens, d)
+        for drop in [None, *range(algebra.rows)]:
+            sub = [row for i, row in enumerate(algebra.data) if i != drop]
+            products = [_flat(ExactMatrix([row[a * d:a * d + d] for a in range(d)]) * g)
+                        for row in sub for g in gens]
+            want = _in_span(sub, [_flat(ExactMatrix.identity(d))] + products)
+            m = ExactMatrix(sub)
+            assert (_closed_subspace(m.ints, m.den, [g.ints for g in gens]) is not None) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_conjugated_block_triangular_12x12_pair_is_decided_by_the_lift(monkeypatch):
     # the reduced echelon form of this algebra has small entries, yet too
     # large for P alone: the spins at P and at the next prime, combined,

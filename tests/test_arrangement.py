@@ -20,6 +20,7 @@ from mcvlie.arrangement import (
     split_parallel,
     y_closure,
 )
+from mcvlie import exactcore
 from mcvlie.errors import InputError, PreconditionError
 from mcvlie.exactcore import P, ExactMatrix
 
@@ -235,6 +236,35 @@ def test_flat_search_matches_probe_oracle_on_large_and_multiple_of_p_entries():
         ("X", "PY", "XPY"), ("X", "D"), ("X", "TWO", "E"), ("PY", "D"), ("PY", "E"),
         ("D", "XPY"), ("D", "TWO"), ("D", "E"), ("XPY", "TWO"), ("XPY", "E"),
     ]
+
+
+def test_flat_search_at_extreme_entries_and_any_wider_slots(monkeypatch):
+    # rows with entries +-(2^b - 1), 0 and +-1, so restrictions and their
+    # multiples by a lead reach the slot bound with either sign; the
+    # families are the probe oracle's at the width rule's slots and at
+    # wider ones, since the width only changes the bucket keys
+    rng = random.Random(63)
+    corpus = []
+    for k in range(60):
+        dim, top = 2 + k % 3, 2 ** rng.choice((1, 7, 31, 62)) - 1
+        rows = [[rng.choice((top, -top, top, -top, 0, 1, -1)) for _ in range(dim + 1)]
+                for _ in range(rng.randint(3, 6))]
+        rows.append([x - y for x, y in zip(rows[-1], rows[-2])])  # through their flat
+        planes = {}
+        for row in rows:
+            if any(row[:-1]):
+                h = canonicalize(f"H{len(planes) + 1}", row[:-1], row[-1])
+                planes.setdefault(h.key, h)
+        corpus.append(Arrangement(dim, list(planes.values())))
+    expected = [_probe_flats(arr) for arr in corpus]
+    assert sum(len(f.family) > 2 for flats in expected for f in flats) > 20
+    for extra in (0, 1, 5):
+        monkeypatch.setattr(
+            "mcvlie.arrangement._width",
+            lambda bits, terms, extra=extra: exactcore._width(bits, terms) + extra,
+        )
+        for arr, flats in zip(corpus, expected):
+            assert codim2_flats(Arrangement(arr.dim, arr.hyperplanes)) == flats
 
 
 def test_flat_search_does_not_trust_colliding_keys(monkeypatch):

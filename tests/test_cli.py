@@ -174,6 +174,26 @@ def test_golden_closure_output_file():
     assert len(json.loads(golden)["hyperplanes"]) == 15
 
 
+def test_golden_analyze_output_file():
+    # a reducible pair: the spin, the lift and the closed-subspace test
+    code, out, _ = run_cli("analyze", "--input", str(DATA / "analyze_reducible.json"))
+    assert code == 0
+    golden = (DATA / "golden_analyze_reducible.json").read_text(encoding="utf-8")
+    assert out == golden
+    assert json.loads(golden)["irreducible"] is False
+
+
+def test_golden_compose_check_output_file():
+    code, out, _ = run_cli(
+        "compose-check", "--lambda", "1/2", "--mu", "1/3",
+        "--input", str(DATA / "compose_generic.json"),
+    )
+    assert code == 0
+    golden = (DATA / "golden_compose_generic.json").read_text(encoding="utf-8")
+    assert out == golden
+    assert json.loads(golden)["isomorphic"] is True
+
+
 def test_text_format_renders_grid():
     code, out, _ = run_cli(
         "mc",

@@ -23,6 +23,8 @@ from mcvlie.exactcore import (
     inverse,
     matrix_to_json,
     _ModSpan,
+    _pack,
+    _slots,
     rat,
 )
 
@@ -408,7 +410,7 @@ def _echelon_rows(span):
     """The span's echelon rows, unpacked, each checked to hold its pivot
     entry 1 after zeros and only residues in [0, P)."""
     assert span.pivots == sorted(set(span.pivots))
-    rows = [span.unpack(row) for row in span.rows]
+    rows = [_slots(row, span.w, span.width) for row in span.rows]
     for row, p in zip(rows, span.pivots):
         assert row[:p] == [0] * p and row[p] == 1
         assert all(type(x) is int and 0 <= x < P for x in row)
@@ -502,6 +504,46 @@ def test_packed_span_matches_the_list_span_at_slot_boundaries():
         _assert_same_span(span, ref)
 
 
+def _ref_reduced(rows):
+    """The reduced echelon form mod P of echelon rows with pivot entry 1."""
+    out = [row[:] for row in rows]
+    for k in reversed(range(len(out))):
+        p = next(j for j, x in enumerate(out[k]) if x)
+        for j in range(k):
+            f = out[j][p]
+            out[j] = [(x - f * y) % P for x, y in zip(out[j], out[k])]
+    return out
+
+
+def test_long_rows_match_the_list_span():
+    # rows longer than the 32 entries `_pack` sums one by one are packed by
+    # halves; entries P - 1 (the largest residue), 2P - 1 (which reduces to
+    # it) and negative ones, whose residues fill the slots
+    rng = random.Random(577)
+    for width in (33, 64, 577):
+        span, ref = _ModSpan(width), RefModSpan()
+        for vec in ([P - 1] * width, [2 * P - 1] * width, [-1] * width,
+                    [-P - 1] + [1] * (width - 1), [0] * (width - 1) + [2 * P - 1]):
+            assert span.add(vec) == ref.add(vec)
+            _assert_same_span(span, ref)
+        # a staircase with a vector that each of its rows reduces
+        count = min(width - 1, 40)
+        for row in _staircase(width, count):
+            assert span.add(row) == ref.add(row)
+        vec = [(1 - k) % P for k in range(count)] + [P - 1] * (width - count)
+        assert span.add(vec) == ref.add(vec)
+        _assert_same_span(span, ref)
+        for _ in range(4):
+            vec = [rng.choice((0, 1, -1, P - 1, 2 * P - 1, -P, 1 - 3 * P, -(10**12)))
+                   for _ in range(width)]
+            assert span.add(vec) == ref.add(vec)
+        _assert_same_span(span, ref)
+        # an integer combination of the rows read so far lies in the span
+        mix = [sum(c * x for c, x in zip((3, -2, P + 1), col)) for col in zip(*ref.unpacked()[-3:])]
+        assert span.holds(mix) and not span.add(mix) and not ref.add(mix)
+        assert span.reduced() == _ref_reduced(ref.unpacked())
+
+
 def test_a_slot_one_bit_narrower_would_carry_into_the_next():
     # a span of width 5 for products of two residues summed twice (terms
     # 2, as the spin's at d = 2) takes slots below 2P^2.  After the three
@@ -518,10 +560,9 @@ def test_a_slot_one_bit_narrower_would_carry_into_the_next():
         span = _ModSpan(5, 2)
         assert span.w == 63 and max(slots) < 2 * P * P
         span.w -= narrower
-        span.mask >>= narrower
         for row in _staircase(5, 3):
             span.add(row)
-        rows.append(span.insert(sum(x << (span.w * j) for j, x in enumerate(slots))))
+        rows.append(span.insert(_pack(slots, span.w)))
     assert rows[0] == ref.unpacked()[3] == [0, 0, 0, 1, 2]
     assert rows[1] != rows[0]
 

@@ -2,15 +2,18 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
+from mcvlie import exactcore
 from mcvlie.errors import PreconditionError
 from mcvlie.exactcore import (
     ExactMatrix,
     _bits,
     _pack,
     _packed_dot,
+    _width,
     InvarianceError,
     Poly,
     PolyMatrix,
@@ -82,6 +85,41 @@ def test_pack_collides_past_the_slot_bound():
     assert _pack((half - 1, 0), w) != _pack((-(half - 1), 1), w)
 
 
+def _extreme_sum(b1, b2, terms):
+    """The largest sum of `terms` products of a b1-bit and a b2-bit factor."""
+    return terms * (2**b1 - 1) * (2**b2 - 1)
+
+
+def test_width_holds_the_extreme_signed_sums():
+    # rows of +-top, the largest sums the rule admits, next to small
+    # negative entries that borrow from the slot above, round-trip
+    for b1, b2 in ((1, 1), (3, 5), (20, 7), (64, 64)):
+        for terms in (1, 2, 3, 4, 7, 8, 15, 100):
+            top = _extreme_sum(b1, b2, terms)
+            w = _width(b1 + b2, terms)
+            assert top < 2 ** (w - 1)
+            for row in itertools.product((-top, -1, 0, 1, top), repeat=3):
+                packed = _pack(row, w)
+                assert exactcore._unpack(packed, w, 3) == list(row) == list(_unpack(packed, w, 3))
+
+
+def test_width_one_bit_narrower_collides_at_the_tight_terms():
+    # at terms = 2^k - 1 (k >= 2, factors of 3 bits or more) the extreme sum
+    # reaches 2^(w-2): in slots one bit narrower it packs as the row with
+    # that entry less 2^(w-1) and a carry of 1, also a row of such sums
+    for b1, b2 in ((3, 3), (4, 9), (30, 31)):
+        for k in (2, 3, 5, 8):
+            top = _extreme_sum(b1, b2, 2**k - 1)
+            w = _width(b1 + b2, 2**k - 1)
+            narrow = w - 1
+            other = (top - 2**narrow, 1)
+            assert top >= 2 ** (narrow - 1) and abs(other[0]) <= top
+            assert _pack((top, 0), narrow) == _pack(other, narrow)
+            assert _pack((-top, 0), narrow) == _pack((-other[0], -1), narrow)
+            assert _pack((top, 0), w) != _pack(other, w)
+            assert exactcore._unpack(_pack((top, 0), w), w, 2) == [top, 0]
+
+
 def test_pack_tells_rows_apart_in_the_top_slot():
     rng = random.Random(12)
     w = 9
@@ -150,6 +188,57 @@ def test_commuting_with_sum_matches_the_products():
         want = [m * total == total * m for m in mats]
         assert list(commuting_with_sum([RowSummary.of(m) for m in mats])) == want
         verdicts.update(want)
+    assert verdicts == {True, False}
+
+
+def _extreme_matrix(rng, r, c, b):
+    """Entries +-(2^b - 1), 0 and +-1, the extremes most often."""
+    top = 2**b - 1
+    return ExactMatrix([[rng.choice((top, -top, top, -top, 0, 1, -1)) for _ in range(c)]
+                        for _ in range(r)])
+
+
+def test_commuting_with_sum_at_extreme_entries():
+    # members with entries +-(2^b - 1), whose products reach the bound of
+    # the slot width with either sign, checked against the products
+    rng = random.Random(15)
+    verdicts = set()
+    for _ in range(150):
+        d, n, b = rng.randint(2, 4), rng.randint(1, 3), rng.choice((1, 4, 31, 64))
+        base = _extreme_matrix(rng, d, d, b)
+        mats = [base.scale(rng.choice((1, -1))) if rng.random() < 0.4
+                else _extreme_matrix(rng, d, d, b) for _ in range(n)]
+        total = mats[0]
+        for m in mats[1:]:
+            total = total + m
+        want = [m * total == total * m for m in mats]
+        assert list(commuting_with_sum([RowSummary.of(m) for m in mats])) == want
+        verdicts.update(want)
+    assert verdicts == {True, False}
+
+
+def test_coordinates_at_extreme_entries():
+    # a basis and vectors with entries +-(2^b - 1): sums of basis columns
+    # lie in the span, others mostly do not, checked against the rank
+    rng = random.Random(16)
+    verdicts = set()
+    for _ in range(150):
+        n, b = rng.randint(2, 5), rng.choice((1, 4, 31, 64))
+        cols = _extreme_matrix(rng, rng.randint(1, n - 1), n, b).ints
+        span = Subspace(n, columns=cols)
+        for _ in range(3):
+            if rng.random() < 0.5:
+                signs = [rng.choice((1, -1)) for _ in cols]
+                vec = [sum(map(mul, signs, row)) for row in zip(*cols)]
+            else:
+                vec = _extreme_matrix(rng, 1, n, b).data[0]
+            col = ExactMatrix.from_cols([vec], n)
+            x = span.coordinates(col)
+            inside = ExactMatrix.hstack([span.basis, col]).rank() == span.dim
+            assert (x is not None) == inside
+            if inside:
+                assert span.basis * x == col
+            verdicts.add(inside)
     assert verdicts == {True, False}
 
 
