@@ -421,12 +421,12 @@ def composition_harness(mats, lam, mu) -> CompositionReport:
         )
     n = len(mats)
     mid_mu = dr_middle_convolution(mats, mu)
-    mid_lm = dr_middle_convolution(mid_mu.matrices, lam)
+    mid_lm = dr_middle_convolution(mid_mu.matrices.values(), lam)
     mid_sum = dr_middle_convolution(mats, lam + mu)
     phi = phi_compose(mats, mu)
     src_proj = mid_lm.projection * _block_diag(mid_mu.projection, n)
     phibar = induce_on_quotients(phi, src_proj, mid_sum.projection)
-    compose_iso = _iso(phibar, mid_lm.matrices, mid_sum.matrices)
+    compose_iso = _iso(phibar, mid_lm.matrices.values(), mid_sum.matrices.values())
     identity_iso = None
     if lam + mu == 0 and compose_iso.verdict == "isomorphic":
         # the level-0 comparison map takes the middle convolution at 0 back
@@ -434,7 +434,7 @@ def composition_harness(mats, lam, mu) -> CompositionReport:
         psi = induce_on_quotients(
             phi_zero(mats), mid_sum.projection, ExactMatrix.identity(mats[0].rows)
         )
-        identity_iso = _iso(psi * phibar, mid_lm.matrices, mats)
+        identity_iso = _iso(psi * phibar, mid_lm.matrices.values(), mats)
     return CompositionReport(
         applicable=True,
         stars=stars,

@@ -1,22 +1,19 @@
-"""Additive convolution and middle convolution of residue tuples, in two
-flavours: the one-variable block construction on a plain matrix tuple, and
-the arrangement version along a line, which enlarges a Pfaffian system to
-its Y-closure.
-
-Both share the same skeleton: the convolution multiplies the rank by the
-number of (transverse) hyperplanes, and the transverse block rows of the
-arrangement version are the tuple construction; both middle convolutions
-quotient, through one routine, by the kernel-block subspace and the joint
-kernel of the convolved generators.
+"""Additive convolution and middle convolution of a Pfaffian system along a
+line, which enlarges the system to its Y-closure.  A matrix tuple A_1, ...,
+A_n is the system on the n points x = 0, ..., n - 1 of Q^1, the
+Dettweiler–Reiter case.  The transverse block rows of the convolution are
+the one-variable tuple construction, and every middle convolution is one
+quotient of a `ConvolvedSystem`, by the kernel-block subspace and the joint
+kernel of the convolved transverse matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import Arrangement, Line, codim2_flats, split_parallel, y_closure
-from .errors import InputError, InternalInvariantError, PreconditionError
+from .arrangement import Arrangement, Line, canonicalize, codim2_flats, split_parallel, y_closure
+from .errors import InternalInvariantError, PreconditionError
 from .exactcore import (
     ExactMatrix,
     Subspace,
@@ -119,19 +116,17 @@ class ConvolvedSystem:
 
 @dataclass
 class MiddleConvolvedSystem:
-    """Quotient of a convolution by k + l, with the induced matrices."""
+    """Quotient of a convolution by k + l, with the induced matrix of each id."""
 
-    conv: object  # ConvolvedSystem, or None for a plain matrix tuple
+    conv: ConvolvedSystem
     k_space: Subspace
     l_space: Subspace
     projection: ExactMatrix
-    matrices: object  # list (tuple flavour) or dict (arrangement flavour)
+    matrices: dict
     dim: int
     direct_sum: bool
 
     def to_json(self):
-        if not isinstance(self.conv, ConvolvedSystem):
-            raise InputError("only arrangement-flavoured results serialize")
         return {
             "closure": self.conv.closure.to_json(),
             "lambda": rat_str(self.conv.lam),
@@ -144,16 +139,17 @@ class MiddleConvolvedSystem:
         }
 
 
-def _middle(conv, generators, labels, residues, lam) -> MiddleConvolvedSystem:
-    """Quotient of a convolution by K + L (see `dr_k_l`, on the residues
-    whose kernels make up K), after verifying that every convolved
-    generator leaves K and L invariant; a failure names the generator by
-    its label (a 1-based index, or a hyperplane id).  The induced matrices come back as a list, in the order of
-    `generators`."""
-    k, l = dr_k_l(residues, lam)
-    for label, m in zip(labels, generators):
-        k.restrict(m, "kernel-block space K", label)
-        l.restrict(m, "joint kernel L", label)
+def _middle(conv: ConvolvedSystem) -> MiddleConvolvedSystem:
+    """Quotient of a convolution by K + L (see `dr_k_l`, on the transverse
+    residues, whose kernels make up K), after verifying that every convolved
+    matrix leaves K and L invariant; a failure names the matrix by its
+    hyperplane id."""
+    k, l = dr_k_l([conv.base.residue(h) for h in conv.order], conv.lam)
+    ids = conv.closure.ids()
+    generators = [conv.matrices[h] for h in ids]
+    for h, m in zip(ids, generators):
+        k.restrict(m, "kernel-block space K", h)
+        l.restrict(m, "joint kernel L", h)
     w = subspace_sum(k, l)
     proj, qdim, induced = quotient_all(generators, w)
     return MiddleConvolvedSystem(
@@ -161,23 +157,29 @@ def _middle(conv, generators, labels, residues, lam) -> MiddleConvolvedSystem:
         k_space=k,
         l_space=l,
         projection=proj,
-        matrices=induced,
+        matrices=dict(zip(ids, induced)),
         dim=qdim,
         direct_sum=k.dim + l.dim == w.dim,
     )
 
 
 def dr_middle_convolution(mats, lam) -> MiddleConvolvedSystem:
-    """Middle convolution of a matrix tuple: convolve, verify that k and l
-    are invariant (they must be), and pass to the quotient by k + l."""
+    """Middle convolution of a matrix tuple A_1, ..., A_n: the system with
+    residue A_i at the point x = i - 1 of Q^1, id "i", convolved along Q^1.
+    A line has no codimension-2 flats, so the Y-closure is the input, both
+    integrability certificates of `haraoka_convolution` are empty, and the
+    convolution is `dr_convolution` in id order."""
     mats = _square_tuple(mats)
     lam = rat(lam)
-    conv = dr_convolution(mats, lam)
-    return _middle(None, conv, range(1, len(mats) + 1), mats, lam)
+    points = Arrangement(1, [canonicalize(str(i + 1), (1,), -i) for i in range(len(mats))])
+    ids = points.ids()
+    system = PfaffianSystem(points, mats[0].rows, dict(zip(ids, mats)))
+    conv = dict(zip(ids, dr_convolution(mats, lam)))
+    return _middle(ConvolvedSystem(base=system, lam=lam, order=ids, closure=points, matrices=conv))
 
 
 # ---------------------------------------------------------------------------
-# Arrangement flavour
+# Convolution along a line
 
 
 def haraoka_convolution(system: PfaffianSystem, line: Line, lam) -> ConvolvedSystem:
@@ -240,24 +242,11 @@ def haraoka_convolution(system: PfaffianSystem, line: Line, lam) -> ConvolvedSys
     return out
 
 
-def haraoka_middle_convolution(
-    system: PfaffianSystem, line: Line, lam
-) -> MiddleConvolvedSystem:
-    """Middle convolution along a line: quotient the convolution by K + L,
-    where K stacks the kernels of the original transverse residues and L is
-    the joint kernel of the convolved transverse matrices.  Invariance of K
-    and L under every convolved matrix is verified and a failure carries an
-    exact witness."""
-    conv = haraoka_convolution(system, line, lam)
-    ids = conv.closure.ids()
-    mid = _middle(
-        conv,
-        [conv.matrices[hid] for hid in ids],
-        ids,
-        [system.residue(hid) for hid in conv.order],
-        conv.lam,
-    )
-    return replace(mid, matrices=dict(zip(ids, mid.matrices)))
+def haraoka_middle_convolution(system: PfaffianSystem, line: Line, lam) -> MiddleConvolvedSystem:
+    """Middle convolution along a line: the quotient of the convolution by
+    K + L, after `_middle` has verified that every convolved matrix leaves
+    them invariant (a failure carries an exact witness)."""
+    return _middle(haraoka_convolution(system, line, lam))
 
 
 # ---------------------------------------------------------------------------

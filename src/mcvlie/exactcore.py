@@ -153,8 +153,8 @@ def _width(bits: int, terms: int) -> int:
     return bits + terms.bit_length() + 1
 
 
-# the longest row `_pack` sums entry by entry (a quadratic cost that is
-# smaller than the recursion's overhead below about 32 entries)
+# the longest row `_pack` and `_slots` take entry by entry (a quadratic
+# cost, smaller than the recursion's overhead below about 32 entries)
 _PACK_RUN = 32
 
 
@@ -174,7 +174,10 @@ def _pack(row, w: int) -> int:
 def _slots(v: int, w: int, count: int) -> list:
     """The first `count` slots of width w of a nonnegative packed integer,
     as they stand: the entries of a packed row whose entries lie in
-    [0, 2^w)."""
+    [0, 2^w), read by halves as `_pack` packs."""
+    if count > _PACK_RUN:
+        h = count // 2
+        return _slots(v & (1 << w * h) - 1, w, h) + _slots(v >> w * h, w, count - h)
     mask = (1 << w) - 1
     return [v >> s & mask for s in range(0, w * count, w)]
 

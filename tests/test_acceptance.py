@@ -218,7 +218,7 @@ def test_criterion_04_mc0_identity():
         mid = dr_middle_convolution(mats, 0)
         ind = induce_on_quotients(phi_zero(mats), mid.projection, ExactMatrix.identity(d))
         ok = ok and mid.dim == d and ind.is_invertible()
-        ok = ok and all(ind * b == a * ind for b, a in zip(mid.matrices, mats))
+        ok = ok and all(ind * b == a * ind for b, a in zip(mid.matrices.values(), mats))
     _report(4, "middle convolution at 0 is the identity on generic inputs (50 random)", ok)
 
 
@@ -267,7 +267,7 @@ def test_criterion_06_irreducibility_preserved():
     for mats in instances:
         lam = rng.choice(PARAMS)
         mid = dr_middle_convolution(mats, lam)
-        ok = ok and mid.dim >= 1 and is_irreducible(mid.matrices)
+        ok = ok and mid.dim >= 1 and is_irreducible(mid.matrices.values())
     _report(6, "middle convolution preserves irreducibility (same instance set)", ok)
 
 

@@ -26,6 +26,7 @@ from mcvlie.exactcore import (
     ExactMatrix,
     Poly,
     PolyMatrix,
+    _bits,
     _prime_below,
     _reconstruct,
     inverse,
@@ -463,6 +464,21 @@ def test_closed_subspace_at_extreme_entries():
     assert verdicts == {True, False}
 
 
+def test_closed_subspace_needs_every_bit_of_its_width():
+    # S = span(I, g, g^2) is closed under g (Cayley-Hamilton).  Its echelon
+    # rows are below 2^9 and g's entries below 2^3, so an entry of b·g sums
+    # d = 3 products below 2^12 and the width is 12 + bits(3) + 1 = 15.
+    # One entry reaches 2^13: one bit narrower it unpacks as that entry
+    # less 2^14, a matrix outside S, and S would fail its closure test.
+    g = ExactMatrix([[-1, 2, 7], [3, 6, -7], [7, -7, 7]])
+    s = ExactMatrix([_flat(w) for w in (ExactMatrix.identity(3), g, g * g)]).rref()[0]
+    assert (_bits(s.ints), _bits(g.ints)) == (9, 3)
+    products = [ExactMatrix([row[a * 3:a * 3 + 3] for a in range(3)]) * g for row in s.ints]
+    assert max(abs(x) for p in products for x in _flat(p)) >= 2**13
+    closed = _closed_subspace(s.ints, s.den, [g.ints])
+    assert closed is not None and closed.dim == 3
+
+
 def test_conjugated_block_triangular_12x12_pair_is_decided_by_the_lift(monkeypatch):
     # the reduced echelon form of this algebra has small entries, yet too
     # large for P alone: the spins at P and at the next prime, combined,
@@ -605,7 +621,7 @@ def test_irreducibility_preserved_by_middle_convolution():
         lam = rng.choice(lams)
         mid = dr_middle_convolution(mats, lam)
         assert mid.dim >= 1
-        assert is_irreducible(mid.matrices)
+        assert is_irreducible(mid.matrices.values())
         found += 1
 
 
@@ -807,11 +823,12 @@ def test_harness_certificates_agree_with_the_oracle():
         report = composition_harness(mats, lam, mu)
         if not report.applicable:
             continue
-        mid_lm = dr_middle_convolution(dr_middle_convolution(mats, mu).matrices, lam)
+        mid_lm = dr_middle_convolution(dr_middle_convolution(mats, mu).matrices.values(), lam)
         mid_sum = dr_middle_convolution(mats, lam + mu)
-        pairs = [(are_isomorphic(mid_lm.matrices, mid_sum.matrices), report.compose_iso)]
+        induced_lm = mid_lm.matrices.values()
+        pairs = [(are_isomorphic(induced_lm, mid_sum.matrices.values()), report.compose_iso)]
         if lam + mu == 0:
-            pairs.append((are_isomorphic(mid_lm.matrices, mats), report.identity_iso))
+            pairs.append((are_isomorphic(induced_lm, mats), report.identity_iso))
         for oracle, certificate in pairs:
             if oracle.verdict == "unknown":
                 unknown += 1

@@ -267,6 +267,31 @@ def test_flat_search_at_extreme_entries_and_any_wider_slots(monkeypatch):
             assert codim2_flats(Arrangement(arr.dim, arr.hyperplanes)) == flats
 
 
+def test_flat_search_at_the_first_width_that_collides(monkeypatch):
+    # With a = H1's row and c = 0, the restrictions R2, R3 of H2, H3 to H1
+    # have leads l2, l3 in slot 1, and l3·R2 - l2·R3 = -a_0·(0, 0, F_2, F_3)
+    # where F_q is the minor of the three rows on columns 0, 1, q
+    # (Sylvester's identity).  Here F = (-256, 1) up to sign: at width 8 the
+    # 256 carries into slot 3 and cancels the 1, and the two flats through
+    # H1 merge.  The minors are below 6·2^(3m) while the rule gives 4m + 4
+    # bits (16 for m = 3), so no width one bit, or a few bits, below the
+    # rule can merge two flats, and every width from 9 up is exact here.
+    rows = ((6, -6, 2, -5), (1, 7, 3, 3), (4, 5, -1, 1))
+    arr = Arrangement(3, [canonicalize(f"H{i}", r[:3], r[3]) for i, r in enumerate(rows, 1)])
+    assert [h.form.ints[0] for h in arr] == list(rows)
+    minor = ExactMatrix([r[:3] for r in rows]).det()
+    offset_minor = ExactMatrix([r[:2] + r[3:] for r in rows]).det()
+    assert minor == -256 * offset_minor and abs(offset_minor) == 1
+    want = _probe_flats(arr)
+    assert [f.family for f in want] == [("H1", "H2"), ("H1", "H3"), ("H2", "H3")]
+    assert codim2_flats(Arrangement(3, arr.hyperplanes)) == want
+    assert exactcore._width(4 * 3 + 2, 1) == 16
+    for w in range(8, 17):
+        monkeypatch.setattr("mcvlie.arrangement._width", lambda bits, terms, w=w: w)
+        got = [f.family for f in codim2_flats(Arrangement(3, arr.hyperplanes))]
+        assert got == ([("H1", "H2", "H3")] if w == 8 else [f.family for f in want])
+
+
 def test_flat_search_does_not_trust_colliding_keys(monkeypatch):
     """With the bucket modulus 2 almost every key collides, and a lead is
     even half of the time: the exact comparison alone separates the flats."""

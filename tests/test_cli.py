@@ -194,6 +194,20 @@ def test_golden_compose_check_output_file():
     assert json.loads(golden)["isomorphic"] is True
 
 
+def test_golden_compose_check_inverse_levels_output_file():
+    # lam + mu = 0: the composite is also compared with the input itself
+    code, out, _ = run_cli(
+        "compose-check", "--lambda", "1/2", "--mu", "-1/2",
+        "--input", str(DATA / "compose_generic.json"),
+    )
+    assert code == 0
+    golden = (DATA / "golden_compose_inverse.json").read_text(encoding="utf-8")
+    assert out == golden
+    doc = json.loads(golden)
+    assert doc["applicable"] and doc["dims"] == [6, 2, 2]
+    assert doc["identity_iso"]["verdict"] == "isomorphic"
+
+
 def test_text_format_renders_grid():
     code, out, _ = run_cli(
         "mc",

@@ -34,7 +34,9 @@ from mcvlie.exactcore import (
     Subspace,
     inverse,
     kernel,
+    quotient_all,
     right_inverse,
+    subspace_sum,
 )
 from mcvlie.holonomy import PfaffianSystem, residue_sum, zero_extend
 
@@ -243,7 +245,7 @@ def test_mc_rank_one_generic_dims():
     assert mid.dim == 2
     assert mid.direct_sum
     assert len(mid.matrices) == 2
-    assert all(m.rows == 2 for m in mid.matrices)
+    assert all(m.rows == 2 for m in mid.matrices.values())
 
 
 def test_mc_lambda_zero_recovers_input():
@@ -256,7 +258,7 @@ def test_mc_lambda_zero_recovers_input():
     )
     assert induced.is_invertible()
     # the induced map intertwines the quotient matrices with the originals
-    for mbar, a in zip(mid.matrices, mats):
+    for mbar, a in zip(mid.matrices.values(), mats):
         assert induced * mbar == a * induced
 
 
@@ -362,7 +364,14 @@ def test_phi_compose_level_is_forced():
     assert any(wrong * outer[k] != target[k] * wrong for k in range(2))
 
 
-# -- arrangement flavour -----------------------------------------------------------
+# -- convolution along a line -----------------------------------------------------
+
+
+def _points(mats):
+    """The tuple as the system on the points x = 0, ..., n - 1 of Q^1,
+    with ids "1"..."n"."""
+    arr = Arrangement(1, [canonicalize(str(k + 1), (1,), -k) for k in range(len(mats))])
+    return PfaffianSystem(arr, mats[0].rows, dict(zip(arr.ids(), mats)))
 
 
 def test_haraoka_matches_dr_in_one_variable():
@@ -373,12 +382,10 @@ def test_haraoka_matches_dr_in_one_variable():
     noncommuting = 0
     for _ in range(8):
         n, d = rng.randint(1, 4), rng.randint(1, 3)
-        planes = [canonicalize(f"P{k}", (1,), -F(k)) for k in range(n)]
-        arr = Arrangement(1, planes)
-        mats = {h.id: rand_matrix(rng, d) for h in arr}
-        residues = [mats[h.id] for h in arr]
+        residues = [rand_matrix(rng, d) for _ in range(n)]
         noncommuting += any(a * b != b * a for a in residues for b in residues)
-        system = PfaffianSystem(arr, d, mats)
+        system = _points(residues)
+        arr = system.arrangement
         lam = F(rng.randint(-2, 2), rng.randint(1, 3))
         conv = haraoka_convolution(system, Line.of((1,)), lam)
         assert conv.closure == arr
@@ -386,14 +393,85 @@ def test_haraoka_matches_dr_in_one_variable():
         drc = dr_convolution(residues, lam)
         for i, h in enumerate(arr):
             assert conv.matrices[h.id] == drc[i]
-        mid = haraoka_middle_convolution(system, Line.of((1,)), lam)
         mid_dr = dr_middle_convolution(residues, lam)
+        assert conv.closure == mid_dr.conv.closure
+        assert conv.order == mid_dr.conv.order
+        assert list(conv.matrices.items()) == list(mid_dr.conv.matrices.items())
+        mid = haraoka_middle_convolution(system, Line.of((1,)), lam)
         assert (mid.dim, mid.k_space.dim, mid.l_space.dim) == (
             mid_dr.dim, mid_dr.k_space.dim, mid_dr.l_space.dim
         )
         assert mid.projection == mid_dr.projection
-        assert [mid.matrices[h] for h in conv.order] == mid_dr.matrices
+        assert list(mid.matrices.items()) == list(mid_dr.matrices.items())
+        assert mid.to_json() == mid_dr.to_json()
     assert noncommuting >= 4
+
+
+def _listed_middle(mats, lam):
+    """Reference: the quotient of the tuple convolution by K + L, computed on
+    the list of convolved generators and labelled by 1-based position."""
+    conv = dr_convolution(mats, lam)
+    k, l = dr_k_l(mats, lam)
+    for i, m in enumerate(conv, 1):
+        k.restrict(m, "kernel-block space K", i)
+        l.restrict(m, "joint kernel L", i)
+    w = subspace_sum(k, l)
+    proj, qdim, induced = quotient_all(conv, w)
+    return qdim, k.dim, l.dim, k.dim + l.dim == w.dim, proj, induced
+
+
+def test_tuple_middle_convolution_is_the_listed_quotient():
+    rng = random.Random(2424)
+    lams = [F(0), F(0), F(1, 2), F(-1, 3), F(2), F(-2, 5)]
+    proper = 0
+    for t in range(80):
+        n, d = 1 + t % 4, rng.randint(0, 3)
+        if rng.random() < 0.3:  # diagonal entries: kernels and sums that are singular
+            mats = [ExactMatrix([[rng.choice((-1, 0, 0, 1)) if i == j else 0 for j in range(d)]
+                                 for i in range(d)], shape=(d, d)) for _ in range(n)]
+        else:
+            mats = [ExactMatrix([[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(d)]
+                                 for _ in range(d)], shape=(d, d)) for _ in range(n)]
+        lam = rng.choice(lams)
+        mid = dr_middle_convolution(mats, lam)
+        qdim, k_dim, l_dim, direct, proj, induced = _listed_middle(mats, lam)
+        assert (mid.dim, mid.k_space.dim, mid.l_space.dim) == (qdim, k_dim, l_dim)
+        assert mid.direct_sum == direct
+        assert mid.projection == proj
+        assert list(mid.matrices) == [str(i) for i in range(1, n + 1)]
+        assert list(mid.matrices.values()) == induced
+        proper += 0 < mid.dim < n * d
+    assert proper >= 20
+
+
+def test_tuple_path_enters_no_arrangement_or_holonomy_code(monkeypatch):
+    # a tuple is a system on points of Q^1, where the flat search, the
+    # Y-closure and the integrability certificate have nothing to do: the
+    # tuple commands must not run them, wherever they are imported
+    import mcvlie
+    from mcvlie import analysis, arrangement, cli, convolution, holonomy
+    from mcvlie.analysis import composition_harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tuple path entered arrangement or holonomy code")
+
+    names = ("y_closure", "codim2_flats", "check_integrability", "zero_extend")
+    patched = 0
+    for module in (mcvlie, analysis, arrangement, cli, convolution, holonomy):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+                patched += 1
+    monkeypatch.setattr(arrangement.Hyperplane, "contains_flat", refuse)
+    assert patched >= 9
+    rng = random.Random(31)
+    for n, d in ((1, 2), (2, 1), (3, 2), (4, 1)):
+        mats = [rand_matrix(rng, d) for _ in range(n)]
+        assert dr_middle_convolution(mats, F(1, 2)).dim >= 0
+    mats = [ExactMatrix([[F(a, 2), 1], [0, F(b, 3)]]) for a, b in ((1, 1), (3, 2), (1, 4))]
+    report = composition_harness(mats, F(1, 2), F(-1, 2))
+    assert report.applicable and report.identity_iso is not None
+    assert composition_harness(mats, F(1, 2), F(1, 3)).applicable
 
 
 def test_non_invariant_k_names_its_generator_once(monkeypatch):
@@ -403,7 +481,7 @@ def test_non_invariant_k_names_its_generator_once(monkeypatch):
     monkeypatch.setattr("mcvlie.convolution.dr_k_l", lambda mats, lam: (fake_k, l_space))
     with pytest.raises(InvarianceError) as err:
         dr_middle_convolution(mats, F(1, 5))
-    assert err.value.generator == 1
+    assert err.value.generator == "1"
     assert str(err.value) == (
         "kernel-block space K is not invariant; generator 1; "
         "witness v = (0, 1); A·v = (1/3, 0)"
@@ -499,8 +577,6 @@ def test_haraoka_middle_invariance_never_fires_on_integrable_inputs():
         # must not raise an invariance error, and the quotient accounts
         # for exactly the span of K and L
         mid = haraoka_middle_convolution(system, line, F(rng.randint(-2, 2), 2))
-        from mcvlie.exactcore import subspace_sum
-
         assert mid.dim == mid.conv.dim - subspace_sum(mid.k_space, mid.l_space).dim
         done += 1
 

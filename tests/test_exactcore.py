@@ -148,6 +148,24 @@ def test_pack_by_halves_is_the_sum_of_shifted_entries():
                 assert _pack(row, w) == _pack(tuple(row), w) == want
 
 
+def test_slots_by_halves_are_the_flat_read():
+    # around the count where reading turns to halves, and long rows; the
+    # first and last slots are all ones, so a read past a half's boundary
+    # or one slot short shows
+    rng = random.Random(15)
+    for count in (31, 32, 33, 576):
+        for w in (1, 7, 70):
+            top = 2**w - 1
+            for _ in range(3):
+                row = [top] + [rng.choice((0, top, rng.randrange(2**w))) for _ in range(count - 2)]
+                row.append(top)
+                v = _pack(row, w)
+                flat = [v >> s & top for s in range(0, w * count, w)]
+                assert exactcore._slots(v, w, count) == flat == row
+                # slots past `count` are not read
+                assert exactcore._slots(v + (top << w * count), w, count) == row
+
+
 def test_packed_dot_is_the_row_times_matrix():
     rng = random.Random(13)
     for _ in range(300):
@@ -215,6 +233,45 @@ def test_commuting_with_sum_at_extreme_entries():
         assert list(commuting_with_sum([RowSummary.of(m) for m in mats])) == want
         verdicts.update(want)
     assert verdicts == {True, False}
+
+
+def test_commuting_with_sum_needs_every_bit_of_its_width():
+    # three members and their sum t, all with entries below 2^3: the width
+    # is 3 + 3 + bits(3) + 1 = 9.  Row 0 of a t - t a is (0, 256, -1), and
+    # 256 = 2^8 carries into the next slot at width 8, where it cancels the
+    # -1: one bit narrower, the packed rows of a t and t a agree and a would
+    # pass for commuting with t.  a is block upper triangular and the lower
+    # block of t is 2 - a's, so rows 1 and 2 of the commutator vanish.
+    a = ExactMatrix([[5, 7, -7], [0, -5, -1], [0, 7, 6]])
+    b = ExactMatrix([[-6, -1, 0], [0, 6, 1], [0, -7, -5]])
+    c = ExactMatrix([[-6, 0, 0], [0, 6, 1], [0, -7, -5]])
+    t = a + b + c
+    assert a * t - t * a == ExactMatrix([[0, 256, -1], [0, 0, 0], [0, 0, 0]])
+    summaries = [RowSummary.of(m) for m in (a, b, c)]
+    w = _width(max(s.bits for s in summaries) + _bits(t.ints), 3)
+    assert w == 9
+    at, ta = (a * t).ints[0], (t * a).ints[0]
+    assert _pack(at, w - 1) == _pack(ta, w - 1) and _pack(at, w) != _pack(ta, w)
+    assert list(commuting_with_sum(summaries)) == [False, False, False]
+
+
+def test_coordinates_at_the_first_width_that_collides():
+    # the basis (5, 7)/5 and m = [[7, 2], [-3, 3]], entries below 2^3, so
+    # the width is 3 + 3 + bits(1) + 1 = 8.  Row 1 of 5·(basis·X - m) is
+    # (7·7 + 5·3, 7·2 - 5·3) = (64, -1), and 64 = 2^6 carries into the next
+    # slot at width 6, where it cancels the -1: two bits narrower, m would
+    # lie in the span.  One bit narrower is still exact: each side sums at
+    # most dim + 1 products below 2^(w-2), so their difference stays below
+    # 2^(w-1) and packs to 0 only when it is 0.
+    span = Subspace(2, columns=[[5, 7]])
+    assert span.basis.ints == ((5,), (7,)) and span.basis.den == 5
+    m = ExactMatrix([[7, 2], [-3, 3]])
+    w = _width(_bits(span.basis.ints) + _bits(m.ints), span.dim)
+    assert w == 8
+    assert _pack((7 * 7, 7 * 2), w - 2) == _pack((5 * -3, 5 * 3), w - 2)
+    assert _pack((7 * 7, 7 * 2), w) != _pack((5 * -3, 5 * 3), w)
+    assert span.coordinates(m) is None
+    assert not span.contains([7, -3]) and not span.contains([2, 3])
 
 
 def test_coordinates_at_extreme_entries():
