@@ -384,13 +384,6 @@ class CompositionReport:
         return out
 
 
-def _block_diag(m: ExactMatrix, copies: int) -> ExactMatrix:
-    z = ExactMatrix.zeros(m.rows, m.cols)
-    return ExactMatrix.block(
-        [[m if i == j else z for j in range(copies)] for i in range(copies)]
-    )
-
-
 def _iso(x: ExactMatrix, src, dst) -> IsoResult:
     """The verdict of the candidate x: an isomorphism when x is invertible
     and x·S_i = D_i·x for every pair of generators."""
@@ -423,17 +416,19 @@ def composition_harness(mats, lam, mu) -> CompositionReport:
     mid_mu = dr_middle_convolution(mats, mu)
     mid_lm = dr_middle_convolution(mid_mu.matrices.values(), lam)
     mid_sum = dr_middle_convolution(mats, lam + mu)
-    phi = phi_compose(mats, mu)
-    src_proj = mid_lm.projection * _block_diag(mid_mu.projection, n)
-    phibar = induce_on_quotients(phi, src_proj, mid_sum.projection)
+    # phibar·P_lm·blockdiag(P_mu) = P_sum·phi, solved through mid_mu one
+    # outer block of n·d columns at a time, then through mid_lm
+    image = mid_sum.projection * phi_compose(mid_mu.conv)
+    nd, rows = mid_mu.conv.dim, range(image.rows)
+    blocks = [image.submatrix(rows, range(i * nd, (i + 1) * nd)) for i in range(n)]
+    inner = [induce_on_quotients(b, mid_mu.projection, mid_mu.section) for b in blocks]
+    phibar = induce_on_quotients(ExactMatrix.hstack(inner), mid_lm.projection, mid_lm.section)
     compose_iso = _iso(phibar, mid_lm.matrices.values(), mid_sum.matrices.values())
     identity_iso = None
     if lam + mu == 0 and compose_iso.verdict == "isomorphic":
         # the level-0 comparison map takes the middle convolution at 0 back
         # to the input; chain it with the composite isomorphism
-        psi = induce_on_quotients(
-            phi_zero(mats), mid_sum.projection, ExactMatrix.identity(mats[0].rows)
-        )
+        psi = induce_on_quotients(phi_zero(mid_sum.conv), mid_sum.projection, mid_sum.section)
         identity_iso = _iso(psi * phibar, mid_lm.matrices.values(), mats)
     return CompositionReport(
         applicable=True,

@@ -18,6 +18,11 @@ from .exactcore import TOO_LARGE_TO_PRINT, matrix_from_json, matrix_to_json, rat
 from .holonomy import PfaffianSystem
 
 
+class _HelpRequested(Exception):
+    """Raised for -h or --help with the help text, which `main` prints as
+    one JSON document."""
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -28,6 +33,10 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InputError(message)
+
+    def print_help(self, file=None):
+        # argparse would print the text itself and exit
+        raise _HelpRequested(self.format_help())
 
 
 @functools.cache
@@ -344,6 +353,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         payload, code = _COMMANDS[args.command](args)
         out = _render(payload, args.format)
+    except _HelpRequested as exc:
+        out, code = _dumps({"help": exc.args[0]}), 0
     except MCVError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         if exc.label:

@@ -22,7 +22,6 @@ from .exactcore import (
     quotient_all,
     rat,
     rat_str,
-    right_inverse,
     subspace_sum,
 )
 from .holonomy import PfaffianSystem, check_integrability
@@ -64,25 +63,22 @@ def dr_k_l(mats, lam):
     k is the direct sum of the kernels ker A_i, and l, the joint kernel of
     the convolved generators, is the diagonal copy {(v, ..., v) :
     (sum A_j + lam)v = 0} for lam != 0 and the relation space
-    {(v_i) : sum A_i v_i = 0} at lam = 0.  At lam = 0 the relation space is
-    cross-checked against the joint kernel of the convolution."""
+    {(v_i) : sum A_i v_i = 0} at lam = 0.  The block diagonal of canonical
+    kernel bases, and a stack of copies of one, are already in reduced
+    column echelon form, with the blocks' pivots, so neither is eliminated
+    again."""
     mats = _square_tuple(mats)
     n, d = len(mats), mats[0].rows
     lam = rat(lam)
-    kers = [kernel(a).basis for a in mats]
-    blocks = [[b if i == j else ExactMatrix.zeros(d, c.cols) for j, c in enumerate(kers)]
-              for i, b in enumerate(kers)]
-    k = Subspace(n * d, basis=ExactMatrix.block(blocks))
-    if lam != 0:
-        ker = kernel(sum(mats[1:], mats[0]).add_scaled_identity(lam))
-        l = Subspace(n * d, basis=ExactMatrix.vstack([ker.basis] * n))
-    else:
-        l = kernel(ExactMatrix.hstack(mats))
-        if l != kernel(ExactMatrix.vstack(dr_convolution(mats, lam))):
-            raise InternalInvariantError(
-                "joint kernel at lam = 0 disagrees with the relation space"
-            )
-    return k, l
+    kers = [kernel(a) for a in mats]
+    blocks = [[s.basis if i == j else ExactMatrix.zeros(d, t.dim) for j, t in enumerate(kers)]
+              for i, s in enumerate(kers)]
+    pivots = [i * d + p for i, s in enumerate(kers) for p in s.pivots]
+    k = Subspace._of(ExactMatrix.block(blocks), pivots)
+    if lam == 0:
+        return k, kernel(ExactMatrix.hstack(mats))
+    ker = kernel(sum(mats[1:], mats[0]).add_scaled_identity(lam))
+    return k, Subspace._of(ExactMatrix.vstack([ker.basis] * n), ker.pivots)
 
 
 @dataclass
@@ -116,15 +112,21 @@ class ConvolvedSystem:
 
 @dataclass
 class MiddleConvolvedSystem:
-    """Quotient of a convolution by k + l, with the induced matrix of each id."""
+    """Quotient of a convolution by k + l, with the induced matrix of each id.
+    The projection is the identity at the section's coordinates (see
+    `quotient_all`)."""
 
     conv: ConvolvedSystem
     k_space: Subspace
     l_space: Subspace
     projection: ExactMatrix
+    section: list
     matrices: dict
-    dim: int
     direct_sum: bool
+
+    @property
+    def dim(self) -> int:
+        return len(self.section)
 
     def to_json(self):
         return {
@@ -143,22 +145,25 @@ def _middle(conv: ConvolvedSystem) -> MiddleConvolvedSystem:
     """Quotient of a convolution by K + L (see `dr_k_l`, on the transverse
     residues, whose kernels make up K), after verifying that every convolved
     matrix leaves K and L invariant; a failure names the matrix by its
-    hyperplane id."""
+    hyperplane id.  At lam = 0 the relation space is cross-checked against
+    the joint kernel of the convolved transverse matrices."""
     k, l = dr_k_l([conv.base.residue(h) for h in conv.order], conv.lam)
+    if conv.lam == 0 and l != kernel(ExactMatrix.vstack([conv.matrices[h] for h in conv.order])):
+        raise InternalInvariantError("joint kernel at lam = 0 disagrees with the relation space")
     ids = conv.closure.ids()
     generators = [conv.matrices[h] for h in ids]
     for h, m in zip(ids, generators):
         k.restrict(m, "kernel-block space K", h)
         l.restrict(m, "joint kernel L", h)
     w = subspace_sum(k, l)
-    proj, qdim, induced = quotient_all(generators, w)
+    proj, section, induced = quotient_all(generators, w)
     return MiddleConvolvedSystem(
         conv=conv,
         k_space=k,
         l_space=l,
         projection=proj,
+        section=section,
         matrices=dict(zip(ids, induced)),
-        dim=qdim,
         direct_sum=k.dim + l.dim == w.dim,
     )
 
@@ -253,38 +258,41 @@ def haraoka_middle_convolution(system: PfaffianSystem, line: Line, lam) -> Middl
 # Comparison maps
 
 
-def phi_zero(mats) -> ExactMatrix:
-    """The block map (v_1, ..., v_n) -> sum A_i v_i from the lam = 0
-    convolved space to the base space; it intertwines the convolved
-    generators with the originals and induces the map from the middle
-    convolution at 0 back to the input."""
-    return ExactMatrix.hstack(_square_tuple(mats))
+def phi_zero(conv: ConvolvedSystem) -> ExactMatrix:
+    """The block map (v_1, ..., v_n) -> sum A_i v_i from the convolved space
+    to the base space, A_i the transverse residues in block order; at
+    lam = 0 it intertwines the convolved transverse matrices with the
+    residues and induces the map from the middle convolution at 0 back to
+    the input."""
+    return ExactMatrix.hstack([conv.base.residue(h) for h in conv.order])
 
 
-def phi_compose(mats, mu) -> ExactMatrix:
+def phi_compose(conv: ConvolvedSystem) -> ExactMatrix:
     """The comparison map from the doubly convolved space (inner level mu,
-    outer level lam) to the convolved space at lam + mu: outer block i with
-    inner vector w is sent to C_i^(mu)·w, whatever lam is.
+    the level of `conv`, and outer level lam) to the convolved space at
+    lam + mu: outer block i with inner vector w is sent to C_i^(mu)·w, with
+    C_i^(mu) the convolved matrix of the i-th transverse hyperplane,
+    whatever lam is.
 
     The inner level is the right one: with P_k the row-block-k projector,
     C_k^(mu) - C_k^(lam+mu) = -lam·P_k and P_k·C_i^(mu) = delta_ki·C_i^(mu),
     so this map intertwines the doubly convolved generators with the
     (lam+mu)-convolved ones exactly, and descends to the isomorphism of
     middle convolutions under the genericity conditions."""
-    return ExactMatrix.hstack(dr_convolution(mats, mu))
+    return ExactMatrix.hstack([conv.matrices[h] for h in conv.order])
 
 
-def induce_on_quotients(
-    phi: ExactMatrix, src_proj: ExactMatrix, dst_proj: ExactMatrix
-) -> ExactMatrix:
-    """The map induced on quotients by phi, given surjections src_proj and
-    dst_proj; requires phi(ker src_proj) inside ker dst_proj.
+def induce_on_quotients(image: ExactMatrix, projection: ExactMatrix, section) -> ExactMatrix:
+    """The map out with out·projection = image, for the projection and the
+    section of a canonical quotient (see `quotient_all`); image is a map
+    composed with a projection of its target, and out is the map induced
+    on the quotients when that map descends.
 
-    With R a right inverse of src_proj, I - R src_proj maps onto
-    ker src_proj, so the defining identity out src_proj = dst_proj phi for
-    out = dst_proj phi R holds exactly when phi descends."""
-    image = dst_proj * phi
-    out = image * right_inverse(src_proj)
-    if out * src_proj != image:
+    The section's inclusion R is a right inverse of the projection, and
+    I - R·projection maps onto its kernel, so out = image·R, the columns
+    of image at the section, satisfies the defining identity exactly when
+    the map descends."""
+    out = image.submatrix(range(image.rows), section)
+    if out * projection != image:
         raise InternalInvariantError("map does not descend to the quotients")
     return out

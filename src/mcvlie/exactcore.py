@@ -755,14 +755,6 @@ def solve_right(a: ExactMatrix, b: ExactMatrix):
     return ExactMatrix._of(tuple(x), aug.den, a.cols, b.cols)
 
 
-def right_inverse(m: ExactMatrix) -> ExactMatrix:
-    """A right inverse of a matrix with full row rank."""
-    z = solve_right(m, ExactMatrix.identity(m.rows))
-    if z is None:
-        raise PreconditionError("right_inverse: matrix does not have full row rank")
-    return z
-
-
 def inverse(m: ExactMatrix) -> ExactMatrix:
     if not m.is_square:
         raise PreconditionError("inverse needs a square matrix")
@@ -909,15 +901,16 @@ def quotient_map(ambient_dim: int, s: Subspace):
 
 
 def quotient_all(matrices, s: Subspace):
-    """The projection onto the canonical complement of s, the quotient
-    dimension, and the matrices induced by s-invariant `matrices`: the
-    complement's section puts the quotient coordinates at s's non-pivot
-    rows, so each induced matrix is projection · (non-pivot columns)."""
-    proj, qdim = quotient_map(s.ambient_dim, s)
+    """The projection onto the canonical complement of s, its section, and
+    the matrices induced by s-invariant `matrices`.  The section is the
+    list of s's non-pivot coordinates, where the projection is the
+    identity; its inclusion is a right inverse of the projection, so each
+    induced matrix is projection · (section columns)."""
+    proj, _ = quotient_map(s.ambient_dim, s)
     pivot_set = set(s.pivots)
-    nonpivot = [r for r in range(s.ambient_dim) if r not in pivot_set]
-    induced = [proj * m.submatrix(range(m.rows), nonpivot) for m in matrices]
-    return proj, qdim, induced
+    section = [r for r in range(s.ambient_dim) if r not in pivot_set]
+    induced = [proj * m.submatrix(range(m.rows), section) for m in matrices]
+    return proj, section, induced
 
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:

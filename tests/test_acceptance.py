@@ -216,7 +216,7 @@ def test_criterion_04_mc0_identity():
             continue
         found += 1
         mid = dr_middle_convolution(mats, 0)
-        ind = induce_on_quotients(phi_zero(mats), mid.projection, ExactMatrix.identity(d))
+        ind = induce_on_quotients(phi_zero(mid.conv), mid.projection, mid.section)
         ok = ok and mid.dim == d and ind.is_invertible()
         ok = ok and all(ind * b == a * ind for b, a in zip(mid.matrices.values(), mats))
     _report(4, "middle convolution at 0 is the identity on generic inputs (50 random)", ok)

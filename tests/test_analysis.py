@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,7 @@ from mcvlie.analysis import (
     rh_hypotheses,
 )
 from mcvlie.arrangement import Arrangement, Line, canonicalize
-from mcvlie.convolution import dr_middle_convolution
+from mcvlie.convolution import dr_convolution, dr_middle_convolution
 from mcvlie.errors import InternalInvariantError, PreconditionError
 from mcvlie.exactcore import (
     ExactMatrix,
@@ -31,6 +32,7 @@ from mcvlie.exactcore import (
     _reconstruct,
     inverse,
     kernel,
+    matrix_from_json,
     matrix_to_json,
     pencil_full_rank,
 )
@@ -40,6 +42,7 @@ from iso_oracle import are_isomorphic, intertwiner_space
 from test_exact_kernels import ref_is_irreducible
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 def scalars(*values):
@@ -836,3 +839,19 @@ def test_harness_certificates_agree_with_the_oracle():
             assert oracle.verdict == certificate.verdict
             decided[lam + mu == 0] += 1
     assert decided[False] >= 10 and decided[True] >= 20, (decided, unknown)
+
+
+@pytest.mark.parametrize("lam, mu", [(F(1, 2), F(1, 3)), (F(1, 2), F(-1, 2))])
+def test_harness_rejects_the_comparison_map_at_the_wrong_level(monkeypatch, lam, mu):
+    # the block map read at level lam + mu, not at the inner level mu, does
+    # not intertwine (see phi_compose) and must not descend
+    def wrong_level(conv):
+        residues = [conv.base.residue(h) for h in conv.order]
+        return ExactMatrix.hstack(dr_convolution(residues, lam + mu))
+
+    doc = json.loads((DATA / "compose_generic.json").read_text(encoding="utf-8"))
+    mats = [matrix_from_json(m) for m in doc["matrices"]]
+    assert composition_harness(mats, lam, mu).compose_iso.verdict == "isomorphic"
+    monkeypatch.setattr(analysis, "phi_compose", wrong_level)
+    with pytest.raises(InternalInvariantError, match="^map does not descend to the quotients$"):
+        composition_harness(mats, lam, mu)

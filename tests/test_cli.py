@@ -208,6 +208,24 @@ def test_golden_compose_check_inverse_levels_output_file():
     assert doc["identity_iso"]["verdict"] == "isomorphic"
 
 
+@pytest.mark.parametrize("mu, golden, dims", [
+    ("1/3", "golden_compose_singular.json", [4, 4, 4]),
+    ("-1/2", "golden_compose_singular_inverse.json", [4, 2, 2]),
+])
+def test_golden_compose_check_singular_output_files(mu, golden, dims):
+    # singular generators: the mu-middle convolution is a proper quotient,
+    # so the comparison map descends through a section of each outer block
+    code, out, _ = run_cli(
+        "compose-check", "--lambda", "1/2", "--mu", mu,
+        "--input", str(DATA / "compose_singular.json"),
+    )
+    assert code == 0
+    golden = (DATA / golden).read_text(encoding="utf-8")
+    assert out == golden
+    doc = json.loads(golden)
+    assert doc["dims"] == dims and doc["isomorphic"] is True
+
+
 def test_text_format_renders_grid():
     code, out, _ = run_cli(
         "mc",

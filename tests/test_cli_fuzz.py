@@ -2,10 +2,10 @@
 argv of `freelie verify`, `mc`, `convolve`, `rh-check` and
 `compose-check`: every run of every command exits 0, 1, 2 or 3,
 prints exactly one JSON document on stdout and no traceback, within a
-per-example deadline; so does input nested too deep to decode, and a
-result with an integer too long to print.  Also: the parser of rationals
-agrees with Fraction on arbitrary strings and values, and a few sparse
-planes in a huge dimension close in seconds."""
+per-example deadline; so does input nested too deep to decode, a
+result with an integer too long to print, and a request for help.  Also:
+the parser of rationals agrees with Fraction on arbitrary strings and
+values, and a few sparse planes in a huge dimension close in seconds."""
 
 import io
 import json
@@ -106,6 +106,14 @@ def _check_contract(code, out, err):
     assert code in (0, 1, 2, 3)
     json.loads(out)  # exactly one JSON document, nothing after it
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"], ["mc", "-h"]])
+def test_help_contract(argv):
+    code, out, err = _main(argv)
+    _check_contract(code, out, err)
+    assert code == 0
+    assert json.loads(out)["help"].startswith("usage: mcvlie")
 
 
 FUZZ = settings(

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from mcvlie import convolution
+from mcvlie.analysis import composition_harness
 from mcvlie.arrangement import (
     Arrangement,
     Line,
@@ -35,7 +37,7 @@ from mcvlie.exactcore import (
     inverse,
     kernel,
     quotient_all,
-    right_inverse,
+    solve_right,
     subspace_sum,
 )
 from mcvlie.holonomy import PfaffianSystem, residue_sum, zero_extend
@@ -237,6 +239,51 @@ def test_l_closed_form_matches_joint_kernel():
     assert nontrivial >= 60
 
 
+def _rank_deficient(rng, d):
+    """A d x d product of random d x r and r x d factors, r < d when d > 0."""
+    r = rng.randint(0, max(d - 1, 0))
+    return rand_rect(rng, d, r) * rand_rect(rng, r, d)
+
+
+def test_k_l_closed_forms_are_canonical():
+    # K and L are assembled from canonical kernel bases without a second
+    # elimination; eliminating their bases again changes neither basis nor
+    # pivots
+    rng = random.Random(2525)
+    lams = [F(0), F(1, 2), F(-1, 3), F(2)]
+    seen = {"k": 0, "l": 0}
+    for t in range(240):
+        n, d, lam = rng.randint(1, 4), rng.randint(0, 4), lams[t % 4]
+        if lam and d and t % 8 > 3:
+            mats = _sum_with_eigenvalue(rng, n, d, lam)
+        else:
+            mats = [_rank_deficient(rng, d) for _ in range(n)]
+        for name, s in zip("kl", dr_k_l(mats, lam)):
+            ref = Subspace(n * d, basis=s.basis)
+            assert (s.ambient_dim, s.basis, s.pivots) == (ref.ambient_dim, ref.basis, ref.pivots)
+            seen[name] += 0 < s.dim < n * d
+    assert min(seen.values()) >= 40, seen
+
+
+def test_one_convolution_per_middle_convolution(monkeypatch):
+    # the lam = 0 cross-check and the comparison maps read the convolutions
+    # the middle convolutions hold
+    levels = []
+    real = convolution.dr_convolution
+
+    def counting(mats, lam):
+        levels.append(lam)
+        return real(mats, lam)
+
+    monkeypatch.setattr(convolution, "dr_convolution", counting)
+    assert dr_middle_convolution(scalars(2, 3), 0).dim == 1
+    assert levels == [0]
+    levels.clear()
+    report = composition_harness(scalars(2, 3), F(1, 2), F(-1, 2))
+    assert report.identity_iso.verdict == "isomorphic"
+    assert levels == [F(-1, 2), F(1, 2), 0]
+
+
 # -- middle convolution -----------------------------------------------------------
 
 
@@ -252,10 +299,8 @@ def test_mc_lambda_zero_recovers_input():
     mats = scalars(2, 3)
     mid = dr_middle_convolution(mats, 0)
     assert mid.dim == 1
-    phi = phi_zero(mats)
-    induced = induce_on_quotients(
-        phi, mid.projection, ExactMatrix.identity(1)
-    )
+    phi = phi_zero(mid.conv)
+    induced = induce_on_quotients(phi, mid.projection, mid.section)
     assert induced.is_invertible()
     # the induced map intertwines the quotient matrices with the originals
     for mbar, a in zip(mid.matrices.values(), mats):
@@ -265,13 +310,14 @@ def test_mc_lambda_zero_recovers_input():
 def induce_by_kernel_loop(phi, src_proj, dst_proj):
     """Reference: descent checked on every kernel vector of src_proj before
     the defining identity, as induced maps were checked before the identity
-    alone decided it."""
+    alone decided it, with a right inverse of src_proj found by
+    elimination."""
     ker = kernel(src_proj)
     for j in range(ker.dim):
         v = ker.basis.col(j)
         if any(x != 0 for x in times(dst_proj, times(phi, v))):
             raise InternalInvariantError("map does not descend to the quotients")
-    out = dst_proj * phi * right_inverse(src_proj)
+    out = dst_proj * phi * solve_right(src_proj, ExactMatrix.identity(src_proj.rows))
     if out * src_proj != dst_proj * phi:
         raise InternalInvariantError("induced map failed its defining identity")
     return out
@@ -291,24 +337,28 @@ def _outcome(fn, *args):
         return str(exc)
 
 
+def _rand_subspace(rng, ambient):
+    return Subspace(ambient, basis=rand_rect(rng, ambient, rng.randint(0, ambient)))
+
+
 def test_induce_on_quotients_matches_the_kernel_loop():
+    # canonical quotients of seeded random subspaces, as every projection
+    # the harness reads comes from `quotient_all`
     rng = random.Random(2468)
     compared = raised = 0
     for t in range(1200):
         m, p = rng.randint(1, 4), rng.randint(1, 4)
-        src_proj = rand_rect(rng, rng.randint(1, m), m)
-        if src_proj.rank() < src_proj.rows:
-            continue  # a projection is onto
-        dst_proj = rand_rect(rng, rng.randint(1, p), p)
+        src_proj, section, _ = quotient_all([], _rand_subspace(rng, m))
+        dst = _rand_subspace(rng, p)
+        dst_proj, _, _ = quotient_all([], dst)
         phi = rand_rect(rng, p, m)
         if t % 2:
             # phi = X src_proj + (a map into ker dst_proj) descends
             phi = rand_rect(rng, p, src_proj.rows) * src_proj
-            ker = kernel(dst_proj)
-            if ker.dim:
-                phi = phi + ker.basis * rand_rect(rng, ker.dim, m)
+            if dst.dim:
+                phi = phi + dst.basis * rand_rect(rng, dst.dim, m)
         want = _outcome(induce_by_kernel_loop, phi, src_proj, dst_proj)
-        assert _outcome(induce_on_quotients, phi, src_proj, dst_proj) == want
+        assert _outcome(induce_on_quotients, dst_proj * phi, src_proj, section) == want
         compared += 1
         raised += isinstance(want, str)
     assert compared > 1000 and raised > 200
@@ -321,8 +371,8 @@ def test_mc_everything_killed():
 
 
 def test_phi_zero_examples():
-    assert phi_zero(scalars(0, 0)) == ExactMatrix.zeros(1, 2)
-    assert phi_zero(scalars(2, 3)) == ExactMatrix([[2, 3]])
+    assert phi_zero(dr_middle_convolution(scalars(0, 0), 0).conv) == ExactMatrix.zeros(1, 2)
+    assert phi_zero(dr_middle_convolution(scalars(2, 3), 0).conv) == ExactMatrix([[2, 3]])
 
 
 def test_phi_zero_intertwines():
@@ -330,10 +380,10 @@ def test_phi_zero_intertwines():
     for _ in range(10):
         n, d = rng.randint(1, 3), rng.randint(1, 3)
         mats = [rand_matrix(rng, d) for _ in range(n)]
-        phi = phi_zero(mats)
-        conv = dr_convolution(mats, 0)
-        for i in range(n):
-            assert phi * conv[i] == mats[i] * phi
+        conv = dr_middle_convolution(mats, 0).conv
+        phi = phi_zero(conv)
+        for i, h in enumerate(conv.order):
+            assert phi * conv.matrices[h] == mats[i] * phi
         # kernel of phi is the joint kernel at 0, image kills nothing extra
         _, l = dr_k_l(mats, 0)
         assert kernel(phi) == l
@@ -348,7 +398,7 @@ def test_phi_compose_intertwines():
         inner = dr_convolution(mats, mu)
         outer = dr_convolution(inner, lam)
         target = dr_convolution(mats, lam + mu)
-        phi = phi_compose(mats, mu)
+        phi = phi_compose(dr_middle_convolution(mats, mu).conv)
         assert phi.rows == n * d and phi.cols == n * n * d
         for kidx in range(n):
             assert phi * outer[kidx] == target[kidx] * phi
@@ -416,8 +466,8 @@ def _listed_middle(mats, lam):
         k.restrict(m, "kernel-block space K", i)
         l.restrict(m, "joint kernel L", i)
     w = subspace_sum(k, l)
-    proj, qdim, induced = quotient_all(conv, w)
-    return qdim, k.dim, l.dim, k.dim + l.dim == w.dim, proj, induced
+    proj, section, induced = quotient_all(conv, w)
+    return len(section), k.dim, l.dim, k.dim + l.dim == w.dim, proj, induced
 
 
 def test_tuple_middle_convolution_is_the_listed_quotient():
