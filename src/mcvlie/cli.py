@@ -4,11 +4,8 @@ failure, 3 internal invariant breach)."""
 
 from __future__ import annotations
 
-import argparse
-import functools
 import itertools
 import json
-import re
 import sys
 
 from . import analysis, convolution, freelie, holonomy
@@ -16,79 +13,6 @@ from .arrangement import Arrangement, Line, y_closure
 from .errors import InputError, MCVError, PreconditionError
 from .exactcore import TOO_LARGE_TO_PRINT, matrix_from_json, matrix_to_json, rat, rat_str
 from .holonomy import PfaffianSystem
-
-
-class _HelpRequested(Exception):
-    """Raised for -h or --help with the help text, which `main` prints as
-    one JSON document."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # "-" then a digit or "." starts a value, not a flag, as in Python
-        # 3.13; older versions stop "--lambda -1/2" and "--line -1,1" with
-        # "expected one argument"
-        self._negative_number_matcher = re.compile(r"-\.?\d")
-
-    def error(self, message):
-        raise InputError(message)
-
-    def print_help(self, file=None):
-        # argparse would print the text itself and exit
-        raise _HelpRequested(self.format_help())
-
-
-@functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built on first use and then reused."""
-    parser = _Parser(prog="mcvlie", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        return p
-
-    p = add("closure", help="Y-closure of an arrangement")
-    p.add_argument("--line", required=True)
-    p.add_argument("--input", required=True)
-
-    p = add("check", help="integrability check of a system")
-    p.add_argument("--input", required=True)
-
-    p = add("presentation", help="holonomy presentation of an arrangement")
-    p.add_argument("--input", required=True)
-
-    p = add("convolve", help="convolution of a system along a line")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--line", required=True)
-    p.add_argument("--input", required=True)
-
-    p = add("mc", help="middle convolution of a system along a line")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--line", required=True)
-    p.add_argument("--input", required=True)
-
-    p = add("analyze", help="genericity conditions and irreducibility")
-    p.add_argument("--input", required=True)
-
-    p = add("compose-check", help="composition-law certification")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--input", required=True)
-
-    p = add("rh-check", help="integer-eigenvalue hypotheses")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--line", required=True)
-    p.add_argument("--input", required=True)
-
-    p = add("freelie", help="free Lie algebra checks")
-    p.add_argument("mode", choices=("verify",))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-
-    return parser
 
 
 def _load_json(path: str):
@@ -149,13 +73,13 @@ def _load_matrix_tuple(data):
 
 
 def _cmd_closure(args):
-    arr = _load_arrangement(_load_json(args.input))
-    line = _parse_line(args.line)
+    arr = _load_arrangement(_load_json(args["--input"]))
+    line = _parse_line(args["--line"])
     return y_closure(arr, line).to_json(), 0
 
 
 def _cmd_check(args):
-    system = _load_system(_load_json(args.input))
+    system = _load_system(_load_json(args["--input"]))
     violations = holonomy.check_integrability(system)
     payload = {
         "ok": not violations,
@@ -172,7 +96,7 @@ def _cmd_check(args):
 
 
 def _cmd_presentation(args):
-    arr = _load_arrangement(_load_json(args.input))
+    arr = _load_arrangement(_load_json(args["--input"]))
     pres = holonomy.presentation(arr)
     return {
         "generators": list(pres.generators),
@@ -181,21 +105,23 @@ def _cmd_presentation(args):
 
 
 def _cmd_convolve(args):
-    system = _load_system(_load_json(args.input))
-    conv = convolution.haraoka_convolution(system, _parse_line(args.line), rat(args.lam))
+    system = _load_system(_load_json(args["--input"]))
+    conv = convolution.haraoka_convolution(
+        system, _parse_line(args["--line"]), rat(args["--lambda"])
+    )
     return conv.to_json(), 0
 
 
 def _cmd_mc(args):
-    system = _load_system(_load_json(args.input))
+    system = _load_system(_load_json(args["--input"]))
     mid = convolution.haraoka_middle_convolution(
-        system, _parse_line(args.line), rat(args.lam)
+        system, _parse_line(args["--line"]), rat(args["--lambda"])
     )
     return mid.to_json(), 0
 
 
 def _cmd_analyze(args):
-    mats = _load_matrix_tuple(_load_json(args.input))
+    mats = _load_matrix_tuple(_load_json(args["--input"]))
     report = analysis.check_star_conditions(mats)
     return {
         "stars": report.to_json(),
@@ -204,15 +130,15 @@ def _cmd_analyze(args):
 
 
 def _cmd_compose_check(args):
-    mats = _load_matrix_tuple(_load_json(args.input))
-    report = analysis.composition_harness(mats, rat(args.lam), rat(args.mu))
+    mats = _load_matrix_tuple(_load_json(args["--input"]))
+    report = analysis.composition_harness(mats, rat(args["--lambda"]), rat(args["--mu"]))
     return report.to_json(), 0
 
 
 def _cmd_rh_check(args):
-    system = _load_system(_load_json(args.input))
+    system = _load_system(_load_json(args["--input"]))
     ok, offenders = analysis.rh_hypotheses(
-        system, _parse_line(args.line), rat(args.lam)
+        system, _parse_line(args["--line"]), rat(args["--lambda"])
     )
     return {
         "pass": ok,
@@ -221,13 +147,17 @@ def _cmd_rh_check(args):
 
 
 def _cmd_freelie(args):
-    if args.n < 2:
+    try:
+        n, degree = int(args["--n"]), int(args["--degree"])
+    except ValueError:
+        raise InputError("--n and --degree take integers") from None
+    if n < 2:
         raise PreconditionError("--n must be at least 2")
-    if args.degree < 1:
+    if degree < 1:
         raise PreconditionError("--degree must be at least 1")
     # --degree is only validated: the relations hold in every degree
-    freelie._check_caps(args.n, args.degree)
-    violations = freelie.verify_braid_relations(args.n)
+    freelie._check_caps(n, degree)
+    violations = freelie.verify_braid_relations(n)
     payload = {
         "ok": not violations,
         "violations": [
@@ -238,17 +168,74 @@ def _cmd_freelie(args):
     return payload, 0 if not violations else 3
 
 
+# ---------------------------------------------------------------------------
+# the command table and its argv reader
+
+# name: (body, required words, one-line help); a word "--x" is an option
+# that takes a value, any other word stands for itself
 _COMMANDS = {
-    "closure": _cmd_closure,
-    "check": _cmd_check,
-    "presentation": _cmd_presentation,
-    "convolve": _cmd_convolve,
-    "mc": _cmd_mc,
-    "analyze": _cmd_analyze,
-    "compose-check": _cmd_compose_check,
-    "rh-check": _cmd_rh_check,
-    "freelie": _cmd_freelie,
+    "closure": (_cmd_closure, "--line --input", "Y-closure of an arrangement"),
+    "check": (_cmd_check, "--input", "integrability check of a system"),
+    "presentation": (_cmd_presentation, "--input", "holonomy presentation of an arrangement"),
+    "convolve": (_cmd_convolve, "--lambda --line --input", "convolution of a system along a line"),
+    "mc": (_cmd_mc, "--lambda --line --input", "middle convolution of a system along a line"),
+    "analyze": (_cmd_analyze, "--input", "genericity conditions and irreducibility"),
+    "compose-check": (_cmd_compose_check, "--lambda --mu --input", "composition-law certification"),
+    "rh-check": (_cmd_rh_check, "--lambda --line --input", "integer-eigenvalue hypotheses"),
+    "freelie": (_cmd_freelie, "verify --n --degree", "free Lie algebra checks"),
 }
+
+
+def _help(name=None):
+    """The help command's body and values: the usage and help line of
+    `name`, or of every command after the module's text."""
+    text = "" if name else f"usage: mcvlie COMMAND ... [-h]\n\n{__doc__}\n\n"
+    for n, (_, words, summary) in _COMMANDS.items():
+        if name in (None, n):
+            usage = " ".join(w + " " + w[2:].upper() if w[:2] == "--" else w for w in words.split())
+            text += f"usage: mcvlie {n} {usage} [--format {{json,text}}] [-h]\n  {summary}\n"
+    return (lambda args: ({"help": text}, 0)), {"--format": "json"}
+
+
+def _read_argv(argv):
+    """The body of the command that argv names and its values, keyed by
+    word, with "--format" "json" unless given.  An option's value is the
+    next token unless that starts with "--", or follows "=" in the same
+    token; an option may be shortened to a unique prefix, and the last of
+    a repeated option wins.  -h or --help reads as the help command."""
+    tokens = iter(argv)
+    name = next(tokens, "")
+    if name not in _COMMANDS:
+        if name == "-h" or len(name) > 2 and "--help".startswith(name):
+            return _help()
+        raise InputError(f"expected a command, one of {', '.join(_COMMANDS)}; got {name!r}")
+    words = _COMMANDS[name][1].split()
+    options = (*words, "--format", "--help")
+    values = {"--format": "json"}
+    for token in tokens:
+        token = "--help" if token == "-h" else token
+        if token[:2] != "--":
+            if token not in words or token in values:
+                raise InputError(f"unrecognized arguments: {token}")
+            values[token] = token
+            continue
+        key, joined, value = token.partition("=")
+        hits = [key] if key in options else [o for o in options if o.startswith(key)]
+        if len(hits) != 1:
+            raise InputError(f"unknown or ambiguous option {key}: {name} takes {' '.join(options)}")
+        if hits[0] == "--help":
+            return _help(name)
+        if not joined:
+            value = next(tokens, "--")
+            if value[:2] == "--":
+                raise InputError(f"argument {hits[0]}: expected one argument")
+        values[hits[0]] = value
+    missing = [w for w in words if w not in values]
+    if missing:
+        raise InputError("the following arguments are required: " + ", ".join(missing))
+    if values["--format"] not in ("json", "text"):
+        raise InputError(f"--format takes json or text, not {values['--format']!r}")
+    return _COMMANDS[name][0], values
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +335,10 @@ def _inline(value) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        payload, code = _COMMANDS[args.command](args)
-        out = _render(payload, args.format)
-    except _HelpRequested as exc:
-        out, code = _dumps({"help": exc.args[0]}), 0
+        body, args = _read_argv(sys.argv[1:] if argv is None else argv)
+        payload, code = body(args)
+        out = _render(payload, args["--format"])
     except MCVError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         if exc.label:

@@ -438,7 +438,7 @@ def test_non_square_and_mixed_size_tuples_are_precondition_failures(monkeypatch)
 def _raise(exc):
     def command(args):
         raise exc
-    return command
+    return command, *cli._COMMANDS["freelie"][1:]
 
 
 def test_error_classes_keep_exit_codes_and_stderr_prefixes(monkeypatch):
@@ -458,8 +458,7 @@ def test_error_classes_keep_exit_codes_and_stderr_prefixes(monkeypatch):
     assert (code, json.loads(out), err) == (1, {"error": "other"}, "")
 
 
-def test_parser_is_built_once():
-    assert cli._build_parser() is cli._build_parser()
+def test_freelie_verify_reruns_in_one_process():
     run_cli("freelie", "verify", "--n", "3", "--degree", "2")
     code, out, _ = run_cli("freelie", "verify", "--n", "3", "--degree", "3")
     assert code == 0 and json.loads(out)["ok"] is True

@@ -236,11 +236,12 @@ def test_result_too_large_to_print_is_a_precondition_error():
         assert json.loads(out)["error"].startswith("result too large to print: ")
 
 
-# --n and --degree values: in range, out of range, not integers, or absent
+# --n and --degree values: in range, out of range, not integers (one past
+# the 4300 digits int() reads), or absent
 flag_values = st.one_of(
     st.integers(-2, 10).map(str),
     st.text(max_size=4),
-    st.sampled_from(["", "1e3", "0x3", "2.0", " 3", "--n", "9" * 40]),
+    st.sampled_from(["", "1e3", "0x3", "2.0", " 3", "--n", "9" * 40, "9" * 5000]),
     st.none(),
 )
 

@@ -1,8 +1,11 @@
 """The library runs on the standard library alone and is deterministic: every
 absolute import under src/mcvlie is a standard-library module, and none of
-them is `random`."""
+them is `random`.  The CLI reads argv from its own command table, so
+importing it loads no `argparse`."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,3 +28,11 @@ def test_library_imports_only_the_deterministic_standard_library():
             top = name.split(".")[0]
             assert top in sys.stdlib_module_names, (path.name, name)
             assert top != "random", (path.name, name)
+
+
+def test_importing_the_cli_loads_no_argparse():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = "import sys, mcvlie.cli; print('argparse' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout == "False\n"
