@@ -22,7 +22,6 @@ from .analysis import (
 )
 from .arrangement import (
     Arrangement,
-    Flat2,
     Hyperplane,
     Line,
     braid_arrangement,

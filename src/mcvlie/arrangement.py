@@ -1,19 +1,21 @@
 """Affine hyperplane arrangements over Q^l.
 
-Every object is kept in its reduced row echelon form, an `ExactMatrix`, so
-equal objects have equal forms: a hyperplane normal·x + offset = 0 is the
-echelon row of [normal…, offset] (first nonzero normal entry 1), a
-codimension-2 flat the 2-row echelon form of its equations, and a line
-through the origin the primitive integer row of its direction.  JSON prints
+A hyperplane normal·x + offset = 0 is kept as the reduced echelon row of
+[normal…, offset] (first nonzero normal entry 1), an `ExactMatrix`, and a
+line through the origin as the primitive integer row of its direction, so
+equal objects have equal forms.  A codimension-2 flat is its family: the
+ids of the hyperplanes containing it, in arrangement order.  Two distinct
+hyperplanes through the flat meet exactly in it, so the family determines
+the flat, and any two members give its 2-row echelon equations
+(`_flat_from_pair`, O(dim) from their Plücker coordinates).  JSON prints
 hyperplanes with the first nonzero normal entry 1.
 
 No echelon form here runs a general elimination.  `codim2_flats` finds the
 families without building any equations: each pair costs one
 multiply-subtract on Kronecker-packed integer rows, a few bit operations
 and a hash mod P, and only pairs that land in one bucket are compared
-exactly.  A flat builds its 2-row form (`_flat_from_pair`, O(dim) from its
-Plücker coordinates) only when its equations are read; the closure reads
-them only for the flats that add a hyperplane.
+exactly.  The Y-closure builds equations only for the flats that add a
+hyperplane, whose ids they give.
 
 The module computes codimension-2 flats with their maximal families, the
 split into hyperplanes parallel/transverse to a line through the origin, the
@@ -70,8 +72,10 @@ class Hyperplane:
     def __hash__(self):
         return hash(self.key)
 
-    def contains_flat(self, flat: "Flat2") -> bool:
-        return flat.cuts_form(self.form)
+    def contains_flat(self, equations: ExactMatrix) -> bool:
+        """Whether the hyperplane contains the codimension-2 flat with the
+        2×(dim+1) `equations`, i.e. its form lies in their span."""
+        return ExactMatrix.vstack([equations, self.form]).rank() == 2
 
 
 def _row_form(ints):
@@ -216,66 +220,6 @@ class Arrangement:
         return Arrangement(dim, planes)
 
 
-class Flat2:
-    """Codimension-2 flat: `equations`, the 2×(dim+1) reduced echelon
-    ExactMatrix of the affine forms cutting it, plus `family`, the ids of
-    the maximal family of arrangement hyperplanes containing it, in
-    arrangement order.
-
-    A flat found by `codim2_flats` keeps the two hyperplanes that found it
-    and builds `equations` from them (`_flat_from_pair`) on first read, since
-    most callers read only the family.  Construction from equations,
-    equality, hashing and repr are those of a dataclass with the fields
-    (equations, family).  A flat is not to be changed after construction.
-    """
-
-    __slots__ = ("family", "_pair", "_equations")
-
-    def __init__(self, equations: ExactMatrix, family: tuple):
-        self.family, self._pair, self._equations = family, None, equations
-
-    @classmethod
-    def _found(cls, h1: Hyperplane, h2: Hyperplane, family: tuple) -> "Flat2":
-        """The flat h1 ∩ h2 of two intersecting hyperplanes, its equations
-        not built yet."""
-        flat = cls.__new__(cls)
-        flat.family, flat._pair, flat._equations = family, (h1, h2), None
-        return flat
-
-    @property
-    def equations(self) -> ExactMatrix:
-        if self._equations is None:
-            self._equations = _flat_from_pair(*self._pair)
-        return self._equations
-
-    def _spanning_rows(self):
-        """Two integer rows spanning the flat's forms: the found pair's, or
-        the equations'."""
-        if self._pair is None:
-            return self._equations.ints
-        return self._pair[0].form.ints[0], self._pair[1].form.ints[0]
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.equations, self.family) == (other.equations, other.family)
-
-    def __hash__(self):
-        return hash((self.equations, self.family))
-
-    def __repr__(self):
-        return f"Flat2(equations={self.equations!r}, family={self.family!r})"
-
-    def cuts_form(self, form: ExactMatrix) -> bool:
-        """Whether the affine form (a 1×(dim+1) row) vanishes on the flat,
-        i.e. lies in the span of the flat's equations."""
-        return ExactMatrix.vstack([self.equations, form]).rank() == 2
-
-    @property
-    def key(self) -> str:
-        return "|".join(map(",".join, matrix_to_json(self.equations)))
-
-
 def _flat_from_pair(h1: Hyperplane, h2: Hyperplane):
     """Echelon equations of h1 ∩ h2, or None for parallel hyperplanes.
 
@@ -306,22 +250,23 @@ def _flat_from_pair(h1: Hyperplane, h2: Hyperplane):
 
 
 def codim2_flats(arr: Arrangement) -> list:
-    """Every codimension-2 flat of the intersection poset, each with its
-    maximal family of containing hyperplanes, as a new list.
+    """Every codimension-2 flat of the intersection poset as its maximal
+    family of containing hyperplanes, a tuple of ids in arrangement order,
+    as a new list.
 
     Two distinct hyperplanes containing a codimension-2 flat X meet in
     exactly X, so the family of X is the set of hyperplanes in the pairs
-    that cut X.  Flats come in the order of their first pair (i < j,
-    lexicographic), families in arrangement order.  The families are found
-    by `_families` on packed rows; each flat builds its equations only when
-    they are read.  The flats are computed once per arrangement and cached
-    on it.
+    that cut X, and any two members of a family give back X
+    (`_flat_from_pair`).  Flats come in the order of their first pair
+    (i < j, lexicographic).  The families are found by `_families` on
+    packed rows, without building any equations, once per arrangement, and
+    cached on it.
     """
     if arr._flats is None:
-        planes, ids = arr.hyperplanes, arr.ids()
+        ids = arr.ids()
         arr._flats = tuple(
-            Flat2._found(planes[family[0]], planes[family[1]], tuple(map(ids.__getitem__, family)))
-            for family in _families([h.form.ints[0] for h in planes], arr.dim)
+            tuple(map(ids.__getitem__, family))
+            for family in _families([h.form.ints[0] for h in arr.hyperplanes], arr.dim)
         )
     return list(arr._flats)
 
@@ -408,10 +353,11 @@ def split_parallel(arr: Arrangement, line: Line):
     return Arrangement(arr.dim, par), Arrangement(arr.dim, tra)
 
 
-def _flat_plus_line(flat: Flat2, line: Line):
+def _flat_plus_line(rows, line: Line):
     """The echelon form of the hyperplane flat + line, or None when the
-    direction lies in the flat (then flat + line = flat)."""
-    e1, e2 = flat._spanning_rows()
+    direction lies in the flat (then flat + line = flat); `rows` are two
+    integer rows spanning the flat's forms."""
+    e1, e2 = rows
     d1 = sum(map(mul, e1, line.direction))
     d2 = sum(map(mul, e2, line.direction))
     if d1 == 0 and d2 == 0:
@@ -430,14 +376,18 @@ def is_y_closed(arr: Arrangement, line: Line) -> bool:
 
 
 def _closure_pass(arr: Arrangement, line: Line):
+    """The hyperplanes X + Y missing from arr, each as (h1, h2, form): the
+    first two members of X's family and the echelon form of X + Y."""
     additions = []
     seen = set()
-    for flat in codim2_flats(arr):
-        form = _flat_plus_line(flat, line)
+    planes = {h.id: h for h in arr}
+    for family in codim2_flats(arr):
+        h1, h2 = planes[family[0]], planes[family[1]]
+        form = _flat_plus_line((h1.form.ints[0], h2.form.ints[0]), line)
         if form is None or form in seen or arr.has_key(form):
             continue
         seen.add(form)
-        additions.append((flat.key, form))
+        additions.append((h1, h2, form))
     return additions
 
 
@@ -445,8 +395,10 @@ def y_closure(arr: Arrangement, line: Line) -> Arrangement:
     """The minimal Y-closed arrangement containing arr: arr itself, or arr's
     hyperplanes, with their ids and in their order, followed by the missing
     hyperplanes X + Y.  Each of those contains the line's direction and gets
-    the id `cl:` + X's key, primed until unused.  A single pass suffices; a
-    second pass over the result certifies that, and finding more is a bug."""
+    the id `cl:` + the rows of X's echelon equations joined by "|", primed
+    until unused; only these flats build their equations.  A single pass
+    suffices; a second pass over the result certifies that, and finding more
+    is a bug."""
     if len(line.direction) != arr.dim:
         raise PreconditionError("line dimension does not match arrangement")
     additions = _closure_pass(arr, line)
@@ -454,8 +406,8 @@ def y_closure(arr: Arrangement, line: Line) -> Arrangement:
         return arr
     taken = set(arr.ids())
     planes = list(arr.hyperplanes)
-    for flat_key, form in additions:
-        hid = f"cl:{flat_key}"
+    for h1, h2, form in additions:
+        hid = "cl:" + "|".join(map(",".join, matrix_to_json(_flat_from_pair(h1, h2))))
         while hid in taken:
             hid += "'"
         taken.add(hid)

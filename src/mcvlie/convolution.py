@@ -219,9 +219,9 @@ def haraoka_convolution(system: PfaffianSystem, line: Line, lam) -> ConvolvedSys
 
     neg = [-a for a in res]
     families = {h.id: [] for h in parallel}  # transverse positions per flat through h
-    for flat in codim2_flats(closure):
-        fam = [pos[m] for m in flat.family if m in pos]
-        for m in families.keys() & flat.family:
+    for family in codim2_flats(closure):
+        fam = [pos[m] for m in family if m in pos]
+        for m in families.keys() & family:
             families[m].append(fam)
     for h in parallel:
         grid = [[zero] * n for _ in range(n)]

@@ -15,7 +15,6 @@ Degree caps (n <= 6, total degree <= 8) keep everything at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError, InternalInvariantError, PreconditionError
 from .exactcore import rat, rat_str
@@ -92,7 +91,7 @@ def _expand_bracketing(word) -> dict:
     if cached is not None:
         return cached
     if len(w) == 1:
-        out = {w: Fraction(1)}
+        out = {w: 1}
     else:
         u, v = standard_factorization(w)
         pu, pv = _expand_bracketing(u), _expand_bracketing(v)
@@ -142,7 +141,9 @@ def _lie_from_associative(poly: dict) -> dict:
 
 
 class LieElement:
-    """Element of the free Lie algebra on n generators in Lyndon coordinates."""
+    """Element of the free Lie algebra on n generators in Lyndon coordinates:
+    `terms` maps Lyndon words to nonzero coefficients, ints while they come
+    from integers and Fractions otherwise."""
 
     __slots__ = ("n", "terms")
 
@@ -152,7 +153,7 @@ class LieElement:
         clean = {}
         for w, c in (terms or {}).items():
             w = tuple(w)
-            c = rat(c)
+            c = c if type(c) is int else rat(c)
             if not c:
                 continue
             if not is_lyndon(w) or any(not 1 <= x <= n for x in w):
@@ -199,7 +200,7 @@ class LieElement:
         return self.scale(-1)
 
     def scale(self, a) -> "LieElement":
-        a = rat(a)
+        a = a if type(a) is int else rat(a)
         return LieElement(self.n, {w: a * c for w, c in self.terms.items()})
 
     def _match(self, other: "LieElement"):

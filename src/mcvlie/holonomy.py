@@ -39,7 +39,7 @@ class Presentation:
 def presentation(arr: Arrangement) -> Presentation:
     return Presentation(
         generators=tuple(arr.ids()),
-        relation_families=tuple(f.family for f in codim2_flats(arr)),
+        relation_families=tuple(codim2_flats(arr)),
     )
 
 
@@ -126,8 +126,8 @@ def check_integrability(system: PfaffianSystem) -> list:
         return []
     summaries = {hid: RowSummary.of(a) for hid, a in system.residues.items()}
     violations = []
-    for flat in codim2_flats(system.arrangement):
-        members = [(hid, summaries[hid]) for hid in flat.family if summaries[hid].nonzero]
+    for family in codim2_flats(system.arrangement):
+        members = [(hid, summaries[hid]) for hid in family if summaries[hid].nonzero]
         if len(members) < 2:
             continue  # a single nonzero residue commutes with itself
         tests = commuting_with_sum([s for _, s in members])
@@ -138,7 +138,7 @@ def check_integrability(system: PfaffianSystem) -> list:
         if failing:
             total = _sum_matrices([s.matrix for _, s in members], system.rank)
             violations.extend(
-                IntegrabilityViolation(flat.family, hid, s.matrix * total - total * s.matrix)
+                IntegrabilityViolation(family, hid, s.matrix * total - total * s.matrix)
                 for hid, s in failing
             )
     return violations

@@ -327,7 +327,8 @@ def test_criterion_08_closure():
         closed = y_closure(arr, line)  # raises if a second pass is productive
         ok = ok and is_y_closed(closed, line)
         base_keys = {h.key for h in arr}
-        candidates = {_flat_plus_line(f, line) for f in codim2_flats(arr)}
+        rows = {h.id: h.form.ints[0] for h in arr}
+        candidates = {_flat_plus_line((rows[a], rows[b]), line) for a, b, *_ in codim2_flats(arr)}
         for h in closed:
             if h.key not in base_keys:
                 ok = ok and h.key in candidates

@@ -9,7 +9,6 @@ import pytest
 
 from mcvlie.arrangement import (
     Arrangement,
-    Flat2,
     Line,
     _flat_from_pair,
     _row_form,
@@ -22,7 +21,7 @@ from mcvlie.arrangement import (
 )
 from mcvlie import exactcore
 from mcvlie.errors import InputError, PreconditionError
-from mcvlie.exactcore import P, ExactMatrix
+from mcvlie.exactcore import P, ExactMatrix, matrix_to_json
 
 F = Fraction
 
@@ -73,7 +72,7 @@ def test_single_hyperplane_has_no_flats():
 def test_braid3_has_one_triple_flat():
     flats = codim2_flats(braid_arrangement(3))
     assert len(flats) == 1
-    assert flats[0].family == ("H12", "H13", "H23")
+    assert flats[0] == ("H12", "H13", "H23")
 
 
 def test_parallel_lines_give_no_flat():
@@ -83,8 +82,8 @@ def test_parallel_lines_give_no_flat():
 
 def test_braid4_families():
     flats = codim2_flats(braid_arrangement(4))
-    triples = sorted(f.family for f in flats if len(f.family) == 3)
-    pairs = sorted(f.family for f in flats if len(f.family) == 2)
+    triples = sorted(f for f in flats if len(f) == 3)
+    pairs = sorted(f for f in flats if len(f) == 2)
     assert len(flats) == 7
     assert triples == [
         ("H12", "H13", "H23"),
@@ -100,34 +99,36 @@ def test_every_intersecting_pair_lands_in_one_family():
     for _ in range(20):
         arr = _random_arrangement(rng, dim=rng.randint(2, 4), max_planes=6)
         flats = codim2_flats(arr)
-        assert all(len(f.family) >= 2 for f in flats)
+        assert all(len(f) >= 2 for f in flats)
         for i, h1 in enumerate(arr.hyperplanes):
             for h2 in arr.hyperplanes[i + 1 :]:
                 hits = [
                     f
                     for f in flats
-                    if h1.id in f.family and h2.id in f.family
+                    if h1.id in f and h2.id in f
                 ]
                 expected = 0 if _flat_from_pair(h1, h2) is None else 1
                 assert len(hits) == expected
 
 
 def _probe_flats(arr):
-    """Reference construction: equations from every intersecting pair in
-    first-occurrence order, each family found by a rank probe of every
-    hyperplane against the flat's equations."""
+    """Reference construction: (equations, family) pairs, the equations
+    from every intersecting pair in first-occurrence order, each family
+    found by a rank probe of every hyperplane against the equations."""
     order = []
     for i, h1 in enumerate(arr.hyperplanes):
         for h2 in arr.hyperplanes[i + 1 :]:
             eqs = _flat_from_pair(h1, h2)
             if eqs is not None and eqs not in order:
                 order.append(eqs)
-    flats = []
-    for eqs in order:
-        probe = Flat2(equations=eqs, family=())
-        family = tuple(h.id for h in arr.hyperplanes if h.contains_flat(probe))
-        flats.append(Flat2(equations=eqs, family=family))
-    return flats
+    return [(eqs, tuple(h.id for h in arr.hyperplanes if h.contains_flat(eqs))) for eqs in order]
+
+
+def _found_flats(arr):
+    """The families of `codim2_flats` as (equations, family) pairs, the
+    equations those of the family's first two members."""
+    planes = {h.id: h for h in arr}
+    return [(_flat_from_pair(planes[f[0]], planes[f[1]]), f) for f in codim2_flats(arr)]
 
 
 def _oracle_arrangement(rng, dim, raw=None):
@@ -166,16 +167,37 @@ def test_flats_match_probe_oracle_random():
     multi = 0
     for k in range(180):
         arr = _oracle_arrangement(rng, dim=2 + k % 3)
-        flats = codim2_flats(arr)
+        flats = _found_flats(arr)
         assert flats == _probe_flats(arr)
-        multi += sum(len(f.family) > 2 for f in flats)
+        multi += sum(len(f) > 2 for _, f in flats)
     assert multi > 50  # the sample does exercise families beyond pairs
 
 
 def test_flats_match_probe_oracle_braid():
     for n in range(3, 8):
         arr = braid_arrangement(n)
-        assert codim2_flats(arr) == _probe_flats(arr)
+        assert _found_flats(arr) == _probe_flats(arr)
+
+
+def test_a_family_is_its_flat():
+    """Every pair of members of a family cuts the same flat, and distinct
+    families cut distinct flats: with each intersecting pair in exactly one
+    family, families and flats are in bijection."""
+    rng = random.Random(2024)
+    corpus = [_oracle_arrangement(rng, dim=2 + k % 3) for k in range(180)]
+    corpus += [braid_arrangement(n) for n in range(3, 6)]
+    pairs = multi = 0
+    for arr in corpus:
+        planes = {h.id: h for h in arr}
+        flats = []
+        for family in codim2_flats(arr):
+            found = {_flat_from_pair(planes[a], planes[b]) for a, b in combinations(family, 2)}
+            assert len(found) == 1 and None not in found
+            flats += found
+            pairs += len(family) * (len(family) - 1) // 2
+            multi += len(family) > 2
+        assert len(set(flats)) == len(flats)
+    assert multi > 50 and pairs > 1000
 
 
 def _integer_arrangement(rng, dim, size):
@@ -226,13 +248,13 @@ def test_flat_search_matches_probe_oracle_on_large_and_multiple_of_p_entries():
     assert sum(size >= 2**62 for size in sizes) >= 30
     multi = 0
     for arr in corpus:
-        flats = codim2_flats(arr)
+        flats = _found_flats(arr)
         assert flats == _probe_flats(arr)
         if arr.dim == 1:
             assert flats == []
-        multi += sum(len(f.family) > 2 for f in flats)
+        multi += sum(len(f) > 2 for _, f in flats)
     assert multi > 40
-    assert [f.family for f in codim2_flats(MULTIPLE_OF_P)] == [
+    assert codim2_flats(MULTIPLE_OF_P) == [
         ("X", "PY", "XPY"), ("X", "D"), ("X", "TWO", "E"), ("PY", "D"), ("PY", "E"),
         ("D", "XPY"), ("D", "TWO"), ("D", "E"), ("XPY", "TWO"), ("XPY", "E"),
     ]
@@ -257,14 +279,14 @@ def test_flat_search_at_extreme_entries_and_any_wider_slots(monkeypatch):
                 planes.setdefault(h.key, h)
         corpus.append(Arrangement(dim, list(planes.values())))
     expected = [_probe_flats(arr) for arr in corpus]
-    assert sum(len(f.family) > 2 for flats in expected for f in flats) > 20
+    assert sum(len(f) > 2 for flats in expected for _, f in flats) > 20
     for extra in (0, 1, 5):
         monkeypatch.setattr(
             "mcvlie.arrangement._width",
             lambda bits, terms, extra=extra: exactcore._width(bits, terms) + extra,
         )
         for arr, flats in zip(corpus, expected):
-            assert codim2_flats(Arrangement(arr.dim, arr.hyperplanes)) == flats
+            assert _found_flats(Arrangement(arr.dim, arr.hyperplanes)) == flats
 
 
 def test_flat_search_at_the_first_width_that_collides(monkeypatch):
@@ -283,13 +305,13 @@ def test_flat_search_at_the_first_width_that_collides(monkeypatch):
     offset_minor = ExactMatrix([r[:2] + r[3:] for r in rows]).det()
     assert minor == -256 * offset_minor and abs(offset_minor) == 1
     want = _probe_flats(arr)
-    assert [f.family for f in want] == [("H1", "H2"), ("H1", "H3"), ("H2", "H3")]
-    assert codim2_flats(Arrangement(3, arr.hyperplanes)) == want
+    assert [f for _, f in want] == [("H1", "H2"), ("H1", "H3"), ("H2", "H3")]
+    assert _found_flats(Arrangement(3, arr.hyperplanes)) == want
     assert exactcore._width(4 * 3 + 2, 1) == 16
     for w in range(8, 17):
         monkeypatch.setattr("mcvlie.arrangement._width", lambda bits, terms, w=w: w)
-        got = [f.family for f in codim2_flats(Arrangement(3, arr.hyperplanes))]
-        assert got == ([("H1", "H2", "H3")] if w == 8 else [f.family for f in want])
+        got = codim2_flats(Arrangement(3, arr.hyperplanes))
+        assert got == ([("H1", "H2", "H3")] if w == 8 else [f for _, f in want])
 
 
 def test_flat_search_does_not_trust_colliding_keys(monkeypatch):
@@ -299,7 +321,7 @@ def test_flat_search_does_not_trust_colliding_keys(monkeypatch):
     expected = [_probe_flats(arr) for arr in corpus]
     monkeypatch.setattr("mcvlie.arrangement.P", 2)
     for arr, flats in zip(corpus, expected):
-        assert codim2_flats(Arrangement(arr.dim, arr.hyperplanes)) == flats
+        assert _found_flats(Arrangement(arr.dim, arr.hyperplanes)) == flats
 
 
 def test_found_flats_build_equations_only_when_read(monkeypatch):
@@ -315,19 +337,14 @@ def test_found_flats_build_equations_only_when_read(monkeypatch):
     arr = _oracle_arrangement(random.Random(8), dim=3)
     flats = codim2_flats(arr)
     assert len(flats) > 3 and calls == []
-    eager = [Flat2(equations=_flat_from_pair(*(h for h in arr if h.id in f.family[:2])),
-                   family=f.family) for f in flats]
-    assert calls == []
-    assert list(map(repr, flats)) == list(map(repr, eager))
-    assert list(map(hash, flats)) == list(map(hash, eager))
-    assert flats == eager and len(calls) == len(flats)
-    flats[0].equations
-    assert len(calls) == len(flats)  # built once
+    assert all(type(f) is tuple and len(f) >= 2 for f in flats)
     # the closure builds the equations of the flats that add a hyperplane only
     calls.clear()
     line = Line.of((1, 2, -1))
     closed = y_closure(Arrangement(arr.dim, arr.hyperplanes), line)
     assert 0 < len(calls) == len(closed) - len(arr)
+    # each from the first two members of a family
+    assert set(calls) <= {f[:2] for f in flats}
 
 
 def _commuting_system(rng, planes, dim):
@@ -362,7 +379,7 @@ def test_check_on_thirty_planes_builds_no_equations(monkeypatch, tmp_path):
     with redirect_stdout(out):
         assert main(["check", "--input", str(path)]) == 0
     assert json.loads(out.getvalue()) == {"ok": True, "violations": []}
-    assert len(flats) > 100 and any(len(f.family) > 2 for f in flats)
+    assert len(flats) > 100 and any(len(f) > 2 for f in flats)
     assert calls == []
 
 
@@ -449,7 +466,8 @@ def test_echelon_storage_matches_fraction_reference():
             "dim": arr.dim,
             "hyperplanes": [ref_plane_json(h.id, row) for h, row in zip(arr, rows)],
         }
-        assert [f.key for f in codim2_flats(arr)] == list(map(ref_flat_key, ref_flats(rows)))
+        keys = ["|".join(map(",".join, matrix_to_json(eqs))) for eqs, _ in _found_flats(arr)]
+        assert keys == list(map(ref_flat_key, ref_flats(rows)))
         direction = [F(line_rng.randint(-3, 3), line_rng.randint(1, 4)) for _ in range(arr.dim)]
         if k % 2 or not any(direction):
             direction[0] = -F(line_rng.randint(1, 3), line_rng.randint(2, 5))
@@ -706,8 +724,8 @@ def test_closure_random_properties():
         from mcvlie.arrangement import _flat_plus_line
 
         candidates = {
-            _flat_plus_line(f, line)
-            for f in codim2_flats(arr)
+            _flat_plus_line(eqs.ints, line)
+            for eqs, _ in _found_flats(arr)
         }
         for h in closed.hyperplanes:
             if h.key not in base_keys:

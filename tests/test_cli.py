@@ -226,6 +226,28 @@ def test_golden_compose_check_singular_output_files(mu, golden, dims):
     assert doc["dims"] == dims and doc["isomorphic"] is True
 
 
+def test_golden_presentation_output_file():
+    # the fifteen-plane closure: one relation family per codimension-2 flat
+    code, out, _ = run_cli(
+        "presentation", "--input", str(DATA / "golden_closure_fiveplanes.json")
+    )
+    assert code == 0
+    golden = (DATA / "golden_presentation_closure.json").read_text(encoding="utf-8")
+    assert out == golden
+    families = json.loads(golden)["relation_families"]
+    assert len(families) == 64 and sum(len(f) == 3 for f in families) == 20
+
+
+def test_golden_check_violations_output_file():
+    code, out, _ = run_cli("check", "--input", str(DATA / "bad_system.json"))
+    assert code == 2
+    golden = (DATA / "golden_check_bad_system.json").read_text(encoding="utf-8")
+    assert out == golden
+    doc = json.loads(golden)
+    assert doc["ok"] is False
+    assert [v["family"] for v in doc["violations"]] == [["H12", "H13", "H23"]] * 2
+
+
 def test_text_format_renders_grid():
     code, out, _ = run_cli(
         "mc",

@@ -784,9 +784,9 @@ def extended_convolution(system, line, lam):
     for h in parallel:
         grid = [[zero] * len(order) for _ in order]
         for j, tid in enumerate(order):
-            flat = next(f for f in flats if h.id in f.family and tid in f.family)
+            family = next(f for f in flats if h.id in f and tid in f)
             diag = ext.residue(h.id)
-            for m in flat.family:
+            for m in family:
                 if m in pos and m != tid:
                     diag = diag + ext.residue(m)
                     grid[pos[m]][j] = -ext.residue(tid)
@@ -860,7 +860,7 @@ def test_haraoka_reads_a_residue_under_a_taken_closure_id():
 
 @pytest.mark.parametrize(
     "change",
-    [lambda flats: [f for f in flats if "H1" not in f.family], lambda flats: flats + flats[:1]],
+    [lambda flats: [f for f in flats if "H1" not in f], lambda flats: flats + flats[:1]],
     ids=["dropped", "repeated"],
 )
 def test_haraoka_coverage_invariant_under_a_wrong_flat_list(monkeypatch, change):

@@ -119,6 +119,19 @@ def test_bracket_bilinear_and_antisymmetric_random():
         assert bracket(a, b) == bracket(b, a).scale(-1)
         c = F(rng.randint(-3, 3))
         assert bracket(a.scale(c), b) == bracket(a, b).scale(c)
+        assert bracket(a.scale(F(5, 2)), b) == bracket(a, b).scale(F(5, 2))
+
+
+def test_integer_coefficients_stay_ints():
+    # JSON and every other input outside int still go through `rat`
+    ab = bracket(gen(2, 1), gen(2, 2))
+    assert ab.terms == {(1, 2): 1} and type(ab.terms[1, 2]) is int
+    assert ab.scale(F(5, 2)).terms == {(1, 2): F(5, 2)}
+    assert ab.scale(F(4, 2)) == ab.scale(2) == LieElement(2, {(1, 2): "2"})
+    with pytest.raises(InputError):
+        LieElement(2, {(1, 2): True})
+    with pytest.raises(InputError):
+        ab.scale(True)
 
 
 def test_jacobi_identity_random():

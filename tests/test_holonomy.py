@@ -143,13 +143,13 @@ def _all_members_violations(system):
     """Reference check: the commutator of every family member with the
     family sum, each computed, in flat and family order."""
     out = []
-    for flat in codim2_flats(system.arrangement):
-        total = residue_sum(system, flat.family)
-        for hid in flat.family:
+    for family in codim2_flats(system.arrangement):
+        total = residue_sum(system, family)
+        for hid in family:
             a = system.residue(hid)
             comm = a * total - total * a
             if not comm.is_zero():
-                out.append((flat.family, hid, comm))
+                out.append((family, hid, comm))
     return out
 
 
@@ -234,11 +234,11 @@ def test_violations_match_all_members_oracle():
         expected = _all_members_violations(system)
         assert _violation_tuples(system) == expected
         failing += bool(expected)
-        for flat in codim2_flats(system.arrangement):
-            hits = [v[1] for v in expected if v[0] == flat.family]
+        for family in codim2_flats(system.arrangement):
+            hits = [v[1] for v in expected if v[0] == family]
             if hits:
-                last_failing += hits[-1] == flat.family[-1]
-                last_passing += hits[-1] != flat.family[-1]
+                last_failing += hits[-1] == family[-1]
+                last_passing += hits[-1] != family[-1]
     # both outcomes of the last member's commutator after an earlier failure
     assert failing >= 20 and last_failing >= 5 and last_passing >= 1
 
@@ -264,7 +264,7 @@ def test_rank_at_most_one_skips_the_flats(monkeypatch):
         systems.append(scalar_system(arr, values))
         zero = ExactMatrix.zeros(0, 0)
         systems.append(PfaffianSystem(arr, 0, {hid: zero for hid in arr.ids()}))
-    assert any(len(f.family) > 2 for s in systems for f in codim2_flats(s.arrangement))
+    assert any(len(f) > 2 for s in systems for f in codim2_flats(s.arrangement))
     expected = [_all_members_violations(s) for s in systems]
     calls = []
     monkeypatch.setattr(

@@ -14,6 +14,7 @@ sympy = pytest.importorskip("sympy")
 from mcvlie.arrangement import (  # noqa: E402
     Arrangement,
     Line,
+    _flat_from_pair,
     canonicalize,
     codim2_flats,
     y_closure,
@@ -154,7 +155,8 @@ def test_flats_and_closure_match_sympy_rref():
                 eqs, pivots = _sympy_rref([r1, r2])
                 if len(pivots) == 2 and pivots[-1] < dim and eqs not in flats:
                     flats.append(eqs)
-        assert [f.equations.data for f in codim2_flats(arr)] == flats
+        planes = {h.id: h for h in arr}
+        assert [_flat_from_pair(planes[a], planes[b]).data for a, b, *_ in codim2_flats(arr)] == flats
 
         direction = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)]
         if not any(direction):
