@@ -52,7 +52,6 @@ from .exactcore import (
     integer_spectrum_hits,
     kernel,
     pencil_full_rank,
-    quotient_map,
     subspace_sum,
 )
 from .freelie import (

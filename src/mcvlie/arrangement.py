@@ -57,15 +57,6 @@ class Hyperplane:
     def key(self):
         return self.form
 
-    @property
-    def normal(self):
-        """The normal as Fractions, first nonzero entry 1."""
-        return self.form.data[0][:-1]
-
-    @property
-    def offset(self):
-        return self.form.data[0][-1]
-
     def __eq__(self, other):
         return isinstance(other, Hyperplane) and self.key == other.key
 

@@ -437,13 +437,6 @@ class ExactMatrix:
         )
 
     @staticmethod
-    def from_cols(cols, ambient: int) -> "ExactMatrix":
-        cols = [tuple(c) for c in cols]
-        if any(len(c) != ambient for c in cols):
-            raise InputError("column length does not match ambient dimension")
-        return ExactMatrix(cols, shape=(len(cols), ambient)).transpose()
-
-    @staticmethod
     def hstack(mats) -> "ExactMatrix":
         mats = list(mats)
         r = mats[0].rows
@@ -501,9 +494,6 @@ class ExactMatrix:
         col_idx = list(col_idx)
         ints = tuple(tuple(self.ints[i][j] for j in col_idx) for i in row_idx)
         return ExactMatrix._of(ints, self.den, len(ints), len(col_idx))
-
-    def to_lists(self):
-        return [list(row) for row in self.data]
 
     @property
     def is_square(self) -> bool:
@@ -744,26 +734,6 @@ def _primitive(ints):
     return [x // g for x in ints] if g > 1 else ints
 
 
-def solve_right(a: ExactMatrix, b: ExactMatrix):
-    """Some X with a·X = b, or None when the system is inconsistent."""
-    aug, pivots = ExactMatrix.hstack([a, b]).rref()
-    if any(p >= a.cols for p in pivots):
-        return None
-    x = [(0,) * b.cols] * a.cols
-    for r, p in enumerate(pivots):
-        x[p] = aug.ints[r][a.cols:]
-    return ExactMatrix._of(tuple(x), aug.den, a.cols, b.cols)
-
-
-def inverse(m: ExactMatrix) -> ExactMatrix:
-    if not m.is_square:
-        raise PreconditionError("inverse needs a square matrix")
-    z = solve_right(m, ExactMatrix.identity(m.rows))
-    if z is None:
-        raise PreconditionError("matrix is singular")
-    return z
-
-
 # ---------------------------------------------------------------------------
 # Canonical subspaces
 
@@ -777,14 +747,9 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis", "pivots")
 
-    def __init__(self, ambient_dim: int, columns=None, basis: ExactMatrix = None):
+    def __init__(self, ambient_dim: int, basis: ExactMatrix = None):
         self.ambient_dim = ambient_dim
-        if basis is not None:
-            mat = basis
-        elif columns:
-            mat = ExactMatrix.from_cols(columns, ambient_dim)
-        else:
-            mat = ExactMatrix.zeros(ambient_dim, 0)
+        mat = ExactMatrix.zeros(ambient_dim, 0) if basis is None else basis
         red, pivots = mat.transpose().rref()
         r = len(pivots)
         self.basis = ExactMatrix._of(_transposed(red.ints[:r], ambient_dim), red.den, ambient_dim, r)
@@ -798,10 +763,6 @@ class Subspace:
         s = cls.__new__(cls)
         s.ambient_dim, s.basis, s.pivots = basis.rows, basis, tuple(pivots)
         return s
-
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim)
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
@@ -889,24 +850,13 @@ def kernel(m: ExactMatrix) -> Subspace:
     return Subspace(m.cols, basis=_null_rows(red, pivots).transpose())
 
 
-def quotient_map(ambient_dim: int, s: Subspace):
-    """Projection onto the canonical complement of s (non-pivot coordinates).
-
-    Returns (projection, quotient_dim) with projection·v = 0 iff v in s.
-    """
-    if s.ambient_dim != ambient_dim:
-        raise PreconditionError("quotient_map: ambient dimension mismatch")
-    proj = _null_rows(s.basis.transpose(), s.pivots)
-    return proj, proj.rows
-
-
 def quotient_all(matrices, s: Subspace):
     """The projection onto the canonical complement of s, its section, and
     the matrices induced by s-invariant `matrices`.  The section is the
     list of s's non-pivot coordinates, where the projection is the
     identity; its inclusion is a right inverse of the projection, so each
     induced matrix is projection · (section columns)."""
-    proj, _ = quotient_map(s.ambient_dim, s)
+    proj = _null_rows(s.basis.transpose(), s.pivots)
     pivot_set = set(s.pivots)
     section = [r for r in range(s.ambient_dim) if r not in pivot_set]
     induced = [proj * m.submatrix(range(m.rows), section) for m in matrices]
@@ -962,10 +912,6 @@ class Poly:
     @staticmethod
     def constant(c) -> "Poly":
         return Poly([c])
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly([0, 1])
 
     @property
     def degree(self) -> int:
@@ -1097,9 +1043,6 @@ class Poly:
         zero, h, chain = self._squarefree_ints()
         roots = _integer_roots(h, chain)
         return sorted(roots + [0] if zero else roots)
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs

@@ -173,18 +173,11 @@ class LieElement:
             raise InputError(f"generator index {i} outside 1..{n}")
         return LieElement(n, {(i,): 1})
 
-    @staticmethod
-    def basis_term(n: int, word, coeff=1) -> "LieElement":
-        return LieElement(n, {tuple(word): coeff})
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def max_degree(self) -> int:
         return max((len(w) for w in self.terms), default=0)
-
-    def support_letters(self):
-        return {x for w in self.terms for x in w}
 
     def __add__(self, other: "LieElement") -> "LieElement":
         self._match(other)

@@ -144,10 +144,6 @@ def check_integrability(system: PfaffianSystem) -> list:
     return violations
 
 
-def is_integrable(system: PfaffianSystem) -> bool:
-    return not check_integrability(system)
-
-
 def zero_extend(system: PfaffianSystem, target: Arrangement) -> PfaffianSystem:
     """Extend along an inclusion of arrangements by assigning the zero
     residue to every new hyperplane (the restriction functor of modules).

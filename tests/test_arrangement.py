@@ -39,11 +39,11 @@ THREE_LINES = arr2(((1, 0), 0), ((0, 1), 0), ((1, -1), 0))
 
 def test_canonicalize_examples():
     h = canonicalize("a", (2, 0), 4)
-    assert h.normal == (F(1), F(0)) and h.offset == F(2)
+    assert h.form.data[0] == (F(1), F(0), F(2))
     h = canonicalize("b", (1, -1), 0)
-    assert h.normal == (F(1), F(-1)) and h.offset == F(0)
+    assert h.form.data[0] == (F(1), F(-1), F(0))
     h = canonicalize("c", (0, -3), 6)
-    assert h.normal == (F(0), F(1)) and h.offset == F(-2)
+    assert h.form.data[0] == (F(0), F(1), F(-2))
 
 
 def test_canonicalize_rejects_zero_normal():
@@ -151,13 +151,14 @@ def _oracle_arrangement(rng, dim, raw=None):
         normal = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
         add(normal, F(rng.randint(-3, 3), rng.randint(1, 3)))
         if planes and rng.random() < 0.3:  # a parallel copy
-            add(planes[-1].normal, planes[-1].offset + F(rng.randint(1, 3), 2))
+            *normal, offset = planes[-1].form.data[0]
+            add(tuple(normal), offset + F(rng.randint(1, 3), 2))
         if len(planes) >= 2 and rng.random() < 0.3:  # through the last flat
-            a, b = planes[-1], planes[-2]
+            a, b = planes[-1].form.data[0], planes[-2].form.data[0]
             s, t = F(rng.randint(1, 3)), F(rng.randint(-3, -1), rng.randint(1, 2))
             add(
-                tuple(s * x + t * y for x, y in zip(a.normal, b.normal)),
-                s * a.offset + t * b.offset,
+                tuple(s * x + t * y for x, y in zip(a[:-1], b[:-1])),
+                s * a[-1] + t * b[-1],
             )
     return Arrangement(dim, planes)
 
@@ -669,7 +670,7 @@ def test_closure_of_two_axes_adds_diagonal():
     closed = y_closure(TWO_AXES, Line.of((1, 1)))
     assert len(closed) == 3
     added = closed.hyperplanes[2]
-    assert added.normal == (F(1), F(-1)) and added.offset == F(0)
+    assert added.form.data[0] == (F(1), F(-1), F(0))
     assert added.id.startswith("cl:")
     assert is_y_closed(closed, Line.of((1, 1)))
 

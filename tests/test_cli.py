@@ -248,6 +248,26 @@ def test_golden_check_violations_output_file():
     assert [v["family"] for v in doc["violations"]] == [["H12", "H13", "H23"]] * 2
 
 
+def _golden_manifest():
+    """(exit status, golden file, argv) per line of tests/data/goldens.txt,
+    the list that CI runs through a real process."""
+    lines = (DATA / "goldens.txt").read_text(encoding="utf-8").splitlines()
+    rows = [line.split() for line in lines if line and not line.startswith("#")]
+    return [(int(code), golden, argv) for code, golden, *argv in rows]
+
+
+def test_every_golden_in_the_manifest_matches(monkeypatch):
+    manifest = _golden_manifest()
+    listed = {Path(golden).name for _, golden, _ in manifest}
+    assert listed == {path.name for path in DATA.glob("golden_*.json")}
+    assert len(listed) == len(manifest) == 9
+    monkeypatch.chdir(DATA.parent.parent)
+    for code, golden, argv in manifest:
+        status, out, _ = run_cli(*argv)
+        assert status == code, argv
+        assert out == Path(golden).read_text(encoding="utf-8"), argv
+
+
 def test_text_format_renders_grid():
     code, out, _ = run_cli(
         "mc",

@@ -25,10 +25,11 @@ from mcvlie.exactcore import (
     kernel,
     pencil_full_rank,
     quotient_all,
-    quotient_map,
     rat,
     subspace_sum,
 )
+
+from linalg_oracle import column_matrix
 
 F = Fraction
 
@@ -39,6 +40,12 @@ def rand_fraction(rng, lo=-4, hi=4, den=3):
 
 def rand_matrix(rng, r, c, lo=-4, hi=4, den=3):
     return ExactMatrix([[rand_fraction(rng, lo, hi, den) for _ in range(c)] for _ in range(r)])
+
+
+def rand_span(rng, amb):
+    """The span of up to amb random columns in Q^amb."""
+    cols = [rand_matrix(rng, amb, 1).col(0) for _ in range(rng.randint(0, amb))]
+    return Subspace(amb, basis=column_matrix(cols, amb))
 
 
 # -- packed rows (Kronecker substitution) -------------------------------------
@@ -263,7 +270,7 @@ def test_coordinates_at_the_first_width_that_collides():
     # lie in the span.  One bit narrower is still exact: each side sums at
     # most dim + 1 products below 2^(w-2), so their difference stays below
     # 2^(w-1) and packs to 0 only when it is 0.
-    span = Subspace(2, columns=[[5, 7]])
+    span = Subspace(2, basis=column_matrix([[5, 7]], 2))
     assert span.basis.ints == ((5,), (7,)) and span.basis.den == 5
     m = ExactMatrix([[7, 2], [-3, 3]])
     w = _width(_bits(span.basis.ints) + _bits(m.ints), span.dim)
@@ -282,14 +289,14 @@ def test_coordinates_at_extreme_entries():
     for _ in range(150):
         n, b = rng.randint(2, 5), rng.choice((1, 4, 31, 64))
         cols = _extreme_matrix(rng, rng.randint(1, n - 1), n, b).ints
-        span = Subspace(n, columns=cols)
+        span = Subspace(n, basis=column_matrix(cols, n))
         for _ in range(3):
             if rng.random() < 0.5:
                 signs = [rng.choice((1, -1)) for _ in cols]
                 vec = [sum(map(mul, signs, row)) for row in zip(*cols)]
             else:
                 vec = _extreme_matrix(rng, 1, n, b).data[0]
-            col = ExactMatrix.from_cols([vec], n)
+            col = column_matrix([vec], n)
             x = span.coordinates(col)
             inside = ExactMatrix.hstack([span.basis, col]).rank() == span.dim
             assert (x is not None) == inside
@@ -357,7 +364,7 @@ def test_subspace_canonical_form_is_span_invariant():
         k = rng.randint(0, amb)
         base = rand_matrix(rng, amb, k) if k else None
         cols1 = [base.col(j) for j in range(k)] if base else []
-        s1 = Subspace(amb, columns=cols1)
+        s1 = Subspace(amb, basis=column_matrix(cols1, amb))
         # random invertible recombination of the same columns
         if k:
             coeffs = rand_matrix(rng, k, k)
@@ -367,15 +374,15 @@ def test_subspace_canonical_form_is_span_invariant():
             cols2 = [recomb.col(j) for j in range(k)]
         else:
             cols2 = []
-        s2 = Subspace(amb, columns=cols2)
+        s2 = Subspace(amb, basis=column_matrix(cols2, amb))
         assert s1 == s2
         assert hash(s1) == hash(s2)
 
 
 def test_meet_and_sum_examples():
-    e1 = Subspace(2, columns=[[1, 0]])
-    e1e2 = Subspace(2, columns=[[1, 1]])
-    e2 = Subspace(2, columns=[[0, 1]])
+    e1 = Subspace(2, basis=column_matrix([[1, 0]], 2))
+    e1e2 = Subspace(2, basis=column_matrix([[1, 1]], 2))
+    e2 = Subspace(2, basis=column_matrix([[0, 1]], 2))
     assert subspace_sum(e1, e1) == e1
     assert subspace_sum(e1, e2) == Subspace.full(2)
     assert subspace_sum(e1, e1e2) == Subspace.full(2)
@@ -383,15 +390,15 @@ def test_meet_and_sum_examples():
 
 def test_sum_requires_matching_ambient():
     with pytest.raises(PreconditionError):
-        subspace_sum(Subspace.zero(2), Subspace.zero(3))
+        subspace_sum(Subspace(2), Subspace(3))
 
 
 def test_modular_dimension_law_random():
     rng = random.Random(13)
     for _ in range(40):
         amb = rng.randint(1, 5)
-        s1 = Subspace(amb, columns=[rand_matrix(rng, amb, 1).col(0) for _ in range(rng.randint(0, amb))])
-        s2 = Subspace(amb, columns=[rand_matrix(rng, amb, 1).col(0) for _ in range(rng.randint(0, amb))])
+        s1 = rand_span(rng, amb)
+        s2 = rand_span(rng, amb)
         stacked = ExactMatrix.vstack([s1.basis.transpose(), s2.basis.transpose()])
         assert subspace_sum(s1, s2).dim == stacked.rank()
 
@@ -400,35 +407,35 @@ def test_modular_dimension_law_random():
 
 
 def test_quotient_of_zero_space_is_identity():
-    proj, qdim = quotient_map(3, Subspace.zero(3))
-    assert qdim == 3
+    proj, section, _ = quotient_all([], Subspace(3))
+    assert len(section) == 3
     assert proj == ExactMatrix.identity(3)
 
 
 def test_quotient_of_full_space_is_empty():
-    proj, qdim = quotient_map(2, Subspace.full(2))
-    assert qdim == 0
+    proj, section, _ = quotient_all([], Subspace.full(2))
+    assert len(section) == 0
     assert proj.rows == 0 and proj.cols == 2
 
 
 def test_quotient_of_line_keeps_nonpivot_coordinate():
-    proj, qdim = quotient_map(2, Subspace(2, columns=[[1, 0]]))
-    assert qdim == 1
+    proj, section, _ = quotient_all([], Subspace(2, basis=column_matrix([[1, 0]], 2)))
+    assert len(section) == 1
     assert proj == ExactMatrix([[0, 1]])
 
 
 def times(m, v):
     """m·v as the product with a one-column matrix."""
-    return (m * ExactMatrix.from_cols([v], m.cols)).col(0)
+    return (m * column_matrix([v], m.cols)).col(0)
 
 
 def test_quotient_kills_exactly_the_subspace():
     rng = random.Random(17)
     for _ in range(30):
         amb = rng.randint(1, 5)
-        s = Subspace(amb, columns=[rand_matrix(rng, amb, 1).col(0) for _ in range(rng.randint(0, amb))])
-        proj, qdim = quotient_map(amb, s)
-        assert proj.rank() == qdim == amb - s.dim
+        s = rand_span(rng, amb)
+        proj, section, _ = quotient_all([], s)
+        assert proj.rank() == len(section) == amb - s.dim
         for j in range(s.dim):
             assert all(x == 0 for x in times(proj, s.basis.col(j)))
         v = rand_matrix(rng, amb, 1).col(0)
@@ -447,15 +454,15 @@ def _induced(a, s):
 
 def test_induced_on_quotient_examples():
     a = ExactMatrix([[1, 1], [0, 2]])
-    assert _induced(a, Subspace.zero(2)) == a
+    assert _induced(a, Subspace(2)) == a
     # invariant line e1: the induced action on the e2 coordinate is [2]
-    assert _induced(a, Subspace(2, columns=[[1, 0]])) == ExactMatrix([[2]])
+    assert _induced(a, Subspace(2, basis=column_matrix([[1, 0]], 2))) == ExactMatrix([[2]])
 
 
 def test_induced_on_quotient_reports_witness():
     a = ExactMatrix([[0, 1], [0, 0]])
     with pytest.raises(InvarianceError) as err:
-        _induced(a, Subspace(2, columns=[[0, 1]]))
+        _induced(a, Subspace(2, basis=column_matrix([[0, 1]], 2)))
     assert err.value.witness_vector == (F(0), F(1))
     assert err.value.image == (F(1), F(0))
     assert str(err.value) == (
@@ -475,10 +482,10 @@ def test_induced_intertwines_projection():
         for _ in range(amb):
             cols.append(w)
             w = times(a, w)
-        s = Subspace(amb, columns=cols)
+        s = Subspace(amb, basis=column_matrix(cols, amb))
         if not all(s.contains(times(a, s.basis.col(j))) for j in range(s.dim)):
             continue
-        proj, _ = quotient_map(amb, s)
+        proj, _, _ = quotient_all([], s)
         abar = _induced(a, s)
         assert proj * a == abar * proj
         done += 1
@@ -488,7 +495,7 @@ def test_induced_intertwines_projection():
 
 
 def test_poly_basic_algebra():
-    x = Poly.x()
+    x = Poly([0, 1])
     p = (x - Poly.constant(1)) * (x + Poly.constant(1))
     assert p == Poly([-1, 0, 1])
     q, r = p.divmod(x - Poly.constant(1))
@@ -539,14 +546,14 @@ def test_pencil_constant_is_full_rank():
 
 
 def test_pencil_single_variable_entry():
-    full, defect = pencil_full_rank(PolyMatrix([[Poly.x()]]))
+    full, defect = pencil_full_rank(PolyMatrix([[Poly([0, 1])]]))
     assert not full
     assert defect == Poly([0, 1])
     assert defect.rational_roots() == [0]
 
 
 def test_pencil_two_by_two():
-    m = PolyMatrix([[Poly.x(), Poly.constant(1)], [Poly.constant(1), Poly.x()]])
+    m = PolyMatrix([[Poly([0, 1]), Poly.constant(1)], [Poly.constant(1), Poly([0, 1])]])
     full, defect = pencil_full_rank(m)
     assert not full
     assert defect == Poly([-1, 0, 1])  # c^2 - 1

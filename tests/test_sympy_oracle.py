@@ -21,6 +21,8 @@ from mcvlie.arrangement import (  # noqa: E402
 )
 from mcvlie.exactcore import ExactMatrix, Poly, Subspace, charpoly, kernel  # noqa: E402
 
+from linalg_oracle import column_matrix  # noqa: E402
+
 F = Fraction
 X = sympy.Symbol("x")
 
@@ -67,7 +69,7 @@ def test_rref_rank_kernel_det_match_sympy():
         ]
         assert m.rank() == s.rank()
         null = [[frac(x) for x in v] for v in s.nullspace()]
-        assert kernel(m) == Subspace(c, columns=null)
+        assert kernel(m) == Subspace(c, basis=column_matrix(null, c))
         if r == c:
             assert m.det() == frac(s.det())
 
