@@ -110,7 +110,7 @@ def _star_defect(mats, i: int, full_rank=None) -> Poly:
     if full_rank is None:
         full_rank = _full_rank_mod_p((row for m in others for row in m.ints), a.rows)
     if full_rank:
-        return Poly.one()
+        return Poly([1])
     if others:
         block = stack = ExactMatrix.vstack(others)
         n_space = kernel(stack)
@@ -122,9 +122,9 @@ def _star_defect(mats, i: int, full_rank=None) -> Poly:
                 break
             n_space = smaller
     else:
-        n_space = Subspace.full(a.rows)
+        n_space = Subspace(a.rows, basis=ExactMatrix.identity(a.rows))
     if not n_space.dim:
-        return Poly.one()
+        return Poly([1])
     return charpoly(n_space.restrict(a, "Hautus space N", i + 1))
 
 

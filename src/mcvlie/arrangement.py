@@ -24,7 +24,7 @@ Y-closedness criterion and the Y-closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from operator import mul
 
@@ -50,18 +50,12 @@ class Hyperplane:
     Equality and hashing are geometric (the form); the id is a label.
     """
 
-    id: str
+    id: str = field(compare=False)
     form: ExactMatrix
 
     @property
     def key(self):
         return self.form
-
-    def __eq__(self, other):
-        return isinstance(other, Hyperplane) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
 
     def contains_flat(self, equations: ExactMatrix) -> bool:
         """Whether the hyperplane contains the codimension-2 flat with the

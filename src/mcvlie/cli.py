@@ -11,7 +11,7 @@ import sys
 from . import analysis, convolution, freelie, holonomy
 from .arrangement import Arrangement, Line, y_closure
 from .errors import InputError, MCVError, PreconditionError
-from .exactcore import TOO_LARGE_TO_PRINT, matrix_from_json, matrix_to_json, rat, rat_str
+from .exactcore import TOO_LARGE_TO_PRINT, matrix_from_json, matrix_to_json, rat
 from .holonomy import PfaffianSystem
 
 

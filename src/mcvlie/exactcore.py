@@ -537,7 +537,7 @@ class ExactMatrix:
         denominators.  A sparse left row sums its multiples of the right
         rows instead of taking dot products with the right columns."""
         if not isinstance(other, ExactMatrix):
-            return self.scale(other)
+            return NotImplemented
         if self.cols != other.rows:
             raise PreconditionError("matrix product: inner dimensions differ")
         if not self.cols or not other.cols:
@@ -561,9 +561,6 @@ class ExactMatrix:
                     sums = [x + a * y for x, y in zip(sums, irows[k])]
                 out.append(tuple(sums))
         return ExactMatrix._of(tuple(out), self.den * other.den, self.rows, other.cols)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._of(_transposed(self.ints, self.cols), self.den, self.cols, self.rows)
@@ -764,10 +761,6 @@ class Subspace:
         s.ambient_dim, s.basis, s.pivots = basis.rows, basis, tuple(pivots)
         return s
 
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, basis=ExactMatrix.identity(ambient_dim))
-
     @property
     def dim(self) -> int:
         return self.basis.cols
@@ -901,18 +894,6 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
-    @staticmethod
-    def one() -> "Poly":
-        return Poly([1])
-
-    @staticmethod
-    def constant(c) -> "Poly":
-        return Poly([c])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -940,7 +921,7 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            return self.scale(other)
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly()
         out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -950,9 +931,6 @@ class Poly:
                     if b:
                         out[i + j] += a * b
         return Poly(out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, a) -> "Poly":
         a = rat(a)
@@ -1198,7 +1176,7 @@ class PolyMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, shape=None):
-        rows = [tuple(e if isinstance(e, Poly) else Poly.constant(e) for e in row)
+        rows = [tuple(e if isinstance(e, Poly) else Poly([e]) for e in row)
                 for row in data]
         if shape is not None:
             self.rows, self.cols = shape
@@ -1217,7 +1195,7 @@ class PolyMatrix:
         return PolyMatrix(
             [
                 [
-                    Poly.constant(a.data[i][j]) + (shift if i == j else Poly.zero())
+                    Poly([a.data[i][j]]) + (shift if i == j else Poly())
                     for j in range(a.cols)
                 ]
                 for i in range(a.rows)
@@ -1257,21 +1235,21 @@ class PolyMatrix:
         if len(row_idx) != k:
             raise PreconditionError("submatrix_det: need exactly cols rows")
         if k == 0:
-            return Poly.one()
+            return Poly([1])
         m = [[self.data[i][j] for j in range(k)] for i in row_idx]
         sign = 1
-        prev = Poly.one()
+        prev = Poly([1])
         for p in range(k - 1):
             if m[p][p].is_zero():
                 pr = next((i for i in range(p + 1, k) if not m[i][p].is_zero()), None)
                 if pr is None:
-                    return Poly.zero()
+                    return Poly()
                 m[p], m[pr] = m[pr], m[p]
                 sign = -sign
             for i in range(p + 1, k):
                 for j in range(p + 1, k):
                     m[i][j] = (m[i][j] * m[p][p] - m[i][p] * m[p][j]).exact_div(prev)
-                m[i][p] = Poly.zero()
+                m[i][p] = Poly()
             prev = m[p][p]
         d = m[k - 1][k - 1]
         return -d if sign < 0 else d
@@ -1287,7 +1265,7 @@ def pencil_full_rank(m: PolyMatrix):
     """
     if m.rows < m.cols:
         raise PreconditionError("pencil_full_rank expects rows >= cols")
-    g = Poly.zero()
+    g = Poly()
     for rows in itertools.combinations(range(m.rows), m.cols):
         g = g.gcd(m.submatrix_det(rows))
         if g.is_constant() and not g.is_zero():

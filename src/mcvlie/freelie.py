@@ -14,6 +14,7 @@ Degree caps (n <= 6, total degree <= 8) keep everything at desk scale.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import InputError, InternalInvariantError, PreconditionError
@@ -79,29 +80,21 @@ def standard_factorization(word):
     return w[:split], w[split:]
 
 
-_EXPANSION_CACHE: dict = {}
-
-
-def _expand_bracketing(word) -> dict:
+@functools.cache
+def _expand_bracketing(w: tuple) -> dict:
     """Associative expansion of the standard bracketing of a Lyndon word:
     a map word -> coefficient whose lexicographically least term is the word
     itself with coefficient 1."""
-    w = tuple(word)
-    cached = _EXPANSION_CACHE.get(w)
-    if cached is not None:
-        return cached
     if len(w) == 1:
-        out = {w: 1}
-    else:
-        u, v = standard_factorization(w)
-        pu, pv = _expand_bracketing(u), _expand_bracketing(v)
-        out = {}
-        for a, ca in pu.items():
-            for b, cb in pv.items():
-                c = ca * cb
-                _bump(out, a + b, c)
-                _bump(out, b + a, -c)
-    _EXPANSION_CACHE[w] = out
+        return {w: 1}
+    u, v = standard_factorization(w)
+    pu, pv = _expand_bracketing(u), _expand_bracketing(v)
+    out = {}
+    for a, ca in pu.items():
+        for b, cb in pv.items():
+            c = ca * cb
+            _bump(out, a + b, c)
+            _bump(out, b + a, -c)
     return out
 
 
@@ -164,10 +157,6 @@ class LieElement:
         self.terms = clean
 
     @staticmethod
-    def zero(n: int) -> "LieElement":
-        return LieElement(n)
-
-    @staticmethod
     def generator(n: int, i: int) -> "LieElement":
         if not 1 <= i <= n:
             raise InputError(f"generator index {i} outside 1..{n}")
@@ -226,34 +215,13 @@ class LieElement:
         )
         return f"LieElement({body})"
 
-    def to_json(self):
-        return {
-            "n": self.n,
-            "terms": {
-                "".join(map(str, w)): rat_str(c)
-                for w, c in sorted(self.terms.items())
-            },
-        }
-
-    @staticmethod
-    def from_json(data) -> "LieElement":
-        try:
-            n = int(data["n"])
-            terms = {
-                tuple(int(ch) for ch in word): rat(c)
-                for word, c in data.get("terms", {}).items()
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed Lie element JSON: {exc}") from exc
-        return LieElement(n, terms)
-
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Lie bracket, computed as the associative commutator re-expressed in
     the Lyndon basis."""
     a._match(b)
     if a.is_zero() or b.is_zero():
-        return LieElement.zero(a.n)
+        return LieElement(a.n)
     if a.max_degree() + b.max_degree() > MAX_DEGREE:
         raise DegreeCapError("bracket result would exceed the degree cap")
     pa, pb = a.to_associative(), b.to_associative()
@@ -294,7 +262,7 @@ class Derivation:
         self._assoc = None  # associative images, built on the first apply
 
     def image(self, i: int) -> LieElement:
-        return self.images.get(i, LieElement.zero(self.n))
+        return self.images.get(i, LieElement(self.n))
 
     def apply(self, e: LieElement) -> LieElement:
         if e.n != self.n:
@@ -457,7 +425,7 @@ def verify_braid_relations(n: int) -> list:
                     check(rel, f"[A({i},{j}), A({k},{l})] = 0")
 
     for (i, j), d in thetas.items():
-        value = sum(d.images.values(), LieElement.zero(n))
+        value = sum(d.images.values(), LieElement(n))
         if not value.is_zero():
             violations.append(
                 RelationViolation(f"A({i},{j}) kills x_1 + ... + x_n", (), value)
@@ -488,7 +456,7 @@ def adjoint_witness(word: DKWord, i: int, n: int) -> LieElement:
     def walk(w, root=False):
         if w.is_leaf:
             other = {w.i: w.j, w.j: w.i}.get(i)
-            v = LieElement.generator(n, other) if other else LieElement.zero(n)
+            v = LieElement.generator(n, other) if other else LieElement(n)
             return theta(w.i, w.j, n), v
         (d1, v1), (d2, v2) = walk(w.left), walk(w.right)
         v = bracket(v1, v2) + d1.apply(v2) - d2.apply(v1)

@@ -22,7 +22,6 @@ from .exactcore import (
     commuting_with_sum,
     int_from_json,
     matrix_from_json,
-    matrix_to_json,
 )
 
 
@@ -69,13 +68,6 @@ class PfaffianSystem:
             return self.residues[hid]
         except KeyError:
             raise InputError(f"unknown hyperplane id {hid!r}") from None
-
-    def to_json(self):
-        return {
-            "arrangement": self.arrangement.to_json(),
-            "rank": self.rank,
-            "residues": {hid: matrix_to_json(m) for hid, m in self.residues.items()},
-        }
 
     @staticmethod
     def from_json(data) -> "PfaffianSystem":

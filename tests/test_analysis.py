@@ -119,7 +119,7 @@ def _minors_star_conditions(mats) -> StarReport:
     star_defects, dstar_defects, witnesses = [], [], []
     for i in range(len(mats)):
         blocks = [
-            PolyMatrix.from_pencil(a, Poly([0, -1]) if j == i else Poly.zero())
+            PolyMatrix.from_pencil(a, Poly([0, -1]) if j == i else Poly())
             for j, a in enumerate(mats)
         ]
         pencil = PolyMatrix.vstack([blocks[i]] + blocks[:i] + blocks[i + 1:])
@@ -563,7 +563,7 @@ def test_unlucky_prime_star_pencils_reach_the_exact_path():
     for mats in ([E12, pi2], [SHIFT3, pd3], _conjugate(rng, [SHIFT3, pd3])):
         d = mats[0].rows
         assert not _full_rank_mod_p(mats[1].ints, d)
-        assert _star_defect(mats, 0) == Poly.one()
+        assert _star_defect(mats, 0) == Poly([1])
         assert not _star_defect(mats, 1).is_constant()
         assert check_star_conditions(mats) == _minors_star_conditions(mats)
 

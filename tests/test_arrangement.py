@@ -53,6 +53,7 @@ def test_canonicalize_rejects_zero_normal():
 
 def test_geometric_equality_ignores_ids():
     assert canonicalize("a", (2, 0), 4) == canonicalize("b", (1, 0), 2)
+    assert hash(canonicalize("a", (2, 0), 4)) == hash(canonicalize("b", (1, 0), 2))
 
 
 def test_arrangement_rejects_duplicates():

@@ -259,8 +259,8 @@ def _golden_manifest():
 def test_every_golden_in_the_manifest_matches(monkeypatch):
     manifest = _golden_manifest()
     listed = {Path(golden).name for _, golden, _ in manifest}
-    assert listed == {path.name for path in DATA.glob("golden_*.json")}
-    assert len(listed) == len(manifest) == 9
+    assert listed == {path.name for path in DATA.glob("golden_*")}
+    assert len(listed) == len(manifest) == 13
     monkeypatch.chdir(DATA.parent.parent)
     for code, golden, argv in manifest:
         status, out, _ = run_cli(*argv)

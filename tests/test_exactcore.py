@@ -384,8 +384,8 @@ def test_meet_and_sum_examples():
     e1e2 = Subspace(2, basis=column_matrix([[1, 1]], 2))
     e2 = Subspace(2, basis=column_matrix([[0, 1]], 2))
     assert subspace_sum(e1, e1) == e1
-    assert subspace_sum(e1, e2) == Subspace.full(2)
-    assert subspace_sum(e1, e1e2) == Subspace.full(2)
+    assert subspace_sum(e1, e2) == Subspace(2, basis=ExactMatrix.identity(2))
+    assert subspace_sum(e1, e1e2) == Subspace(2, basis=ExactMatrix.identity(2))
 
 
 def test_sum_requires_matching_ambient():
@@ -413,7 +413,7 @@ def test_quotient_of_zero_space_is_identity():
 
 
 def test_quotient_of_full_space_is_empty():
-    proj, section, _ = quotient_all([], Subspace.full(2))
+    proj, section, _ = quotient_all([], Subspace(2, basis=ExactMatrix.identity(2)))
     assert len(section) == 0
     assert proj.rows == 0 and proj.cols == 2
 
@@ -496,12 +496,26 @@ def test_induced_intertwines_projection():
 
 def test_poly_basic_algebra():
     x = Poly([0, 1])
-    p = (x - Poly.constant(1)) * (x + Poly.constant(1))
+    p = (x - Poly([1])) * (x + Poly([1]))
     assert p == Poly([-1, 0, 1])
-    q, r = p.divmod(x - Poly.constant(1))
+    q, r = p.divmod(x - Poly([1]))
     assert r.is_zero() and q == Poly([1, 1])
-    assert p.gcd(x - Poly.constant(1)) == Poly([-1, 1])
+    assert p.gcd(x - Poly([1])) == Poly([-1, 1])
     assert p.eval(3) == 8
+
+
+def test_star_is_only_a_product_of_two_matrices_or_two_polys():
+    m, p = ExactMatrix([[1, 2], [3, 4]]), Poly([1, 1])
+    for a in (m, p):
+        for c in (2, F(1, 2)):
+            with pytest.raises(TypeError):
+                a * c
+            with pytest.raises(TypeError):
+                c * a
+    with pytest.raises(TypeError):
+        m * p
+    with pytest.raises(TypeError):
+        p * m
 
 
 def test_poly_rational_roots():
@@ -541,8 +555,8 @@ def test_charpoly_matches_bareiss_det():
 
 
 def test_pencil_constant_is_full_rank():
-    full, defect = pencil_full_rank(PolyMatrix([[Poly.constant(1)]]))
-    assert full and defect == Poly.one()
+    full, defect = pencil_full_rank(PolyMatrix([[Poly([1])]]))
+    assert full and defect == Poly([1])
 
 
 def test_pencil_single_variable_entry():
@@ -553,14 +567,14 @@ def test_pencil_single_variable_entry():
 
 
 def test_pencil_two_by_two():
-    m = PolyMatrix([[Poly([0, 1]), Poly.constant(1)], [Poly.constant(1), Poly([0, 1])]])
+    m = PolyMatrix([[Poly([0, 1]), Poly([1])], [Poly([1]), Poly([0, 1])]])
     full, defect = pencil_full_rank(m)
     assert not full
     assert defect == Poly([-1, 0, 1])  # c^2 - 1
 
 
 def test_pencil_all_minors_zero():
-    m = PolyMatrix([[Poly.zero()], [Poly.zero()]], shape=(2, 1))
+    m = PolyMatrix([[Poly()], [Poly()]], shape=(2, 1))
     full, defect = pencil_full_rank(m)
     assert not full and defect.is_zero()
 

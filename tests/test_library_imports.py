@@ -1,7 +1,8 @@
 """The library runs on the standard library alone and is deterministic: every
 absolute import under src/mcvlie is a standard-library module, and none of
-them is `random`.  The CLI reads argv from its own command table, so
-importing it loads no `argparse`."""
+them is `random`.  Every name a module imports is read in that module.  The
+CLI reads argv from its own command table, so importing it loads no
+`argparse`."""
 
 import ast
 import os
@@ -28,6 +29,27 @@ def test_library_imports_only_the_deterministic_standard_library():
             top = name.split(".")[0]
             assert top in sys.stdlib_module_names, (path.name, name)
             assert top != "random", (path.name, name)
+
+
+def test_every_module_level_import_is_read():
+    files = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+    assert files
+    unread = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        }
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [(path.name, name) for name in sorted(imported - read)]
+    assert unread == []
 
 
 def test_importing_the_cli_loads_no_argparse():
