@@ -5,8 +5,8 @@ the integer-eigenvalue hypotheses of the Riemann-Hilbert comparison."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arrangement import Line, split_parallel
 from .convolution import (
@@ -47,15 +47,13 @@ from .holonomy import PfaffianSystem, residue_sum
 # Genericity conditions
 
 
-@dataclass(frozen=True)
-class StarWitness:
+class StarWitness(NamedTuple):
     generator: int
     c: Fraction
     vector: tuple
 
 
-@dataclass(frozen=True)
-class StarReport:
+class StarReport(NamedTuple):
     holds_star: bool
     holds_dstar: bool
     star_defects: tuple  # one Poly per generator
@@ -312,8 +310,7 @@ def _full_rank_mod_p(rows, width: int) -> bool:
 # Isomorphism of generator tuples
 
 
-@dataclass(frozen=True)
-class IsoResult:
+class IsoResult(NamedTuple):
     verdict: str  # "isomorphic" | "not_isomorphic"
     intertwiner: ExactMatrix = None
 
@@ -354,8 +351,7 @@ def rh_hypotheses(system: PfaffianSystem, line: Line, lam):
 # Composition-law harness
 
 
-@dataclass
-class CompositionReport:
+class CompositionReport(NamedTuple):
     applicable: bool
     stars: StarReport
     lam: Fraction = None

@@ -24,9 +24,9 @@ Y-closedness criterion and the Y-closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError, PreconditionError
 from .exactcore import (
@@ -42,20 +42,30 @@ from .exactcore import (
 )
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """Affine hyperplane {x : normal·x + offset = 0}, stored as `form`, the
     1×(dim+1) reduced echelon ExactMatrix of [normal…, offset].
 
     Equality and hashing are geometric (the form); the id is a label.
+    Tuple's own `==`, `!=` and hash would read the id too, so all three
+    are overridden.
     """
 
-    id: str = field(compare=False)
+    id: str
     form: ExactMatrix
 
     @property
     def key(self):
         return self.form
+
+    def __eq__(self, other):
+        return isinstance(other, Hyperplane) and self.form == other.form
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self.form)
 
     def contains_flat(self, equations: ExactMatrix) -> bool:
         """Whether the hyperplane contains the codimension-2 flat with the
@@ -105,8 +115,7 @@ def _planes_in_one_pass(hyperplanes):
     return [_hyperplane(str(h["id"]), row) for h, row in zip(hyperplanes, read[0])]
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     """Line through the origin; `direction` is the integer row of the
     direction's echelon form (primitive, first nonzero entry positive)."""
 

@@ -9,8 +9,8 @@ kernel of the convolved transverse matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arrangement import Arrangement, Line, canonicalize, codim2_flats, split_parallel, y_closure
 from .errors import InternalInvariantError, PreconditionError
@@ -81,8 +81,7 @@ def dr_k_l(mats, lam):
     return k, Subspace._of(ExactMatrix.vstack([ker.basis] * n), ker.pivots)
 
 
-@dataclass
-class ConvolvedSystem:
+class ConvolvedSystem(NamedTuple):
     """Convolution of a Pfaffian system along a line: one matrix of size
     n·d per hyperplane of the Y-closure, block order fixed by the transverse
     hyperplanes in arrangement order."""
@@ -110,8 +109,7 @@ class ConvolvedSystem:
         }
 
 
-@dataclass
-class MiddleConvolvedSystem:
+class MiddleConvolvedSystem(NamedTuple):
     """Quotient of a convolution by k + l, with the induced matrix of each id.
     The projection is the identity at the section's coordinates (see
     `quotient_all`)."""

@@ -15,7 +15,7 @@ Degree caps (n <= 6, total degree <= 8) keep everything at desk scale.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError, PreconditionError
 from .exactcore import rat, rat_str
@@ -309,8 +309,7 @@ def theta(i: int, j: int, n: int) -> Derivation:
 # Bracket words in the A_{i,j} generators
 
 
-@dataclass(frozen=True)
-class DKWord:
+class DKWord(NamedTuple):
     """Bracket expression over the generators A_{i,j}: either a leaf (i, j)
     or a bracket of two subtrees."""
 
@@ -363,8 +362,7 @@ def theta_of_dkword(word: DKWord, n: int) -> Derivation:
 # Relation verification and the adjoint witness
 
 
-@dataclass(frozen=True)
-class RelationViolation:
+class RelationViolation(NamedTuple):
     relation: str
     word: tuple
     value: LieElement

@@ -10,8 +10,8 @@ implements the zero-extension along an inclusion of arrangements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .arrangement import Arrangement, codim2_flats
 from .errors import InputError, InternalInvariantError, PreconditionError
@@ -25,8 +25,7 @@ from .exactcore import (
 )
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """Generators (hyperplane ids) and the relation families: for each
     maximal codimension-2 family {H_1..H_m} the relations say every member
     commutes with the family sum."""
@@ -85,8 +84,7 @@ class PfaffianSystem:
         return PfaffianSystem(arr, rank, residues)
 
 
-@dataclass(frozen=True)
-class IntegrabilityViolation:
+class IntegrabilityViolation(NamedTuple):
     family: tuple
     member: str
     commutator: ExactMatrix
