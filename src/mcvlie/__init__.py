@@ -46,12 +46,10 @@ from .errors import InputError, InternalInvariantError, MCVError, PreconditionEr
 from .exactcore import (
     ExactMatrix,
     Poly,
-    PolyMatrix,
     Subspace,
     charpoly,
     integer_spectrum_hits,
     kernel,
-    pencil_full_rank,
     subspace_sum,
 )
 from .freelie import (

@@ -56,6 +56,7 @@ class Hyperplane(NamedTuple):
 
     @property
     def key(self):
+        """The form again; `bench/tracing.py` is its only reader."""
         return self.form
 
     def __eq__(self, other):
@@ -149,11 +150,11 @@ class Arrangement:
         for h in self.hyperplanes:
             if h.form.cols != dim + 1:
                 raise InputError(f"hyperplane {h.id!r} has wrong dimension")
-            if h.key in self._keys:
+            if h.form in self._keys:
                 raise InputError(f"duplicate hyperplane {h.id!r}")
             if h.id in ids:
                 raise InputError(f"duplicate hyperplane id {h.id!r}")
-            self._keys.add(h.key)
+            self._keys.add(h.form)
             ids.add(h.id)
 
     def __len__(self):
@@ -175,7 +176,7 @@ class Arrangement:
         return (
             isinstance(other, Arrangement)
             and self.dim == other.dim
-            and [h.key for h in self] == [h.key for h in other]
+            and [h.form for h in self] == [h.form for h in other]
         )
 
     def __repr__(self):

@@ -974,11 +974,15 @@ class Poly:
             out = out * c + coeff
         return out
 
-    def _squarefree_ints(self):
+    def _squarefree_ints(self, integer=False):
         """(whether 0 is a root, h, the Sturm chain of h or None): h is the
         squarefree part of the polynomial with its factors x removed, as a
         primitive integer row with the sign of the leading coefficient,
-        lowest degree first; (1,) if it is constant.
+        lowest degree first; (1,) if it is constant, or if
+        `_rootless_mod_small_prime` shows that it has no rational root (no
+        integer root, if `integer`).  That sieve is tried when the root
+        bound has more than 64 bits, where a Sturm search would bisect a
+        wide range.
 
         The polynomial f, cleared of denominators once and made primitive,
         is divided over Z by the last member of its Sturm chain (Euclid's
@@ -995,6 +999,8 @@ class Poly:
             return low > 0, (1,), None
         den = lcm(*(c.denominator for c in cs[low:]))
         f = _primitive([c.numerator * (den // c.denominator) for c in cs[low:]])
+        if _root_bound(f).bit_length() > 64 and _rootless_mod_small_prime(f, integer):
+            return low > 0, (1,), None
         chain = _sturm(f)
         if len(chain[-1]) == 1:
             return low > 0, tuple(f), chain
@@ -1018,7 +1024,7 @@ class Poly:
     def integer_roots(self):
         """All integer roots, sorted: those of the squarefree part itself,
         searched in x, with no substitution that scales the range."""
-        zero, h, chain = self._squarefree_ints()
+        zero, h, chain = self._squarefree_ints(integer=True)
         roots = _integer_roots(h, chain)
         return sorted(roots + [0] if zero else roots)
 
@@ -1048,10 +1054,9 @@ def _integer_roots(g, chain=None):
     """Integer roots of a squarefree integer polynomial g (coefficients
     lowest degree first, g ≠ 0), given its Sturm chain or None.
 
-    Every root lies within Fujiwara's bound 2·max_k |g_(n−k)/g_n|^(1/k),
-    taken here from bit lengths.  The Sturm chain of `_sturm`, on integers,
-    counts the distinct real roots in (lo, hi] as V(lo) − V(hi), V the
-    number of sign changes.
+    Every root lies within `_root_bound`.  The Sturm chain of `_sturm`, on
+    integers, counts the distinct real roots in (lo, hi] as V(lo) − V(hi),
+    V the number of sign changes.
     Intervals are halved until each holds one root, which is simple, so g
     changes sign across it and its interval is halved further on the sign
     of g alone.  A unit interval (k − 1, k] holds an integer root only at k."""
@@ -1060,10 +1065,7 @@ def _integer_roots(g, chain=None):
     if len(g) == 2:  # the one root −g_0/g_1
         q, r = divmod(-g[0], g[1])
         return [] if r else [q]
-    top = g[-1].bit_length() - 1  # |g_n| ≥ 2^top and |c| < 2^bit_length(c)
-    e = max([-((top - c.bit_length()) // k)
-             for k, c in enumerate(reversed(g[:-1]), 1) if c] or [0])
-    bound = 2 << max(e, 0)
+    bound = _root_bound(g)
     if chain is None:
         chain = _sturm(g)
 
@@ -1093,6 +1095,35 @@ def _integer_roots(g, chain=None):
             if not ghi:
                 roots.append(hi)
     return roots
+
+
+def _root_bound(g):
+    """A power of two at least Fujiwara's bound 2·max_k |g_(n−k)/g_n|^(1/k)
+    on the absolute values of the roots of an integer row g of degree ≥ 1
+    (lowest degree first), taken from bit lengths."""
+    top = g[-1].bit_length() - 1  # |g_n| ≥ 2^top and |c| < 2^bit_length(c)
+    e = max([-((top - c.bit_length()) // k)
+             for k, c in enumerate(reversed(g[:-1]), 1) if c] or [0])
+    return 2 << max(e, 0)
+
+
+_SIEVE_PRIMES = tuple(p for p in range(2, 102) if _is_prime(p))
+
+
+def _rootless_mod_small_prime(f, integer: bool) -> bool:
+    """Whether f mod p has no root in F_p for some prime p ≤ 101, f a
+    primitive integer row (lowest degree first).  If so, f has no integer
+    root r, which would give the root r mod p.  For rational roots only the
+    primes that do not divide the leading coefficient are tried: a root r/s
+    in lowest terms has s | lead, so s is a unit mod p and r·s⁻¹ is a root
+    mod p.  A prime costs p evaluations mod p, where a Sturm search bisects
+    the whole root bound with a chain of huge integers."""
+    for p in _SIEVE_PRIMES:
+        if integer or f[-1] % p:
+            row = [c % p for c in f]
+            if all(_horner(row, x) % p for x in range(p)):
+                return True
+    return False
 
 
 def _sturm(g):

@@ -15,6 +15,7 @@ Degree caps (n <= 6, total degree <= 8) keep everything at desk scale.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError, PreconditionError
@@ -369,10 +370,13 @@ class RelationViolation(NamedTuple):
 
 
 def verify_braid_relations(n: int) -> list:
-    """Check the defining relation scheme of the braid-style action:
-    symmetry in the two indices, the triple relation commutator,
-    disjoint-pair commutativity, and the vanishing of the action on
-    x_1 + ... + x_n.  Returns violations (expected empty).
+    """Check the relations of the Drinfeld–Kohno Lie algebra t_n on the
+    braid-style action, each once: the symmetry A(i,j) = A(j,i) for i < j;
+    [A(i,k), A(i,j) + A(j,k)] = 0 for i < k, one per member H_ik of the
+    triple family {H_ij, H_ik, H_jk} of the braid arrangement (its (k, j, i)
+    twin is the same relation once the symmetries hold); [A(i,j), A(k,l)] = 0
+    once per pair of disjoint index pairs; and the vanishing of A(i,j) on
+    x_1 + ... + x_n for i < j.  Returns violations (expected empty).
 
     Each relation is a derivation, and a derivation vanishes on the whole
     free Lie algebra iff it vanishes on the generators, so the relations are
@@ -382,48 +386,28 @@ def verify_braid_relations(n: int) -> list:
     if n < 2:
         raise PreconditionError("need at least two generators")
     _check_caps(n, 1)
+    indices = range(1, n + 1)
+    pairs = list(itertools.combinations(indices, 2))
+    thetas = {(i, j): theta(i, j, n) for i, j in itertools.permutations(indices, 2)}
     violations = []
 
     def check(deriv, label):
         for i, value in sorted(deriv.images.items()):
             violations.append(RelationViolation(label, (i,), value))
 
-    thetas = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                thetas[i, j] = theta(i, j, n)
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            diff = Derivation(
-                n,
-                {
-                    k: thetas[i, j].image(k) - thetas[j, i].image(k)
-                    for k in range(1, n + 1)
-                },
-            )
-            check(diff, f"A({i},{j}) = A({j},{i})")
-
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if len({i, j, k}) < 3:
-                    continue
-                rel = thetas[i, k].commutator(thetas[i, j] + thetas[j, k])
-                check(rel, f"[A({i},{k}), A({i},{j}) + A({j},{k})] = 0")
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(k + 1, n + 1):
-                    if {i, j} & {k, l} or (k, l) < (i, j):
-                        continue
-                    rel = thetas[i, j].commutator(thetas[k, l])
-                    check(rel, f"[A({i},{j}), A({k},{l})] = 0")
-
-    for (i, j), d in thetas.items():
-        value = sum(d.images.values(), LieElement(n))
+    for i, j in pairs:
+        a, b = thetas[i, j], thetas[j, i]
+        check(Derivation(n, {k: a.image(k) - b.image(k) for k in indices}),
+              f"A({i},{j}) = A({j},{i})")
+    for i, j, k in itertools.permutations(indices, 3):
+        if i < k:
+            rel = thetas[i, k].commutator(thetas[i, j] + thetas[j, k])
+            check(rel, f"[A({i},{k}), A({i},{j}) + A({j},{k})] = 0")
+    for (i, j), (k, l) in itertools.combinations(pairs, 2):
+        if not {i, j} & {k, l}:
+            check(thetas[i, j].commutator(thetas[k, l]), f"[A({i},{j}), A({k},{l})] = 0")
+    for i, j in pairs:
+        value = sum(thetas[i, j].images.values(), LieElement(n))
         if not value.is_zero():
             violations.append(
                 RelationViolation(f"A({i},{j}) kills x_1 + ... + x_n", (), value)

@@ -148,9 +148,9 @@ def zero_extend(system: PfaffianSystem, target: Arrangement) -> PfaffianSystem:
         raise PreconditionError("target arrangement does not contain the source")
     if check_integrability(system):
         raise PreconditionError("zero_extend requires an integrable system")
-    by_key = {h.key: system.residues[h.id] for h in system.arrangement}
+    by_form = {h.form: system.residues[h.id] for h in system.arrangement}
     zero = ExactMatrix.zeros(system.rank, system.rank)
-    residues = {h.id: by_key.get(h.key, zero) for h in target}
+    residues = {h.id: by_form.get(h.form, zero) for h in target}
     out = PfaffianSystem(target, system.rank, residues)
     if check_integrability(out):
         raise InternalInvariantError(

@@ -3,10 +3,12 @@ Burnside span, the Berkowitz characteristic polynomial, the root finders
 and the parser of rationals against plain Fraction algorithms, kept here as
 reference implementations, on seeded random rational inputs."""
 
+import json
 import random
 from bisect import bisect
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from mcvlie.exactcore import (
     Poly,
     Subspace,
     charpoly,
+    matrix_from_json,
     matrix_to_json,
     _ModSpan,
     _pack,
@@ -679,6 +682,130 @@ def test_squarefree_part_matches_the_gcd_over_q():
         assert all(type(c) is int for c in h) and gcd(*h) == 1
         ratio = want.leading() / h[-1]
         assert ratio > 0 and Poly(h).scale(ratio) == want
+
+
+# -- the no-root sieve mod p --------------------------------------------------
+
+# the alphabet of a few hundred bytes of JSON that built huge root bounds
+WALL_ALPHABET = ("1e4300", "-1e4300", "1e-4300", "2e4299", "3", "-2", "1", "0")
+PRIMORIAL_101 = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 \
+    * 53 * 59 * 61 * 67 * 71 * 73 * 79 * 83 * 89 * 97 * 101
+
+
+def wall_matrices():
+    """Three d×d matrices for each of d = 4, 6, 8, their entries drawn in
+    turn from one seeded stream."""
+    rng = random.Random(1)
+    return {
+        d: [[[rng.choice(WALL_ALPHABET) for _ in range(d)] for _ in range(d)] for _ in range(3)]
+        for d in (4, 6, 8)
+    }
+
+
+def shifted(p: Poly, s) -> Poly:
+    """p(x − s), so that charpoly(a + s) is shifted(charpoly(a), s)."""
+    out = Poly()
+    for c in reversed(p.coeffs):
+        out = out * Poly([-s, 1]) + Poly([c])
+    return out
+
+
+def counting(monkeypatch, name):
+    calls = []
+    real = getattr(exactcore, name)
+    monkeypatch.setattr(exactcore, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_sieve_decides_the_wall_polynomials_without_a_sturm_chain(monkeypatch):
+    """The characteristic polynomials of a and a + 1/2 for the nine wall
+    matrices have root bounds of thousands of bits; a small prime shows that
+    each has no rational root, and no Sturm chain is built.  At d = 4 the
+    Sturm search takes about a minute; that matrix is the residue of the
+    `rh-check` golden on tests/data/wall_rank4.json."""
+    data = json.loads((Path(__file__).parent / "data" / "wall_rank4.json").read_text())
+    assert data["residues"]["H1"] == wall_matrices()[4][0]
+    a = matrix_from_json(wall_matrices()[4][0])
+    assert shifted(charpoly(a), F(1, 2)) == charpoly(a.add_scaled_identity(F(1, 2)))
+    sturms = counting(monkeypatch, "_sturm")
+    sieved = counting(monkeypatch, "_rootless_mod_small_prime")
+    polys = 0
+    for mats in wall_matrices().values():
+        for m in mats:
+            chi = charpoly(matrix_from_json(m))
+            for p in (chi, shifted(chi, F(1, 2))):
+                assert p.integer_roots() == p.rational_roots() == []
+                polys += 1
+    assert polys == 18 and len(sieved) == 36 and not sturms
+
+
+def planted(rng, q):
+    """A polynomial with 1-3 planted rational roots, each with q in its
+    denominator, one of them double, times a quadratic with no root mod q
+    and a constant term of about 140 bits: the root bound passes 2^64, and
+    q divides the leading coefficient."""
+    roots = []
+    while len(roots) < rng.randint(1, 3):
+        r = F(rng.choice((1, -1)) * rng.randint(1, 10**12), q * rng.randint(1, 5))
+        if r.denominator % q == 0 and r not in roots:
+            roots.append(r)
+    big = rng.randint(2**139, 2**140)
+    # x² + x + odd has no root mod 2, and −1, −2, −1 are not squares mod 3, 5, 7
+    cofactor = {2: [2 * big + 1, 1, 1], 3: [3 * big + 1, 0, 1],
+                5: [5 * big + 2, 0, 1], 7: [7 * big + 1, 0, 1]}[q]
+    p = Poly(cofactor) * Poly([-roots[0], 1])
+    for r in roots:
+        p = p * Poly([-r.numerator, r.denominator])
+    return p, sorted(roots)
+
+
+def test_sieve_answers_as_the_sturm_search_does(monkeypatch):
+    """Root bounds above 2^64 reach the sieve.  Planted rational roots whose
+    denominators share a prime with the leading coefficient, integer roots,
+    and polynomials without rational roots: the answer is the Sturm
+    search's, so the sieve never rejects a polynomial that has a root, and
+    for rational roots it skips the primes that divide the lead."""
+    rng = random.Random(114)
+    polys = []
+    for q in (2, 3, 5, 7):
+        for _ in range(5):
+            p, roots = planted(rng, q)
+            assert p.rational_roots() == roots
+            polys.append(p)
+    for _ in range(10):
+        big = [rng.randint(2**140, 2**160) for _ in range(2)]
+        p = Poly([big[0], 0, 1]) * Poly([big[1], rng.randint(-9, 9), rng.choice((1, 6, 35))])
+        if rng.random() < 0.5:
+            p = p * Poly([rng.randint(-2**80, 2**80), rng.choice((1, -1))])
+        polys.append(p * Poly([0, 1]) if rng.random() < 0.3 else p)
+    for _ in range(10):  # every prime of the sieve divides the lead
+        p = Poly([rng.randint(2**400, 2**420), rng.randint(-9, 9), 0, PRIMORIAL_101])
+        if rng.random() < 0.5:
+            p = p * Poly([rng.randint(-2**80, 2**80), rng.choice((1, -1, 30))])
+        polys.append(p)
+    sieved = counting(monkeypatch, "_rootless_mod_small_prime")
+    got = [(p.rational_roots(), p.integer_roots()) for p in polys]
+    assert len(sieved) == 2 * len(polys)
+    monkeypatch.setattr(exactcore, "_rootless_mod_small_prime", lambda f, integer: False)
+    assert got == [(p.rational_roots(), p.integer_roots()) for p in polys]
+
+
+def test_integer_roots_sieve_on_primes_that_divide_the_lead(monkeypatch):
+    """An integer root r is a root mod every p, whatever the lead, so the
+    integer search tries all primes of the sieve; the rational search may
+    not, and builds its Sturm chain."""
+    p = Poly([2**401 + 1, 2, 0, PRIMORIAL_101])  # odd at 0 and at 1
+    sturms = counting(monkeypatch, "_sturm")
+    assert p.integer_roots() == [] and not sturms
+    assert p.rational_roots() == [] and sturms
+
+
+def test_sieve_runs_only_above_a_64_bit_root_bound(monkeypatch):
+    sieved = counting(monkeypatch, "_rootless_mod_small_prime")
+    assert Poly([2**123, 0, 1]).rational_roots() == []  # a bound of 2^63
+    assert not sieved
+    assert Poly([2**125, 0, 1]).rational_roots() == []  # 2^64, 65 bits
+    assert len(sieved) == 1
 
 
 def integers_among(roots):

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -6,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from mcvlie import freelie
+from mcvlie.arrangement import braid_arrangement
 from mcvlie.cli import main
 from mcvlie.errors import InputError
 from mcvlie.exactcore import ExactMatrix
@@ -24,6 +27,8 @@ from mcvlie.freelie import (
     theta_of_dkword,
     verify_braid_relations,
 )
+from mcvlie.holonomy import presentation
+
 from linalg_oracle import column_matrix, solve_right
 from test_acceptance import _rand_dkword as criterion_09_dkword
 
@@ -362,36 +367,25 @@ def sweep_braid_relations(n, max_degree, theta_of=theta):
             if not value.is_zero():
                 violations.append(RelationViolation(label, w, value))
 
-    thetas = {
-        (i, j): theta_of(i, j, n)
-        for i in range(1, n + 1) for j in range(1, n + 1) if i != j
-    }
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            diff = Derivation(
-                n,
-                {k: thetas[i, j].image(k) - thetas[j, i].image(k)
-                 for k in range(1, n + 1)},
-            )
-            check(diff, f"A({i},{j}) = A({j},{i})")
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if len({i, j, k}) < 3:
-                    continue
-                rel = thetas[i, k].commutator(thetas[i, j] + thetas[j, k])
-                check(rel, f"[A({i},{k}), A({i},{j}) + A({j},{k})] = 0")
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(k + 1, n + 1):
-                    if {i, j} & {k, l} or (k, l) < (i, j):
-                        continue
-                    rel = thetas[i, j].commutator(thetas[k, l])
-                    check(rel, f"[A({i},{j}), A({k},{l})] = 0")
-    total = LieElement(n, {(i,): 1 for i in range(1, n + 1)})
-    for (i, j), d in thetas.items():
-        value = d.apply(total)
+    indices = range(1, n + 1)
+    pairs = list(itertools.combinations(indices, 2))
+    thetas = {(i, j): theta_of(i, j, n) for i, j in itertools.permutations(indices, 2)}
+    for i, j in pairs:
+        diff = Derivation(
+            n, {k: thetas[i, j].image(k) - thetas[j, i].image(k) for k in indices}
+        )
+        check(diff, f"A({i},{j}) = A({j},{i})")
+    for i, j, k in itertools.permutations(indices, 3):
+        if i < k:  # the (k, j, i) twin is the same relation
+            rel = thetas[i, k].commutator(thetas[i, j] + thetas[j, k])
+            check(rel, f"[A({i},{k}), A({i},{j}) + A({j},{k})] = 0")
+    for (i, j), (k, l) in itertools.combinations(pairs, 2):
+        if not {i, j} & {k, l}:
+            rel = thetas[i, j].commutator(thetas[k, l])
+            check(rel, f"[A({i},{j}), A({k},{l})] = 0")
+    total = LieElement(n, {(i,): 1 for i in indices})
+    for i, j in pairs:
+        value = thetas[i, j].apply(total)
         if not value.is_zero():
             violations.append(
                 RelationViolation(f"A({i},{j}) kills x_1 + ... + x_n", (), value)
@@ -426,6 +420,52 @@ def test_relations_on_generators_match_the_sweep_on_broken_thetas(monkeypatch):
         assert got == [v for v in sweep if len(v.word) <= 1]
         failing += bool(got)
     assert failing >= 20
+
+
+def generic_theta(i, j, n):
+    """A derivation drawn from (i, j) alone, with every image nonzero: no
+    relation of t_n holds for it."""
+    rng = random.Random(100 * n + 10 * i + j)
+    return Derivation(n, {m: rand_element(rng, n, max_deg=2, nterms=2) for m in range(1, n + 1)})
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_relations_checked_are_those_of_the_holonomy_presentation(n, monkeypatch):
+    """t_n is the holonomy Lie algebra of braid(n): its commutator relations
+    are one per member of each triple family of the presentation, and one
+    per pair family.  Under a theta that breaks every relation, each of them
+    is reported, under one label, and no other commutator."""
+    want = set()
+    for family in presentation(braid_arrangement(n)).relation_families:
+        members = [(int(h[1]), int(h[2])) for h in family]  # "H13" -> (1, 3)
+        if len(members) == 2:
+            (i, j), (k, l) = members
+            want.add(f"[A({i},{j}), A({k},{l})] = 0")
+            continue
+        for i, k in members:
+            (j,) = {x for pair in members for x in pair} - {i, k}
+            want.add(f"[A({i},{k}), A({i},{j}) + A({j},{k})] = 0")
+    monkeypatch.setattr(freelie, "theta", generic_theta)
+    got = verify_braid_relations(n)
+    labels = {v.relation for v in got}
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    assert {x for x in labels if x.startswith("[")} == want
+    assert len(want) == 3 * math.comb(n, 3) + math.comb(n, 2) * math.comb(n - 2, 2) // 2
+    assert labels - want == (
+        {f"A({i},{j}) = A({j},{i})" for i, j in pairs}
+        | {f"A({i},{j}) kills x_1 + ... + x_n" for i, j in pairs}
+    )
+    assert len({(v.relation, v.word) for v in got}) == len(got)
+
+
+def test_verify_takes_one_commutator_per_relation(monkeypatch):
+    calls = []
+    real = Derivation.commutator
+    monkeypatch.setattr(Derivation, "commutator", lambda d, e: calls.append(1) or real(d, e))
+    for n, triples, disjoint in [(2, 0, 0), (3, 3, 0), (4, 12, 3), (5, 30, 15), (6, 60, 45)]:
+        calls.clear()
+        assert verify_braid_relations(n) == []
+        assert len(calls) == triples + disjoint
 
 
 def test_broken_theta_exits_3_with_one_document(monkeypatch, capsys):
