@@ -11,7 +11,7 @@ import sys
 from . import analysis, convolution, freelie, holonomy
 from .arrangement import Arrangement, Line, y_closure
 from .errors import InputError, MCVError, PreconditionError
-from .exactcore import TOO_LARGE_TO_PRINT, matrix_from_json, matrix_to_json, rat
+from .exactcore import TOO_LARGE_TO_PRINT, int_from_json, matrix_from_json, matrix_to_json, rat
 from .holonomy import PfaffianSystem
 
 
@@ -148,8 +148,8 @@ def _cmd_rh_check(args):
 
 def _cmd_freelie(args):
     try:
-        n, degree = int(args["--n"]), int(args["--degree"])
-    except ValueError:
+        n, degree = int_from_json(args["--n"]), int_from_json(args["--degree"])
+    except InputError:
         raise InputError("--n and --degree take integers") from None
     if n < 2:
         raise PreconditionError("--n must be at least 2")

@@ -845,6 +845,24 @@ def test_integer_roots_builds_one_sturm_chain_when_squarefree(monkeypatch):
     assert len(calls) == 2
 
 
+def test_linear_polynomials_build_no_sturm_chain(monkeypatch):
+    """The one root of a linear polynomial is −g₀/g₁: neither root search
+    builds a Sturm chain or sieves for it, with or without factors x."""
+    rng = random.Random(116)
+    sturms = counting(monkeypatch, "_sturm")
+    sieved = counting(monkeypatch, "_rootless_mod_small_prime")
+    for case in range(60):
+        size = rng.choice((10, 10**6, 10**40))
+        root = F(rng.randint(-size, size), 1 if case % 2 else rng.randint(1, size))
+        lead = F(rng.choice((1, -1)) * rng.randint(1, size), rng.randint(1, 9))
+        zeros = rng.randint(0, 2)
+        p = Poly([0] * zeros + [-root * lead, lead])
+        roots = sorted({root, _ZERO} if zeros else {root})
+        assert p.rational_roots() == roots
+        assert p.integer_roots() == integers_among(roots)
+    assert not sturms and not sieved
+
+
 # -- characteristic polynomial -----------------------------------------------
 
 

@@ -502,6 +502,16 @@ def test_verify_degree_is_validated(n, degree, message, capsys):
     assert captured.err == f"mcvlie: precondition failed: {message}\n"
 
 
+@pytest.mark.parametrize("n, degree", [("0_3", "2"), ("1_0", "2"), ("3", "0_2"), ("3", "2_")])
+def test_verify_refuses_underscores_as_other_integer_inputs_do(n, degree, capsys):
+    """--n and --degree are read as `dim` and `rank` are: int() alone would
+    take "0_3" for 3."""
+    code = main(["freelie", "verify", "--n", n, "--degree", degree])
+    error = {"error": "--n and --degree take integers"}
+    assert (code, json.loads(capsys.readouterr().out)) == (1, error)
+    assert main(["freelie", "verify", "--n", " 3", "--degree", "2 "]) == 0
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_verify_at_the_degree_cap_is_fast(n, capsys):
     t0 = time.perf_counter()

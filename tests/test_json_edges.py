@@ -3,6 +3,9 @@
 The one-pass matrix reader (`exactcore._read_rows`, used by
 `matrix_from_json` and `Arrangement.from_json`) against the entry-by-entry
 path it declines to: the same (den, ints), or the same InputError text.
+The per-entry path reads each value with `rat`, by `Fraction`, so the
+two readers share no parsing code; `rat` itself is pinned by a table of its
+outcomes on the same values.
 The JSON writer (`cli._dumps`) against
 `json.dumps(payload, sort_keys=True, indent=2)`: the same text, or the same
 exception.  Seeded cases run with pytest alone; the hypothesis variants
@@ -10,13 +13,14 @@ run when hypothesis is installed."""
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from mcvlie import arrangement, cli, exactcore
 from mcvlie.arrangement import Arrangement
 from mcvlie.errors import InputError, PreconditionError
-from mcvlie.exactcore import ExactMatrix, matrix_from_json
+from mcvlie.exactcore import ExactMatrix, matrix_from_json, rat, rat_str
 
 LONG = "7" * 4301  # one digit more than int() reads
 
@@ -115,6 +119,57 @@ def test_reader_keeps_the_first_error_in_row_order():
         matrix_from_json([["1", "2"]], shape=(2, 2))
     with pytest.raises(InputError, match="ragged matrix rows"):
         matrix_from_json([["1", "2"], ["3"]])
+
+
+# -- single values -------------------------------------------------------------
+
+# rat's outcome on each value of EDGE_VALUES + PLAIN, in order, as recorded
+# when plain "p" / "p/q" strings were still read with int(): the value, or
+# the InputError text with {x!r} standing for the value's repr
+NOT_RAT = "not a rational: {x!r}"
+RAT_OUTCOMES = [
+    # "1/0", "1/", "-", "3/-7", " 2 ", "1e3", "−3/7", "0x10", "1e99999", "2e4300"
+    NOT_RAT, NOT_RAT, NOT_RAT, NOT_RAT, 2, 1000, Fraction(-3, 7), NOT_RAT,
+    "exponent larger than 4300 in {x!r}", 2 * 10**4300,
+    # "+1", " 1", "1_0", "١", "1/-2", "1/2/3", "0/0", "00/007", "-0"
+    1, 1, NOT_RAT, 1, NOT_RAT, NOT_RAT, NOT_RAT, 0, 0,
+    # LONG, "-" + LONG, "1/" + LONG, LONG + "/3", "", "/3", "--1", "1-2", "1//2"
+    *[NOT_RAT] * 9,
+    # True, False, 1.0, 2.5, None, [], ["1"], {"p": 1}, HUGE
+    *[NOT_RAT] * 5, "not a rational: a list", "not a rational: a list",
+    "not a rational: a dict", HUGE,
+    # PLAIN
+    0, 1, -1, Fraction(3, 7), Fraction(-3, 2), 5, Fraction(-2, 3), Fraction(22, 7), 0,
+    0, 7, -3, 10**40,
+]
+
+
+def test_rat_reads_each_edge_value_as_recorded():
+    values = EDGE_VALUES + PLAIN
+    assert len(values) == len(RAT_OUTCOMES) == 50
+    for x, want in zip(values, RAT_OUTCOMES):
+        if isinstance(want, str):
+            with pytest.raises(InputError) as exc:
+                rat(x)
+            assert str(exc.value) == want.format(x=x)
+        else:
+            got = rat(x)
+            assert type(got) is Fraction and got == want
+    half = Fraction(1, 2)
+    assert rat(half) is half
+
+
+def test_rat_str_is_str():
+    rng = random.Random(2104)
+    for _ in range(500):
+        bits = rng.choice((4, 64, 400))
+        x = Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
+        assert rat_str(x) == str(x)
+        assert rat_str(x.numerator) == str(x.numerator)
+        assert rat(rat_str(x)) == x
+    for x in (HUGE, -HUGE, Fraction(1, HUGE), Fraction(HUGE)):
+        with pytest.raises(PreconditionError, match="too large to print"):
+            rat_str(x)
 
 
 # -- arrangements ------------------------------------------------------------
