@@ -17,6 +17,7 @@ from .errors import InternalInvariantError, PreconditionError
 from .exactcore import (
     ExactMatrix,
     Subspace,
+    _sum_matrices,
     kernel,
     matrix_to_json,
     quotient_all,
@@ -77,7 +78,7 @@ def dr_k_l(mats, lam):
     k = Subspace._of(ExactMatrix.block(blocks), pivots)
     if lam == 0:
         return k, kernel(ExactMatrix.hstack(mats))
-    ker = kernel(sum(mats[1:], mats[0]).add_scaled_identity(lam))
+    ker = kernel(_sum_matrices(mats, d).add_scaled_identity(lam))
     return k, Subspace._of(ExactMatrix.vstack([ker.basis] * n), ker.pivots)
 
 
@@ -228,7 +229,7 @@ def haraoka_convolution(system: PfaffianSystem, line: Line, lam) -> ConvolvedSys
             for j in fam:
                 for m in fam:
                     grid[m][j] = neg[j]
-                grid[j][j] = sum((res[m] for m in fam if m != j), a_h)
+                grid[j][j] = _sum_matrices([a_h] + [res[m] for m in fam if m != j], system.rank)
         if sum(map(len, families[h.id])) != n:
             raise InternalInvariantError(
                 f"the flats through {h.id!r} do not meet each transverse hyperplane once"

@@ -103,6 +103,17 @@ def _scaled(ints, f: int):
     return ints if f == 1 else tuple(tuple(f * x for x in row) for row in ints)
 
 
+def _sum_matrices(mats, rank: int) -> ExactMatrix:
+    """The sum of rank×rank matrices in one pass over the lcm of their
+    denominators."""
+    if not mats:
+        return ExactMatrix.zeros(rank, rank)
+    den = lcm(*[m.den for m in mats])
+    scaled = [_scaled(m.ints, den // m.den) for m in mats]
+    ints = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*scaled))
+    return ExactMatrix._of(ints, den, rank, rank)
+
+
 # Kronecker substitution: a row (x_0, .., x_{n-1}) of integers packs into the
 # one integer sum x_j 2^(w j).  Row i of a product A B packs as
 # sum_k a_ik packed(B_k): one big-integer multiply-add per nonzero a_ik.
@@ -957,60 +968,37 @@ class Poly:
             out = out * c + coeff
         return out
 
-    def _squarefree_ints(self, integer=False):
-        """(whether 0 is a root, h, the Sturm chain of h or None): h is the
-        squarefree part of the polynomial with its factors x removed, as a
-        primitive integer row with the sign of the leading coefficient,
-        lowest degree first; (1,) if it is constant, or if
-        `_rootless_mod_small_prime` shows that it has no rational root (no
-        integer root, if `integer`).  That sieve is tried when the root
-        bound has more than 64 bits, where a Sturm search would bisect a
-        wide range.  A linear h is returned with no chain.
-
-        The polynomial f, cleared of denominators once and made primitive,
-        is divided over Z by the last member of its Sturm chain (Euclid's
-        algorithm, so a multiple of gcd(f, f′)), made primitive with a
-        positive lead; by Gauss's lemma that division is exact.  When that
-        member is a constant, h = f and the chain is returned with it."""
+    def _cleared(self):
+        """(whether 0 is a root, f): f is the polynomial without its
+        factors x, cleared of denominators once and made primitive, an
+        integer row with the sign of the leading coefficient, lowest degree
+        first."""
         if self.is_zero():
             raise PreconditionError("the zero polynomial has every root")
         cs = self.coeffs
         low = 0
         while cs[low] == 0:
             low += 1
-        if len(cs) - low < 2:
-            return low > 0, (1,), None
         den = lcm(*(c.denominator for c in cs[low:]))
-        f = _primitive([c.numerator * (den // c.denominator) for c in cs[low:]])
-        if len(f) == 2:  # linear: squarefree, and its one root needs no chain
-            return low > 0, tuple(f), None
-        if _root_bound(f).bit_length() > 64 and _rootless_mod_small_prime(f, integer):
-            return low > 0, (1,), None
-        chain = _sturm(f)
-        if len(chain[-1]) == 1:
-            return low > 0, tuple(f), chain
-        g = _primitive(chain[-1])
-        if g[-1] < 0:
-            g = [-c for c in g]
-        return low > 0, tuple(_divide_exactly(f, g)), None
+        return low > 0, _primitive([c.numerator * (den // c.denominator) for c in cs[low:]])
 
     def rational_roots(self):
         """All rational roots, sorted, found without factoring an integer.
 
-        With h from `_squarefree_ints` of degree n and leading coefficient a,
-        a rational root x of h has a·x ∈ Z, so the roots are y/a for the
-        integer roots y of the monic integer G(y) = a^(n−1)·h(y/a)."""
-        zero, h, _ = self._squarefree_ints()
-        n, a = len(h) - 1, h[-1]
-        g = [c * a ** (n - 1 - i) for i, c in enumerate(h[:-1])] + [1]
+        With f from `_cleared` of degree n and leading coefficient a, a
+        rational root x of f has a·x ∈ Z, so the roots are y/a for the
+        integer roots y of the monic integer G(y) = a^(n−1)·f(y/a)."""
+        zero, f = self._cleared()
+        n, a = len(f) - 1, f[-1]
+        g = [c * a ** (n - 1 - i) for i, c in enumerate(f[:-1])] + [1]
         roots = [Fraction(y, a) for y in _integer_roots(g)]
         return sorted(roots + [_ZERO] if zero else roots)
 
     def integer_roots(self):
-        """All integer roots, sorted: those of the squarefree part itself,
+        """All integer roots, sorted: those of `_cleared`'s row itself,
         searched in x, with no substitution that scales the range."""
-        zero, h, chain = self._squarefree_ints(integer=True)
-        roots = _integer_roots(h, chain)
+        zero, f = self._cleared()
+        roots = _integer_roots(f)
         return sorted(roots + [0] if zero else roots)
 
     def __eq__(self, other) -> bool:
@@ -1035,50 +1023,54 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _integer_roots(g, chain=None):
-    """Integer roots of a squarefree integer polynomial g (coefficients
-    lowest degree first, g ≠ 0), given its Sturm chain or None.
+def _integer_roots(f):
+    """Integer roots of a primitive integer row f (lowest degree first,
+    f ≠ 0), in no order.
 
-    Every root lies within `_root_bound`.  The Sturm chain of `_sturm`, on
-    integers, counts the distinct real roots in (lo, hi] as V(lo) − V(hi),
-    V the number of sign changes.
-    Intervals are halved until each holds one root, which is simple, so g
-    changes sign across it and its interval is halved further on the sign
-    of g alone.  A unit interval (k − 1, k] holds an integer root only at k."""
-    if len(g) == 1:
-        return []
-    if len(g) == 2:  # the one root −g_0/g_1
-        q, r = divmod(-g[0], g[1])
-        return [] if r else [q]
-    bound = _root_bound(g)
-    if chain is None:
-        chain = _sturm(g)
-
-    def changes(x):
-        signs = [s for s in (_horner(p, x) for p in chain) if s]
-        return sum((u < 0) != (v < 0) for u, v in zip(signs, signs[1:]))
-
+    An integer root r lies within B = `_root_bound(f)` and is a root of f
+    mod every prime p.  The primes 2, 3, 5, … are walked up to the first
+    that decides (R. Loos, SIAM J. Comput. 12, 1983):
+    - f has no root mod p: then f has no integer root;
+    - every root mod p is simple (f′ ≢ 0 there): then r mod p is one of
+      them, and Newton's step lifts each to the one root of f mod p^(2^k)
+      above it.  The step mod m needs s = 1/f′(r) only mod √m, so s is
+      lifted alongside, one modulus behind, as s·(2 − f′(r)·s).
+      Once the modulus passes 2B the balanced residue is r, if there is
+      one, and exact evaluation keeps it.  This holds when p divides the
+      lead too.
+    At a multiple root mod p, f becomes its squarefree part `_squarefree`:
+    at once when B has at most 64 bits, and otherwise once every prime
+    ≤ 101 has been tried, so that a polynomial with a huge bound is mostly
+    decided without a pseudo-remainder chain.  A multiple root of a
+    squarefree f mod p needs p | lead·disc ≠ 0, so the walk ends."""
+    if len(f) < 3:  # a constant has no root, a linear f the one root −f₀/f₁
+        q, r = divmod(-f[0], f[-1])
+        return [q] if len(f) == 2 and not r else []
+    bound, p, squarefree = _root_bound(f), 2, False
+    while True:
+        row = [c % p for c in f]
+        found = [x for x in range(p) if not _horner(row, x) % p]
+        if not found:
+            return []
+        slopes = [k * c for k, c in enumerate(row)][1:]
+        if all(_horner(slopes, x) % p for x in found):
+            break
+        if not squarefree and (bound.bit_length() <= 64 or p > 101):
+            f, squarefree = _squarefree(f), True
+        else:
+            p = next(q for q in itertools.count(p + 1) if _is_prime(q))
+    df = [k * c for k, c in enumerate(f)][1:]
     roots = []
-    todo = [(-bound - 1, bound, changes(-bound - 1), changes(bound))]
-    while todo:
-        lo, hi, vlo, vhi = todo.pop()
-        if vlo - vhi > 1 and hi - lo > 1:
-            mid = (lo + hi) // 2
-            vmid = changes(mid)
-            todo += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
-        elif vlo != vhi:  # one root, or a unit interval
-            ghi = _horner(g, hi)
-            while hi - lo > 1 and ghi:
-                mid = (lo + hi) // 2
-                gmid = _horner(g, mid)
-                if gmid and (gmid < 0) == (ghi < 0):
-                    hi, ghi = mid, gmid
-                elif gmid:
-                    lo = mid
-                else:
-                    hi, ghi = mid, 0
-            if not ghi:
-                roots.append(hi)
+    for r in found:
+        m, s = p, pow(_horner(df, r), -1, p)
+        while m <= 2 * bound:
+            s = s * (2 - _horner(df, r) % m * s) % m
+            m *= m
+            r = (r - _horner(f, r) % m * s) % m
+        if 2 * r > m:
+            r -= m
+        if not _horner(f, r):
+            roots.append(r)
     return roots
 
 
@@ -1092,30 +1084,12 @@ def _root_bound(g):
     return 2 << max(e, 0)
 
 
-_SIEVE_PRIMES = tuple(p for p in range(2, 102) if _is_prime(p))
-
-
-def _rootless_mod_small_prime(f, integer: bool) -> bool:
-    """Whether f mod p has no root in F_p for some prime p ≤ 101, f a
-    primitive integer row (lowest degree first).  If so, f has no integer
-    root r, which would give the root r mod p.  For rational roots only the
-    primes that do not divide the leading coefficient are tried: a root r/s
-    in lowest terms has s | lead, so s is a unit mod p and r·s⁻¹ is a root
-    mod p.  A prime costs p evaluations mod p, where a Sturm search bisects
-    the whole root bound with a chain of huge integers."""
-    for p in _SIEVE_PRIMES:
-        if integer or f[-1] % p:
-            row = [c % p for c in f]
-            if all(_horner(row, x) % p for x in range(p)):
-                return True
-    return False
-
-
 def _sturm(g):
     """The Sturm chain of an integer polynomial g of degree >= 1 (lowest
     degree first): g, g′, then each pseudo-remainder negated, up to a
     constant or an exact division, whose divisor is then a multiple of
-    gcd(g, g′).
+    gcd(g, g′).  The library reads only the last member, in `_squarefree`;
+    the tests read the whole chain, in their Sturm root search.
 
     Each remainder is taken with the positive multiplier |lead b| at every
     step and divided by its positive content, so every member is a positive
@@ -1133,6 +1107,17 @@ def _sturm(g):
             break
         chain.append(_primitive([-x for x in r]))
     return chain
+
+
+def _squarefree(f):
+    """The squarefree part of a primitive integer row f of degree ≥ 1
+    (lowest degree first), primitive with the sign of f's lead: f divided
+    over Z by the last member of its Sturm chain (Euclid's algorithm, so a
+    multiple of gcd(f, f′); a constant when f is squarefree) made
+    primitive with a positive lead.  By Gauss's lemma that division is
+    exact."""
+    g = _primitive(_sturm(f)[-1])
+    return _divide_exactly(f, g if g[-1] > 0 else [-c for c in g])
 
 
 def _divide_exactly(a, b):

@@ -10,7 +10,6 @@ implements the zero-extension along an inclusion of arrangements.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import NamedTuple
 
 from .arrangement import Arrangement, codim2_flats
@@ -18,7 +17,7 @@ from .errors import InputError, InternalInvariantError, PreconditionError
 from .exactcore import (
     ExactMatrix,
     RowSummary,
-    _scaled,
+    _sum_matrices,
     commuting_with_sum,
     int_from_json,
     matrix_from_json,
@@ -164,13 +163,3 @@ def residue_sum(system: PfaffianSystem, ids) -> ExactMatrix:
     mats = [system.residue(hid) for hid in ids]
     return _sum_matrices(mats, system.rank)
 
-
-def _sum_matrices(mats, rank: int) -> ExactMatrix:
-    """The sum of rank×rank matrices in one pass over the lcm of their
-    denominators."""
-    if not mats:
-        return ExactMatrix.zeros(rank, rank)
-    den = lcm(*[m.den for m in mats])
-    scaled = [_scaled(m.ints, den // m.den) for m in mats]
-    ints = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*scaled))
-    return ExactMatrix._of(ints, den, rank, rank)

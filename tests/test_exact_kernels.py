@@ -7,7 +7,7 @@ import json
 import random
 from bisect import bisect
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -30,6 +30,7 @@ from mcvlie.exactcore import (
     rat,
 )
 
+import roots_oracle
 from linalg_oracle import column_matrix, inverse
 
 F = Fraction
@@ -338,6 +339,21 @@ def test_sums_scales_and_transposes_are_like_public():
             assert_matches(a.add_scaled_identity(s), shifted)
             assert_matches(ExactMatrix.identity(r), [[F(int(i == j)) for j in range(r)]
                                                      for i in range(r)])
+
+
+def test_sum_of_many_matrices_is_the_chain_of_additions():
+    """`_sum_matrices`, the one sum of a list of square matrices, is the
+    entrywise Fraction sum, in canonical form, and equals the chain of `+`
+    (the zero matrix for an empty list)."""
+    rng = random.Random(117)
+    for t in range(60):
+        style = STYLES[t % len(STYLES)]
+        d = rng.randint(0, 4)
+        mats = [rand_matrix(rng, d, d, style) for _ in range(rng.randint(0, 4))]
+        got = exactcore._sum_matrices(mats, d)
+        assert_matches(got, [[sum((m[i, j] for m in mats), _ZERO) for j in range(d)]
+                             for i in range(d)])
+        assert got == sum(mats, ExactMatrix.zeros(d, d))
 
 
 # -- elimination -------------------------------------------------------------
@@ -672,24 +688,25 @@ def test_squarefree_part_matches_the_gcd_over_q():
             if not case % 4:
                 break
         f = Poly([0] * rng.randint(0, 2) + list(f.coeffs))
-        zero, h, chain = f._squarefree_ints()
-        assert chain is None or chain == exactcore._sturm(h)
+        zero, row = f._cleared()
+        h = exactcore._squarefree(row) if len(row) > 1 else row
         low = next(k for k, c in enumerate(f.coeffs) if c)
         g = Poly(f.coeffs[low:])
         dg = Poly([i * c for i, c in enumerate(g.coeffs)][1:])
-        want = g.exact_div(g.gcd(dg)) if g.degree else Poly([1])
+        want = g.exact_div(g.gcd(dg))
         assert zero == (low > 0)
-        assert all(type(c) is int for c in h) and gcd(*h) == 1
-        ratio = want.leading() / h[-1]
-        assert ratio > 0 and Poly(h).scale(ratio) == want
+        for ints, poly in ((row, g), (h, want)):
+            assert all(type(c) is int for c in ints) and gcd(*ints) == 1
+            ratio = poly.leading() / ints[-1]
+            assert ratio > 0 and Poly(ints).scale(ratio) == poly
 
 
-# -- the no-root sieve mod p --------------------------------------------------
+# -- the prime walk: no root mod p, or Newton lifting -------------------------
 
 # the alphabet of a few hundred bytes of JSON that built huge root bounds
 WALL_ALPHABET = ("1e4300", "-1e4300", "1e-4300", "2e4299", "3", "-2", "1", "0")
-PRIMORIAL_101 = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 \
-    * 53 * 59 * 61 * 67 * 71 * 73 * 79 * 83 * 89 * 97 * 101
+PRIMES_TO_101 = [p for p in range(2, 102) if all(p % q for q in range(2, p))]
+PRIMORIAL_101 = prod(PRIMES_TO_101)
 
 
 def wall_matrices():
@@ -719,16 +736,16 @@ def counting(monkeypatch, name):
 
 def test_sieve_decides_the_wall_polynomials_without_a_sturm_chain(monkeypatch):
     """The characteristic polynomials of a and a + 1/2 for the nine wall
-    matrices have root bounds of thousands of bits; a small prime shows that
-    each has no rational root, and no Sturm chain is built.  At d = 4 the
-    Sturm search takes about a minute; that matrix is the residue of the
-    `rh-check` golden on tests/data/wall_rank4.json."""
+    matrices have root bounds of thousands of bits; the prime walk decides
+    each, by a prime with no root or with simple roots only, and no Sturm
+    chain is built.  At d = 4 the Sturm search takes about a minute; that
+    matrix is the residue of the `rh-check` golden on
+    tests/data/wall_rank4.json."""
     data = json.loads((Path(__file__).parent / "data" / "wall_rank4.json").read_text())
     assert data["residues"]["H1"] == wall_matrices()[4][0]
     a = matrix_from_json(wall_matrices()[4][0])
     assert shifted(charpoly(a), F(1, 2)) == charpoly(a.add_scaled_identity(F(1, 2)))
     sturms = counting(monkeypatch, "_sturm")
-    sieved = counting(monkeypatch, "_rootless_mod_small_prime")
     polys = 0
     for mats in wall_matrices().values():
         for m in mats:
@@ -736,7 +753,23 @@ def test_sieve_decides_the_wall_polynomials_without_a_sturm_chain(monkeypatch):
             for p in (chi, shifted(chi, F(1, 2))):
                 assert p.integer_roots() == p.rational_roots() == []
                 polys += 1
-    assert polys == 18 and len(sieved) == 36 and not sturms
+    assert polys == 18 and not sturms
+
+
+def test_integer_eigenvalue_wall_takes_a_few_hundred_evaluations(monkeypatch):
+    """The residue of tests/data/wall_integer_eigenvalues.json is triangular
+    with the integer eigenvalues 10^4299, −10^4299, 2·10^4298 and
+    −3·10^4298: a root mod every prime, so no rootless prime decides it.  The
+    walk lifts its simple roots mod 11; the Sturm search bisected a range
+    of about 14,000 bits with tens of thousands of evaluations."""
+    data = json.loads((Path(__file__).parent / "data" / "wall_integer_eigenvalues.json").read_text())
+    a = matrix_from_json(data["residues"]["H1"])
+    chis = [charpoly(a), charpoly(a.add_scaled_identity(F(1, 2)))]
+    horners = counting(monkeypatch, "_horner")
+    sturms = counting(monkeypatch, "_sturm")
+    assert chis[0].integer_roots() == sorted(a[i, i] for i in range(4))
+    assert chis[1].integer_roots() == []
+    assert len(horners) <= 300 and not sturms
 
 
 def planted(rng, q):
@@ -760,11 +793,12 @@ def planted(rng, q):
 
 
 def test_sieve_answers_as_the_sturm_search_does(monkeypatch):
-    """Root bounds above 2^64 reach the sieve.  Planted rational roots whose
-    denominators share a prime with the leading coefficient, integer roots,
-    and polynomials without rational roots: the answer is the Sturm
-    search's, so the sieve never rejects a polynomial that has a root, and
-    for rational roots it skips the primes that divide the lead."""
+    """Root bounds above 2^64: planted rational roots whose denominators
+    share a prime with the leading coefficient, integer roots, polynomials
+    without rational roots, leads that every prime ≤ 101 divides, and two
+    polynomials with a double root mod every prime ≤ 101, one of them with
+    a double root over Q.  The prime walk answers as the Sturm search of
+    tests/roots_oracle.py does."""
     rng = random.Random(114)
     polys = []
     for q in (2, 3, 5, 7):
@@ -778,34 +812,47 @@ def test_sieve_answers_as_the_sturm_search_does(monkeypatch):
         if rng.random() < 0.5:
             p = p * Poly([rng.randint(-2**80, 2**80), rng.choice((1, -1))])
         polys.append(p * Poly([0, 1]) if rng.random() < 0.3 else p)
-    for _ in range(10):  # every prime of the sieve divides the lead
+    for _ in range(10):  # every prime ≤ 101 divides the lead
         p = Poly([rng.randint(2**400, 2**420), rng.randint(-9, 9), 0, PRIMORIAL_101])
         if rng.random() < 0.5:
             p = p * Poly([rng.randint(-2**80, 2**80), rng.choice((1, -1, 30))])
         polys.append(p)
-    sieved = counting(monkeypatch, "_rootless_mod_small_prime")
+    one, far = Poly([-1, 1]), Poly([-1 - PRIMORIAL_101, 1])  # 1 ≡ 1 + 2·3·…·101
+    walked_past_101 = [one * far * Poly([1, 0, 1]), one * one * far]
+    for p in walked_past_101:
+        horners = counting(monkeypatch, "_horner")
+        assert p.integer_roots() == [1, 1 + PRIMORIAL_101]
+        assert len(horners) > sum(PRIMES_TO_101)
+        monkeypatch.undo()
+    polys += walked_past_101
     got = [(p.rational_roots(), p.integer_roots()) for p in polys]
-    assert len(sieved) == 2 * len(polys)
-    monkeypatch.setattr(exactcore, "_rootless_mod_small_prime", lambda f, integer: False)
-    assert got == [(p.rational_roots(), p.integer_roots()) for p in polys]
+    assert got == [(roots_oracle.rational_roots(p), roots_oracle.integer_roots(p)) for p in polys]
 
 
 def test_integer_roots_sieve_on_primes_that_divide_the_lead(monkeypatch):
     """An integer root r is a root mod every p, whatever the lead, so the
-    integer search tries all primes of the sieve; the rational search may
-    not, and builds its Sturm chain."""
+    integer search may stop at a prime that divides the lead: here p = 2,
+    after two evaluations.  The rational search walks the monic
+    a²·f(y/a), which is y³ mod every prime that divides a, past all of
+    them; neither builds a Sturm chain."""
     p = Poly([2**401 + 1, 2, 0, PRIMORIAL_101])  # odd at 0 and at 1
+    horners = counting(monkeypatch, "_horner")
     sturms = counting(monkeypatch, "_sturm")
-    assert p.integer_roots() == [] and not sturms
-    assert p.rational_roots() == [] and sturms
+    assert p.integer_roots() == [] and len(horners) == 2
+    assert p.rational_roots() == [] and len(horners) > sum(PRIMES_TO_101)
+    assert not sturms
 
 
 def test_sieve_runs_only_above_a_64_bit_root_bound(monkeypatch):
-    sieved = counting(monkeypatch, "_rootless_mod_small_prime")
-    assert Poly([2**123, 0, 1]).rational_roots() == []  # a bound of 2^63
-    assert not sieved
-    assert Poly([2**125, 0, 1]).rational_roots() == []  # 2^64, 65 bits
-    assert len(sieved) == 1
+    """x² + 2^123 has the double root 0 mod 2.  With a root bound of 2^63
+    (64 bits) the walk takes the squarefree part there, which builds one
+    Sturm chain; with x² + 2^125, a bound of 2^64 (65 bits), it walks on
+    and p = 3 decides with no chain."""
+    sturms = counting(monkeypatch, "_sturm")
+    assert Poly([2**123, 0, 1]).rational_roots() == []
+    assert len(sturms) == 1
+    assert Poly([2**125, 0, 1]).rational_roots() == []
+    assert len(sturms) == 1
 
 
 def integers_among(roots):
@@ -815,8 +862,8 @@ def integers_among(roots):
 def test_integer_roots_search_in_x(monkeypatch):
     """Roots {−5, 3} next to two rational roots with 500-bit denominators:
     the cleared leading coefficient has about 1000 bits.  Searching through
-    y = a·x would bisect a range of that many bits; in x the range is a few
-    bits wide."""
+    y = a·x would walk a polynomial with coefficients of thousands of bits;
+    in x the walk lifts small roots."""
     rng = random.Random(111)
     p = Poly([5, 1]) * Poly([-3, 1])
     for _ in range(2):
@@ -830,27 +877,26 @@ def test_integer_roots_search_in_x(monkeypatch):
 
 
 def test_integer_roots_builds_one_sturm_chain_when_squarefree(monkeypatch):
-    """A squarefree polynomial's chain ends in a constant, so the chain that
-    found its squarefree part is reused by the root search; with a repeated
-    factor the squarefree part needs a chain of its own."""
-    calls = []
-    real = exactcore._sturm
-    monkeypatch.setattr(exactcore, "_sturm", lambda g: calls.append(g) or real(g))
+    """At most one Sturm chain per search: the squarefree part, taken at
+    the first multiple root mod p of a polynomial with a small root bound,
+    is taken once.  Both polynomials here have the triple root 1 mod 2."""
+    sturms = counting(monkeypatch, "_sturm")
     squarefree = Poly([5, 1]) * Poly([-3, 1]) * Poly([F(1, 3), 1])
     assert squarefree.integer_roots() == [-5, 3]
-    assert len(calls) == 1
-    calls.clear()
+    assert len(sturms) == 1
+    sturms.clear()
     repeated = squarefree * Poly([-3, 1]) * Poly([F(-7, 2), 1])
     assert repeated.integer_roots() == [-5, 3]
-    assert len(calls) == 2
+    assert len(sturms) == 1
 
 
 def test_linear_polynomials_build_no_sturm_chain(monkeypatch):
     """The one root of a linear polynomial is −g₀/g₁: neither root search
-    builds a Sturm chain or sieves for it, with or without factors x."""
+    walks a prime (no evaluation at all) or builds a Sturm chain for it,
+    with or without factors x."""
     rng = random.Random(116)
     sturms = counting(monkeypatch, "_sturm")
-    sieved = counting(monkeypatch, "_rootless_mod_small_prime")
+    horners = counting(monkeypatch, "_horner")
     for case in range(60):
         size = rng.choice((10, 10**6, 10**40))
         root = F(rng.randint(-size, size), 1 if case % 2 else rng.randint(1, size))
@@ -860,7 +906,7 @@ def test_linear_polynomials_build_no_sturm_chain(monkeypatch):
         roots = sorted({root, _ZERO} if zeros else {root})
         assert p.rational_roots() == roots
         assert p.integer_roots() == integers_among(roots)
-    assert not sturms and not sieved
+    assert not sturms and not horners
 
 
 # -- characteristic polynomial -----------------------------------------------
