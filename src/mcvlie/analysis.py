@@ -275,7 +275,7 @@ def _closed_subspace(rows, den, gens):
     """The span S of the matrices given by the flat integer rows of a
     reduced echelon form over den, when it holds the identity and b·g lies
     in S for every basis matrix b of S and every generator g (one
-    `Subspace.coordinates` batch); else None."""
+    `Subspace.holds` batch); else None."""
     d = len(gens[0])
     pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
     s = Subspace._of(ExactMatrix._of(_transposed(rows, d * d), den, d * d, len(rows)), pivots)
@@ -285,7 +285,7 @@ def _closed_subspace(rows, den, gens):
         shifted = _shifted([_pack(row, w) for row in g], w)
         tests += [_unpack(_packed_dot(b, shifted), w, d * d) for b in rows]
     batch = ExactMatrix._of(tuple(zip(*tests)), 1, d * d, len(tests))
-    return s if s.coordinates(batch) is not None else None
+    return s if s.holds(batch) else None
 
 
 def _identity(d: int) -> list:

@@ -45,17 +45,19 @@ def _square_tuple(mats) -> list:
 
 def dr_convolution(mats, lam) -> list:
     """Convolved generator matrices: the i-th output has block row i equal to
-    (A_1, ..., A_i + lam·Id, ..., A_n) and every other block row zero."""
+    (A_1, ..., A_i + lam·Id, ..., A_n) and every other block row zero, its
+    integer rows written between zero rows (canonical, as `hstack`)."""
     mats = _square_tuple(mats)
     n, d = len(mats), mats[0].rows
     lam = rat(lam)
+    zero = ((0,) * (n * d),)
     out = []
     for i in range(n):
         row = ExactMatrix.hstack(
             [m.add_scaled_identity(lam) if j == i else m for j, m in enumerate(mats)]
         )
-        above, below = ExactMatrix.zeros(i * d, n * d), ExactMatrix.zeros((n - 1 - i) * d, n * d)
-        out.append(ExactMatrix.vstack([above, row, below]))
+        ints = zero * (i * d) + row.ints + zero * ((n - 1 - i) * d)
+        out.append(ExactMatrix._canonical(ints, row.den, n * d, n * d))
     return out
 
 
@@ -151,9 +153,11 @@ def _middle(conv: ConvolvedSystem) -> MiddleConvolvedSystem:
         raise InternalInvariantError("joint kernel at lam = 0 disagrees with the relation space")
     ids = conv.closure.ids()
     generators = [conv.matrices[h] for h in ids]
-    for h, m in zip(ids, generators):
-        k.restrict(m, "kernel-block space K", h)
-        l.restrict(m, "joint kernel L", h)
+    if not (k.invariant_under(generators) and l.invariant_under(generators)):
+        for h, m in zip(ids, generators):  # the first failure, with its witness
+            k.restrict(m, "kernel-block space K", h)
+            l.restrict(m, "joint kernel L", h)
+        raise InternalInvariantError("the invariance checks of K and L disagree")
     w = subspace_sum(k, l)
     proj, section, induced = quotient_all(generators, w)
     return MiddleConvolvedSystem(

@@ -19,7 +19,7 @@ equality coincides with equality of spans.
 The Kronecker-packing layer (`_width`, `_pack`, `_slots`, `_unpack`,
 `_packed_dot`, `_shifted`) is the one place that knows how an integer row
 is packed into one integer and how wide its slots must be.  Every packed
-product check uses it: `commuting_with_sum`, `Subspace.coordinates`, the
+product check uses it: `commuting_with_sum`, `Subspace.holds`, the
 mod-p span `_ModSpan`, and, outside this module, the Burnside span and its
 closed-subspace test in `analysis` and the flat search in `arrangement`.
 """
@@ -414,6 +414,13 @@ class ExactMatrix:
             if g != 1:
                 den //= g
                 ints = tuple(tuple(x // g for x in row) for row in ints)
+        return cls._canonical(ints, den, rows, cols)
+
+    @classmethod
+    def _canonical(cls, ints, den: int, rows: int, cols: int) -> "ExactMatrix":
+        """`_of` for integer rows already in lowest terms over `den`: the
+        entries of canonical matrices, rearranged or stacked (see
+        `hstack`), which need no gcd pass."""
         m = cls.__new__(cls)
         m.rows, m.cols, m.den, m.ints, m._data = rows, cols, den, ints, None
         return m
@@ -432,14 +439,22 @@ class ExactMatrix:
 
     @staticmethod
     def hstack(mats) -> "ExactMatrix":
+        """Side by side, over the lcm D of the denominators, each matrix
+        scaled by D/den.  Canonical matrices stack to a canonical one, so
+        there is no gcd pass: for a prime q dividing D, a matrix whose den
+        holds the highest power of q has an entry prime to q (it is in
+        lowest terms) and is scaled by a factor prime to q, so q divides
+        neither that entry of the stack nor gcd(D, entries).  The same
+        holds for `vstack` and `block`, and for `transpose` and negation,
+        which keep the entries and den."""
         mats = list(mats)
         r = mats[0].rows
         if any(m.rows != r for m in mats):
             raise PreconditionError("hstack: row counts differ")
         den = lcm(*[m.den for m in mats])
         parts = [_scaled(m.ints, den // m.den) for m in mats]
-        return ExactMatrix._of(
-            tuple(tuple(x for p in parts for x in p[i]) for i in range(r)),
+        return ExactMatrix._canonical(
+            tuple(tuple(itertools.chain.from_iterable(rows)) for rows in zip(*parts)),
             den,
             r,
             sum(m.cols for m in mats),
@@ -447,12 +462,14 @@ class ExactMatrix:
 
     @staticmethod
     def vstack(mats) -> "ExactMatrix":
+        """One above the other, canonical without a gcd pass (see
+        `hstack`)."""
         mats = list(mats)
         c = mats[0].cols
         if any(m.cols != c for m in mats):
             raise PreconditionError("vstack: column counts differ")
         den = lcm(*[m.den for m in mats])
-        return ExactMatrix._of(
+        return ExactMatrix._canonical(
             tuple(row for m in mats for row in _scaled(m.ints, den // m.den)),
             den,
             sum(m.rows for m in mats),
@@ -461,8 +478,28 @@ class ExactMatrix:
 
     @staticmethod
     def block(grid) -> "ExactMatrix":
-        """Assemble from a 2-d grid of matrices with compatible shapes."""
-        return ExactMatrix.vstack([ExactMatrix.hstack(row) for row in grid])
+        """Assemble from a 2-d grid of matrices with compatible shapes: each
+        output row is the blocks' integer rows over the lcm of all the
+        denominators, written into one tuple, each block scaled once however
+        often the grid repeats it (a grid of residues repeats one zero
+        block), with no gcd pass (see `hstack`)."""
+        grid = [list(row) for row in grid]
+        if any(m.rows != row[0].rows for row in grid for m in row):
+            raise PreconditionError("hstack: row counts differ")
+        cols = sum(m.cols for m in grid[0])
+        if any(sum(m.cols for m in row) != cols for row in grid):
+            raise PreconditionError("vstack: column counts differ")
+        den = lcm(*[m.den for row in grid for m in row])
+        scaled = {}
+        for m in itertools.chain.from_iterable(grid):
+            if id(m) not in scaled:
+                scaled[id(m)] = _scaled(m.ints, den // m.den)
+        ints = tuple(
+            tuple(itertools.chain.from_iterable(rows))
+            for row in grid
+            for rows in zip(*[scaled[id(m)] for m in row])
+        )
+        return ExactMatrix._canonical(ints, den, len(ints), cols)
 
     # -- accessors
 
@@ -514,7 +551,7 @@ class ExactMatrix:
         return self._combine(other, sub, "subtraction")
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix._of(
+        return ExactMatrix._canonical(
             tuple(tuple(-x for x in row) for row in self.ints), self.den, self.rows, self.cols
         )
 
@@ -528,20 +565,22 @@ class ExactMatrix:
 
     def __mul__(self, other):
         """Matrix product of the integer rows over the product of the
-        denominators.  A sparse left row sums its multiples of the right
-        rows instead of taking dot products with the right columns."""
+        denominators.  A left row with few nonzero entries against the
+        right operand's nonzero rows sums its multiples of those rows
+        instead of taking dot products with the right columns."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise PreconditionError("matrix product: inner dimensions differ")
-        if not self.cols or not other.cols:
-            return ExactMatrix.zeros(self.rows, other.cols)
         irows = other.ints
+        live = [k for k, row in enumerate(irows) if any(row)]
+        if not live or not other.cols:
+            return ExactMatrix.zeros(self.rows, other.cols)
         icols = tuple(zip(*irows))
         zero_row = (0,) * other.cols
         out = []
         for row in self.ints:
-            nz = [k for k, x in enumerate(row) if x]
+            nz = [k for k in live if row[k]]
             if not nz:
                 out.append(zero_row)
             elif 2 * len(nz) > len(row):
@@ -557,7 +596,9 @@ class ExactMatrix:
         return ExactMatrix._of(tuple(out), self.den * other.den, self.rows, other.cols)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._of(_transposed(self.ints, self.cols), self.den, self.cols, self.rows)
+        return ExactMatrix._canonical(
+            _transposed(self.ints, self.cols), self.den, self.cols, self.rows
+        )
 
     def add_scaled_identity(self, a) -> "ExactMatrix":
         if not self.is_square:
@@ -759,13 +800,13 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.cols
 
-    def coordinates(self, m: ExactMatrix):
-        """The X with basis · X = m, or None when a column of m lies outside
-        the span.  The basis has identity rows at its pivots, so X can only
-        be the rows of m at the pivots.
+    def holds(self, m: ExactMatrix) -> bool:
+        """Whether every column of m lies in the subspace.
 
-        No product is built.  With basis = b/den, basis·X = m exactly when
-        row i of b times the integer rows of m at the pivots, packed as
+        No product is built.  The basis has identity rows at its pivots, so
+        the only candidate X with basis·X = m is the rows of m at the
+        pivots.  With basis = b/den, basis·X = m exactly when row i of b
+        times the integer rows of m at the pivots, packed as
         sum_k b_ik packed(m_(p_k)), is den·packed(m_i) for every row i off
         the pivots.  Every entry of either side sums at most dim products
         of an entry of b and one of m (den is an entry of b), so slots of
@@ -779,11 +820,29 @@ class Subspace:
             pivot_set = set(self.pivots)
             for i, row in enumerate(b):
                 if i not in pivot_set and _packed_dot(row, packed) != den * _pack(ints[i], w):
-                    return None
-        return m.submatrix(self.pivots, range(m.cols))
+                    return False
+        return True
+
+    def coordinates(self, m: ExactMatrix):
+        """The X with basis · X = m, or None when a column of m lies outside
+        the span: the rows of m at the pivots, when `holds(m)`."""
+        return m.submatrix(self.pivots, range(m.cols)) if self.holds(m) else None
 
     def contains(self, vec) -> bool:
-        return self.coordinates(ExactMatrix([vec]).transpose()) is not None
+        return self.holds(ExactMatrix([vec]).transpose())
+
+    def invariant_under(self, mats) -> bool:
+        """Whether every matrix of `mats` maps the subspace into itself, by
+        one product and one `holds` call: the stacked matrices times the
+        basis, their images then set side by side."""
+        n, mats = self.ambient_dim, list(mats)
+        if not self.dim or not mats:
+            return True
+        stacked = ExactMatrix.vstack(mats) * self.basis
+        rows = stacked.ints
+        images = tuple(tuple(itertools.chain.from_iterable(rows[i::n])) for i in range(n))
+        side = ExactMatrix._canonical(images, stacked.den, n, len(mats) * self.dim)
+        return self.holds(side)
 
     def restrict(self, m: ExactMatrix, which: str, generator=None) -> ExactMatrix:
         """The matrix X of m on the subspace, m · basis = basis · X.  When m
@@ -832,9 +891,23 @@ def _null_rows(ech: ExactMatrix, pivots) -> ExactMatrix:
 
 
 def kernel(m: ExactMatrix) -> Subspace:
-    """Canonical basis of the null space {v : m v = 0}."""
-    red, pivots = m.rref()
-    return Subspace(m.cols, basis=_null_rows(red, pivots).transpose())
+    """Canonical basis of the null space {v : m v = 0}, from one elimination.
+
+    `rref` runs on m with its columns reversed.  The null vector of each
+    free column f there has its last nonzero entry at f and its others at
+    earlier pivot columns only.  Reversed back, each has its leading entry
+    1 at its own free column and its other nonzeros at pivot columns,
+    which no other vector leads at; sorted by free column, these vectors
+    are the reduced column echelon basis, with the free columns as pivots."""
+    n = m.cols
+    reversed_m = ExactMatrix._canonical(tuple(row[::-1] for row in m.ints), m.den, m.rows, n)
+    red, pivots = reversed_m.rref()
+    null = _null_rows(red, pivots)
+    taken = {n - 1 - p for p in pivots}
+    return Subspace._of(
+        ExactMatrix._canonical(_transposed(null.ints[::-1], n)[::-1], null.den, n, null.rows),
+        [j for j in range(n) if j not in taken],
+    )
 
 
 def quotient_all(matrices, s: Subspace):
@@ -985,9 +1058,12 @@ class Poly:
     def rational_roots(self):
         """All rational roots, sorted, found without factoring an integer.
 
-        With f from `_cleared` of degree n and leading coefficient a, a
-        rational root x of f has a·x ∈ Z, so the roots are y/a for the
-        integer roots y of the monic integer G(y) = a^(n−1)·f(y/a)."""
+        A nonzero constant has none.  With f from `_cleared` of degree n and
+        leading coefficient a, a rational root x of f has a·x ∈ Z, so the
+        roots are y/a for the integer roots y of the monic integer
+        G(y) = a^(n−1)·f(y/a)."""
+        if self.degree == 0:
+            return []
         zero, f = self._cleared()
         n, a = len(f) - 1, f[-1]
         g = [c * a ** (n - 1 - i) for i, c in enumerate(f[:-1])] + [1]
@@ -995,8 +1071,11 @@ class Poly:
         return sorted(roots + [_ZERO] if zero else roots)
 
     def integer_roots(self):
-        """All integer roots, sorted: those of `_cleared`'s row itself,
-        searched in x, with no substitution that scales the range."""
+        """All integer roots, sorted: none for a nonzero constant, else
+        those of `_cleared`'s row itself, searched in x, with no
+        substitution that scales the range."""
+        if self.degree == 0:
+            return []
         zero, f = self._cleared()
         roots = _integer_roots(f)
         return sorted(roots + [0] if zero else roots)

@@ -537,6 +537,80 @@ def test_non_invariant_k_names_its_generator_once(monkeypatch):
     )
 
 
+def _first_restrict_failure(k, l, generators):
+    """The error of the per-generator check, K then L under each generator
+    in id order, or None."""
+    try:
+        for h, m in generators.items():
+            k.restrict(m, "kernel-block space K", h)
+            l.restrict(m, "joint kernel L", h)
+    except InvarianceError as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("k_basis, l_basis, expected", [
+    # K fails only under the later generator: C_1·e1 = (7/10, 0) stays in it
+    ([[1, 0]], [], "kernel-block space K is not invariant; generator 2; "
+                   "witness v = (1, 0); A·v = (0, 1/2)"),
+    # L fails under the first generator
+    ([], [[0, 1]], "joint kernel L is not invariant; generator 1; "
+                   "witness v = (0, 1); A·v = (1/3, 0)"),
+    # K fails under generator 2, L already under generator 1
+    ([[1, 0]], [[0, 1]], "joint kernel L is not invariant; generator 1; "
+                         "witness v = (0, 1); A·v = (1/3, 0)"),
+])
+def test_batched_invariance_reports_the_per_generator_failure(monkeypatch, k_basis, l_basis,
+                                                               expected):
+    """The one-product check of K and L falls back to per-generator
+    `restrict`, so the first failure in id order is reported, with its
+    message, generator and witness."""
+    mats = scalars(F(1, 2), F(1, 3))
+    k, l = (Subspace(2, basis=column_matrix(b, 2)) for b in (k_basis, l_basis))
+    monkeypatch.setattr("mcvlie.convolution.dr_k_l", lambda mats, lam: (k, l))
+    with pytest.raises(InvarianceError) as err:
+        dr_middle_convolution(mats, F(1, 5))
+    want = _first_restrict_failure(k, l, dict(zip("12", dr_convolution(mats, F(1, 5)))))
+    assert str(err.value) == str(want) == expected
+    assert err.value.generator == want.generator
+    assert err.value.witness_vector == want.witness_vector
+    assert err.value.image == want.image
+
+
+def test_invariant_under_agrees_with_restrict():
+    """Block upper triangular matrices over mixed denominators leave the
+    first coordinates invariant, in a random basis of them; one entry below
+    the diagonal blocks breaks it under that generator only."""
+    rng = random.Random(35)
+    for t in range(40):
+        d, n = rng.randint(2, 5), rng.randint(1, 4)
+        r = rng.randint(1, d - 1)
+        mats = []
+        for _ in range(n):
+            rows = [[F(rng.randint(-3, 3), rng.choice((1, 2, 3, 5, 7))) for _ in range(d)]
+                    for _ in range(d)]
+            for i in range(r, d):
+                rows[i][:r] = [F(0)] * r
+            mats.append(ExactMatrix(rows))
+        coeffs = [[rng.randint(-2, 2) for _ in range(r)] + [0] * (d - r) for _ in range(r)]
+        s = Subspace(d, basis=column_matrix(coeffs, d))
+        if s.dim < r:
+            continue
+        assert s.invariant_under(mats)
+        bad = rng.randrange(n)
+        rows = [list(row) for row in mats[bad].data]
+        rows[rng.randrange(r, d)][rng.randrange(r)] = F(1, rng.choice((1, 2, 3)))
+        mats[bad] = ExactMatrix(rows)
+        assert not s.invariant_under(mats)
+        failing = []
+        for i, m in enumerate(mats):
+            try:
+                s.restrict(m, "S", i)
+            except InvarianceError:
+                failing.append(i)
+        assert failing == [bad]
+
+
 def test_three_line_worked_example():
     alpha, beta, gamma, lam = F(1, 2), F(1, 3), F(1, 5), F(1, 7)
     system = three_line_system(alpha, beta, gamma)

@@ -14,7 +14,7 @@ import pytest
 
 from mcvlie import exactcore
 from mcvlie.analysis import is_irreducible
-from mcvlie.errors import InputError
+from mcvlie.errors import InputError, PreconditionError
 from mcvlie.exactcore import (
     MAX_EXPONENT,
     P,
@@ -27,6 +27,7 @@ from mcvlie.exactcore import (
     _ModSpan,
     _pack,
     _slots,
+    kernel,
     rat,
 )
 
@@ -377,6 +378,120 @@ def test_rref_on_empty_shapes():
     for r, c in [(0, 0), (0, 3), (3, 0)]:
         red, pivots = ExactMatrix.zeros(r, c).rref()
         assert pivots == () and red == ExactMatrix.zeros(r, c)
+
+
+def ref_kernel(a: ExactMatrix):
+    """The null space of a in reduced column echelon form, as its columns
+    (each a list of Fractions), and their leading rows: one Fraction null
+    vector per free column of `ref_rref`, stacked and reduced again."""
+    red, pivots = ref_rref(a)
+    vecs = []
+    for f in range(a.cols):
+        if f not in pivots:
+            v = [_ZERO] * a.cols
+            v[f] = F(1)
+            for r, p in enumerate(pivots):
+                v[p] = -red[r][f]
+            vecs.append(v)
+    if not vecs:
+        return [], ()
+    rows, leads = ref_rref(ExactMatrix(vecs, shape=(len(vecs), a.cols)))
+    return rows[:len(leads)], leads
+
+
+def test_kernel_is_the_reduced_null_space_from_one_elimination(monkeypatch):
+    calls = []
+    real = ExactMatrix.rref
+    monkeypatch.setattr(ExactMatrix, "rref", lambda m: calls.append(m) or real(m))
+    rng = random.Random(118)
+    shapes = [(0, 0), (0, 3), (3, 0), (2, 5), (5, 2)]
+    for t in range(200):
+        style = STYLES[t % len(STYLES)]
+        r, c = shapes[t] if t < len(shapes) else (rng.randint(0, 6), rng.randint(0, 6))
+        a = rand_low_rank(rng, r, c, style) if t % 2 else rand_matrix(rng, r, c, style)
+        calls.clear()
+        s = kernel(a)
+        assert len(calls) == 1
+        columns, leads = ref_kernel(a)
+        assert s.ambient_dim == c and s.dim == len(columns)
+        assert s.pivots == leads
+        assert_like_public(s.basis)
+        assert (s.basis.rows, s.basis.cols) == (c, len(columns))
+        assert s.basis.data == tuple(tuple(col[i] for col in columns) for i in range(c))
+        assert a * s.basis == ExactMatrix.zeros(r, len(columns))
+        assert s == Subspace(c, basis=s.basis)  # eliminating again changes nothing
+
+
+# -- stacking, transposes, negation and products without a gcd pass ----------
+
+
+def _rand_grid(rng, style):
+    """A grid of blocks with random heights and widths (0 included), a
+    third of them zero and some of them the same object."""
+    heights = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+    widths = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+    grid = []
+    for h in heights:
+        row = []
+        for w in widths:
+            pick = rng.random()
+            if pick < 0.3:
+                row.append(ExactMatrix.zeros(h, w))
+            elif pick < 0.4 and row and row[-1].cols == w:
+                row.append(row[-1])
+            else:
+                row.append(rand_matrix(rng, h, w, rng.choice((style, "coprime"))))
+        grid.append(row)
+    return grid
+
+
+def test_stacks_transposes_and_negations_are_like_public():
+    """Canonical inputs give canonical outputs equal to the same entries
+    given to the public constructor, with zero blocks, pairwise coprime and
+    repeated denominators, and parts with no rows or no columns."""
+    rng = random.Random(119)
+    for t in range(160):
+        grid = _rand_grid(rng, STYLES[t % len(STYLES)])
+        rows = [[x for m in row for x in m.data[i]] for row in grid for i in range(row[0].rows)]
+        width = sum(m.cols for m in grid[0])
+        got = ExactMatrix.block(grid)
+        assert (got.rows, got.cols) == (len(rows), width)
+        assert_matches(got, rows)
+        for row in grid:
+            assert_matches(ExactMatrix.hstack(row), [[x for m in row for x in m.data[i]]
+                                                     for i in range(row[0].rows)])
+        column = [row[0] for row in grid]
+        assert_matches(ExactMatrix.vstack(column), [list(r) for m in column for r in m.data])
+        assert_matches(got.transpose(), [list(got.col(j)) for j in range(got.cols)])
+        assert_matches(-got, [[-x for x in row] for row in got.data])
+
+
+def test_stacks_of_coprime_denominators_are_in_lowest_terms():
+    """A stack over the lcm of its parts' denominators is canonical only
+    when each part is scaled by lcm/den: the entry 1/4 beside 1/6 reads
+    3/12 and 2/12, whose gcd with 12 is 1."""
+    a, b = ExactMatrix([[F(1, 4)]]), ExactMatrix([[F(1, 6)], [F(5, 6)]])
+    assert_matches(ExactMatrix.hstack([a, ExactMatrix([[F(1, 6)]])]), [[F(1, 4), F(1, 6)]])
+    assert_matches(ExactMatrix.vstack([a, b]), [[F(1, 4)], [F(1, 6)], [F(5, 6)]])
+    zero = ExactMatrix.zeros(1, 1)
+    assert_matches(ExactMatrix.block([[a, zero], [zero, a.scale(F(2, 3))]]),
+                   [[F(1, 4), 0], [0, F(1, 6)]])
+
+
+def test_products_skip_the_right_operand_zero_rows():
+    """Right operands with planted zero rows (most of them, or all), such as
+    a convolved generator with one nonzero block row, against left rows
+    dense and sparse."""
+    rng = random.Random(120)
+    for t in range(200):
+        style = STYLES[t % len(STYLES)]
+        r, k, c = rng.randint(0, 5), rng.randint(1, 8), rng.randint(0, 5)
+        a = rand_matrix(rng, r, k, rng.choice(STYLES))
+        rows = [list(row) for row in rand_matrix(rng, k, c, style).data]
+        for i in rng.sample(range(k), rng.randint(1, k)):
+            rows[i] = [_ZERO] * c
+        b = ExactMatrix(rows, shape=(k, c))
+        assert_matches(a * b, ref_mul(a, b))
 
 
 def test_det_matches_fraction_oracle():
@@ -907,6 +1022,19 @@ def test_linear_polynomials_build_no_sturm_chain(monkeypatch):
         assert p.rational_roots() == roots
         assert p.integer_roots() == integers_among(roots)
     assert not sturms and not horners
+
+
+def test_constant_polynomials_have_no_roots_without_a_search(monkeypatch):
+    """A nonzero constant, such as the defect of a generic star condition,
+    has no root and reaches no root search; the zero polynomial, which has
+    every root, is a PreconditionError."""
+    searches = counting(monkeypatch, "_integer_roots")
+    for c in (1, -7, F(3, 5), F(-10**40, 3)):
+        assert Poly([c]).rational_roots() == [] and Poly([c]).integer_roots() == []
+    assert not searches
+    for search in (Poly().rational_roots, Poly([0]).integer_roots):
+        with pytest.raises(PreconditionError, match="every root"):
+            search()
 
 
 # -- characteristic polynomial -----------------------------------------------
