@@ -19,7 +19,7 @@ equality coincides with equality of spans.
 The Kronecker-packing layer (`_width`, `_pack`, `_slots`, `_unpack`,
 `_packed_dot`, `_shifted`) is the one place that knows how an integer row
 is packed into one integer and how wide its slots must be.  Every packed
-product check uses it: `commuting_with_sum`, `Subspace.holds`, the
+product check uses it: `noncommuting_members`, `Subspace.holds`, the
 mod-p span `_ModSpan`, and, outside this module, the Burnside span and its
 closed-subspace test in `analysis` and the flat search in `arrangement`.
 """
@@ -34,7 +34,6 @@ from math import gcd as int_gcd
 from math import isqrt
 from math import lcm
 from operator import add, lshift, mul, sub
-from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError, PreconditionError
 
@@ -711,53 +710,94 @@ class ExactMatrix:
         return self.is_square and self.det() != 0
 
 
-class RowSummary(NamedTuple):
-    """A square matrix with what `commuting_with_sum` reads of it in every
-    family it belongs to: the indices of its nonzero rows (none when the
-    matrix is zero) and the bit length of its largest absolute entry."""
-
-    matrix: ExactMatrix
-    nonzero: tuple
-    bits: int
-
-    @classmethod
-    def of(cls, m: ExactMatrix) -> "RowSummary":
-        return cls(m, tuple(i for i, row in enumerate(m.ints) if any(row)), _bits(m.ints))
+def _rows_commute(a, packed_a, b, packed_b, rows) -> bool:
+    """Whether rows `rows` of a·b and b·a agree, each packed as
+    sum_k a_ik packed(b_k) and sum_k b_ik packed(a_k); b may be any
+    mapping from those row indices to rows."""
+    return all(_packed_dot(a[i], packed_b) == _packed_dot(b[i], packed_a) for i in rows)
 
 
-def commuting_with_sum(summaries):
-    """For each summarised square matrix, in order and computed only when
-    asked for, whether it commutes with the sum T of all of them.  No
-    product matrix is built.
+def noncommuting_members(mats, families) -> list:
+    """The members of each family that do not commute with the family sum,
+    in family order, as (family, members) pairs for the families that have
+    one.  A family is a tuple of keys of `mats`, which maps them to square
+    matrices of one size.  No product matrix is built.
 
-    With A = a/den_a and T = t/den_T, both a t and t a lie over
-    den_a den_T, so A commutes with T exactly when row i of a t, packed as
-    sum_k a_ik packed(t_k), equals row i of t a, packed as
-    sum_k t_ik packed(a_k), for every i.  Every entry of a t and t a sums
-    rank products of an entry of a and one of t, so slots of width
-    `_width(bits(max|a|) + bits(max|t|), rank)` make packing injective, the
-    first term over all the matrices.  Rows where every matrix vanishes
-    are zero on both sides and are skipped."""
-    rank = summaries[0].matrix.rows
-    den = lcm(*[s.matrix.den for s in summaries])
-    t_rows = {}  # row index -> row of t, wherever some matrix is nonzero
-    for m, nonzero, _ in summaries:
-        f = den // m.den
-        for i in nonzero:
-            row = m.ints[i] if f == 1 else tuple(map(f.__mul__, m.ints[i]))
-            t_rows[i] = tuple(map(add, t_rows[i], row)) if i in t_rows else row
-    w = _width(max(s.bits for s in summaries) + _bits(t_rows.values()), rank)
-    packed_t = [0] * rank
-    for i, row in t_rows.items():
-        packed_t[i] = _pack(row, w)
-    for m, nonzero, _ in summaries:
-        a = m.ints
-        packed_a = [0] * rank
-        for i in nonzero:
-            packed_a[i] = _pack(a[i], w)
-        yield all(
-            _packed_dot(a[i], packed_t) == _packed_dot(row, packed_a) for i, row in t_rows.items()
-        )
+    A zero matrix commutes with everything, and a family with fewer than
+    two nonzero (live) members has nothing to test.  Each live matrix is
+    packed once per call, when a family first reads it, in slots of one
+    width w: the largest that any family needs.  B is the bit length of
+    the largest absolute entry of all the matrices.
+
+    Two live members X = x/den_x, Y = y/den_y are one test, [X, Y] = 0,
+    which both fail or neither: row i of x y, packed as
+    sum_k x_ik packed(y_k), against row i of y x, packed as
+    sum_k y_ik packed(x_k), on every row where x or y is nonzero.  It
+    needs `_width(2B, rank)`.  For m >= 3 live members with sum T = t/D,
+    D the lcm of their denominators and t = sum_h f_h x_h with every
+    f_h = D/den_h below 2^s, each member but the last is tested against t
+    on every row where some member is nonzero; packing is linear, so
+    packed(t_k) = sum_h f_h packed(x_h)_k and t is never packed.  It needs
+    `_width(2B + s + bits(m), rank)`.  The commutators with T sum to
+    [T, T] = 0, so the last member is tested only after another has
+    failed, and the list is the same as if every member had been tested.
+    `holonomy.check_integrability` proves both widths."""
+    nonzero = {}
+    for key, m in mats.items():
+        rows = frozenset(i for i, row in enumerate(m.ints) if any(row))
+        if rows:
+            nonzero[key] = rows
+    plan, extra = [], 0
+    for family in families:
+        live = [key for key in family if key in nonzero]
+        if len(live) < 2:
+            continue
+        scales = None
+        if len(live) > 2:
+            den = lcm(*[mats[key].den for key in live])
+            scales = [den // mats[key].den for key in live]
+            extra = max(extra, max(scales).bit_length() + len(live).bit_length())
+        plan.append((family, live, scales))
+    if not plan:
+        return []
+    bits = _bits(itertools.chain.from_iterable(m.ints for m in mats.values()))
+    rank = mats[plan[0][1][0]].rows
+    w = _width(2 * bits + extra, rank)
+    packed = {}
+    failures = []
+    for family, live, scales in plan:
+        for key in live:
+            if key not in packed:
+                ints, p = mats[key].ints, [0] * rank
+                for i in nonzero[key]:
+                    p[i] = _pack(ints[i], w)
+                packed[key] = p
+        if scales is None:
+            a, b = live
+            pair_commutes = _rows_commute(
+                mats[a].ints, packed[a], mats[b].ints, packed[b], nonzero[a] | nonzero[b]
+            )
+            failing = [] if pair_commutes else live
+        else:
+            t_rows = {}  # row index -> row of t, wherever some member is nonzero
+            packed_t = [0] * rank
+            for key, f in zip(live, scales):
+                ints, p = mats[key].ints, packed[key]
+                for i in nonzero[key]:
+                    row = ints[i] if f == 1 else tuple(map(f.__mul__, ints[i]))
+                    t_rows[i] = tuple(map(add, t_rows[i], row)) if i in t_rows else row
+                    packed_t[i] += f * p[i]
+
+            def commutes(key):
+                return _rows_commute(mats[key].ints, packed[key], t_rows, packed_t, t_rows)
+
+            failing = [key for key in live[:-1] if not commutes(key)]
+            # the commutators sum to [T, T] = 0: the last fails only with another
+            if failing and not commutes(live[-1]):
+                failing.append(live[-1])
+        if failing:
+            failures.append((family, failing))
+    return failures
 
 
 def _primitive(ints):
@@ -915,7 +955,10 @@ def quotient_all(matrices, s: Subspace):
     the matrices induced by s-invariant `matrices`.  The section is the
     list of s's non-pivot coordinates, where the projection is the
     identity; its inclusion is a right inverse of the projection, so each
-    induced matrix is projection · (section columns)."""
+    induced matrix is projection · (section columns).  When s = 0 the
+    projection is the identity and the induced matrices are `matrices`."""
+    if not s.pivots:
+        return ExactMatrix.identity(s.ambient_dim), list(range(s.ambient_dim)), list(matrices)
     proj = _null_rows(s.basis.transpose(), s.pivots)
     pivot_set = set(s.pivots)
     section = [r for r in range(s.ambient_dim) if r not in pivot_set]

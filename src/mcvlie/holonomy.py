@@ -16,11 +16,10 @@ from .arrangement import Arrangement, codim2_flats
 from .errors import InputError, InternalInvariantError, PreconditionError
 from .exactcore import (
     ExactMatrix,
-    RowSummary,
     _sum_matrices,
-    commuting_with_sum,
     int_from_json,
     matrix_from_json,
+    noncommuting_members,
 )
 
 
@@ -94,42 +93,45 @@ def check_integrability(system: PfaffianSystem) -> list:
     failing family member, in family order; an empty list means the system
     is integrable.
 
-    A zero residue commutes with everything and is skipped.  Over a family
-    the commutators with the family sum T add up to [T, T] = 0, so when all
-    but the last nonzero member pass, the last one does too: it is tested
-    only when an earlier member has failed.  The list is then the same as if
-    every member had been checked.
+    `exactcore.noncommuting_members` decides the relations on
+    Kronecker-packed integer rows, with each nonzero residue packed once
+    and one slot width w for the whole system, the largest that a family
+    needs.  No product matrix is built, and a zero residue is skipped.
+    Only a failing member's commutator A T - T A is computed, as its
+    witness.
 
-    Each relation is decided on Kronecker-packed integer rows by
-    `exactcore.commuting_with_sum`: with A = a/den_a and T = t/den_T, row i
-    of a t packs as sum_k a_ik packed(t_k) and row i of t a as
-    sum_k t_ik packed(a_k), in slots of `exactcore._width`, where packing is
-    injective, so the packed integers agree exactly when the rows do, and no
-    product matrix is built.  Only a failing member's commutator A T - T A
-    is computed, as its witness.
+    The widths, with B the bit length of the largest entry of the integer
+    rows.  Two packed rows whose entries all lie strictly between -2^(w-1)
+    and 2^(w-1) agree exactly when the rows do (balanced digits are
+    unique), and `exactcore._width(bits, terms)` gives such a w for sums of
+    `terms` products below 2^bits; a wider slot keeps it so.
+    - A family with two nonzero residues X = x/den_x, Y = y/den_y is the
+      one relation [X, Y] = 0, as [X, X + Y] = [X, Y] = -[Y, X + Y].  XY
+      and YX lie over den_x den_y, and an entry of x y or y x sums rank
+      products of two entries below 2^B: `_width(2B, rank)`.
+    - A family of m >= 3 nonzero residues has the sum T = t/D, D the lcm of
+      their denominators and t = sum_h (D/den_h) x_h with every D/den_h
+      below 2^s.  An entry of t is at most m (2^s - 1)(2^B - 1), below
+      2^(B + s + bits(m)), so an entry of x t or t x sums rank products
+      below 2^(2B + s + bits(m)): `_width(2B + s + bits(m), rank)`.  XT
+      and TX lie over den_x D.
+    Over such a family the commutators with T add up to [T, T] = 0, so
+    the last member is tested only when an earlier one has failed; the
+    list is the same as if every member had been checked.
 
     Residues of rank 0 or 1 are scalars and commute, so such a system is
     integrable without looking at its flats.
     """
     if system.rank <= 1:
         return []
-    summaries = {hid: RowSummary.of(a) for hid, a in system.residues.items()}
+    residues = system.residues
     violations = []
-    for family in codim2_flats(system.arrangement):
-        members = [(hid, summaries[hid]) for hid in family if summaries[hid].nonzero]
-        if len(members) < 2:
-            continue  # a single nonzero residue commutes with itself
-        tests = commuting_with_sum([s for _, s in members])
-        failing = [m for m, ok in zip(members[:-1], tests) if not ok]
-        # the commutators sum to [T, T] = 0: the last fails only with another
-        if failing and not next(tests):
-            failing.append(members[-1])
-        if failing:
-            total = _sum_matrices([s.matrix for _, s in members], system.rank)
-            violations.extend(
-                IntegrabilityViolation(family, hid, s.matrix * total - total * s.matrix)
-                for hid, s in failing
-            )
+    for family, failing in noncommuting_members(residues, codim2_flats(system.arrangement)):
+        total = _sum_matrices([residues[hid] for hid in family], system.rank)
+        violations.extend(
+            IntegrabilityViolation(family, hid, residues[hid] * total - total * residues[hid])
+            for hid in failing
+        )
     return violations
 
 

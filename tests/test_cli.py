@@ -260,7 +260,7 @@ def test_every_golden_in_the_manifest_matches(monkeypatch):
     manifest = _golden_manifest()
     listed = {Path(golden).name for _, golden, _ in manifest}
     assert listed == {path.name for path in DATA.glob("golden_*")}
-    assert len(listed) == len(manifest) == 20
+    assert len(listed) == len(manifest) == 21
     monkeypatch.chdir(DATA.parent.parent)
     for code, golden, argv in manifest:
         status, out, _ = run_cli(*argv)

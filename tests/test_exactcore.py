@@ -17,12 +17,11 @@ from mcvlie.exactcore import (
     InvarianceError,
     Poly,
     PolyMatrix,
-    RowSummary,
     Subspace,
     charpoly,
-    commuting_with_sum,
     integer_spectrum_hits,
     kernel,
+    noncommuting_members,
     pencil_full_rank,
     quotient_all,
     rat,
@@ -191,7 +190,15 @@ def test_packed_dot_is_the_row_times_matrix():
 
 
 
-def test_commuting_with_sum_matches_the_products():
+def _commuting_verdicts(mats):
+    """Whether each matrix commutes with the sum of all of them, read off
+    `noncommuting_members` on the one family of all of them."""
+    failures = noncommuting_members(dict(enumerate(mats)), [tuple(range(len(mats)))])
+    failing = {key for _, members in failures for key in members}
+    return [i not in failing for i in range(len(mats))]
+
+
+def test_noncommuting_members_matches_the_products():
     # sparse and dense members, with and without a common denominator, and
     # families where some members commute with the sum and others do not
     rng = random.Random(14)
@@ -211,7 +218,7 @@ def test_commuting_with_sum_matches_the_products():
         for m in mats[1:]:
             total = total + m
         want = [m * total == total * m for m in mats]
-        assert list(commuting_with_sum([RowSummary.of(m) for m in mats])) == want
+        assert _commuting_verdicts(mats) == want
         verdicts.update(want)
     assert verdicts == {True, False}
 
@@ -223,7 +230,7 @@ def _extreme_matrix(rng, r, c, b):
                         for _ in range(r)])
 
 
-def test_commuting_with_sum_at_extreme_entries():
+def test_noncommuting_members_at_extreme_entries():
     # members with entries +-(2^b - 1), whose products reach the bound of
     # the slot width with either sign, checked against the products
     rng = random.Random(15)
@@ -237,29 +244,85 @@ def test_commuting_with_sum_at_extreme_entries():
         for m in mats[1:]:
             total = total + m
         want = [m * total == total * m for m in mats]
-        assert list(commuting_with_sum([RowSummary.of(m) for m in mats])) == want
+        assert _commuting_verdicts(mats) == want
         verdicts.update(want)
     assert verdicts == {True, False}
 
 
-def test_commuting_with_sum_needs_every_bit_of_its_width():
-    # three members and their sum t, all with entries below 2^3: the width
-    # is 3 + 3 + bits(3) + 1 = 9.  Row 0 of a t - t a is (0, 256, -1), and
-    # 256 = 2^8 carries into the next slot at width 8, where it cancels the
-    # -1: one bit narrower, the packed rows of a t and t a agree and a would
-    # pass for commuting with t.  a is block upper triangular and the lower
-    # block of t is 2 - a's, so rows 1 and 2 of the commutator vanish.
+def test_noncommuting_members_past_the_old_rule_s_collision():
+    # three members and their sum t, all with entries below 2^3.  The old
+    # rule, bits(max|a|) + bits(max|t|) + bits(3) + 1 = 9, had no bit to
+    # spare here: row 0 of a t - t a is (0, 256, -1), and 256 = 2^8 carries
+    # into the next slot at width 8, where it cancels the -1, so one bit
+    # narrower a would pass for commuting with t.  a is block upper
+    # triangular and the lower block of t is 2 - a's, so rows 1 and 2 of
+    # the commutator vanish.  The rule of `noncommuting_members` gives
+    # 2·3 + s + bits(3) over the denominator 1 (s = 1), and rank 3: 12.
     a = ExactMatrix([[5, 7, -7], [0, -5, -1], [0, 7, 6]])
     b = ExactMatrix([[-6, -1, 0], [0, 6, 1], [0, -7, -5]])
     c = ExactMatrix([[-6, 0, 0], [0, 6, 1], [0, -7, -5]])
     t = a + b + c
     assert a * t - t * a == ExactMatrix([[0, 256, -1], [0, 0, 0], [0, 0, 0]])
-    summaries = [RowSummary.of(m) for m in (a, b, c)]
-    w = _width(max(s.bits for s in summaries) + _bits(t.ints), 3)
+    w = _width(max(_bits(m.ints) for m in (a, b, c)) + _bits(t.ints), 3)
     assert w == 9
     at, ta = (a * t).ints[0], (t * a).ints[0]
     assert _pack(at, w - 1) == _pack(ta, w - 1) and _pack(at, w) != _pack(ta, w)
-    assert list(commuting_with_sum(summaries)) == [False, False, False]
+    assert _width(2 * 3 + 1 + 2, 3) == 12
+    assert _commuting_verdicts([a, b, c]) == [False, False, False]
+
+
+def test_pair_width_has_no_bit_to_spare(monkeypatch):
+    # a and b are block upper triangular with commuting lower blocks, so
+    # [a, b] is zero outside row 0, which is (0, 1024, -1).  Entries are
+    # below 2^4 and the rank is 3, so a pair takes _width(2·4, 3) = 11 bits;
+    # at 10 the 1024 = 2^10 carries into the next slot and cancels the -1,
+    # and the pair passes for commuting.
+    a = ExactMatrix([[-15, -15, -13], [0, 15, 0], [0, -6, 15]])
+    b = ExactMatrix([[8, -15, 10], [0, -15, 0], [0, -13, -15]])
+    assert a * b - b * a == ExactMatrix([[0, 1024, -1], [0, 0, 0], [0, 0, 0]])
+    rule = exactcore._width
+    assert rule(2 * 4, 3) == 11
+    mats, families = {"a": a, "b": b}, [("a", "b")]
+    assert noncommuting_members(mats, families) == [(("a", "b"), ["a", "b"])]
+    monkeypatch.setattr(exactcore, "_width", lambda bits, terms: rule(bits, terms) - 1)
+    assert noncommuting_members(mats, families) == []
+
+
+def test_family_width_has_no_bit_to_spare(monkeypatch):
+    # seven rank-3 members: a over D = 254·255, three over 254 and three
+    # over 255, so the D/den_h are 1, 255 and 254 and s = 8.  All are block
+    # upper triangular with lower blocks [[p, 0], [q, p]], which commute, so
+    # [a, t] is zero outside row 0, which is (0, 2^29, -1).  Entries are
+    # below 2^8, so the family takes _width(2·8 + 8 + bits(7), 3) = 30 bits;
+    # at 29 the 2^29 carries into the next slot and cancels the -1, and a
+    # passes for commuting with the sum, though the others still fail.
+    a = ExactMatrix([[255, 255, 251], [0, -255, 0], [0, 255, -255]]).scale(F(1, 254 * 255))
+    rest = [
+        ([[-255, 235, -209], [0, 255, 0], [0, 255, 255]], 254),
+        ([[-255, 235, -209], [0, 255, 0], [0, 255, 255]], 254),
+        ([[-255, 235, -210], [0, 254, 0], [0, 255, 254]], 254),
+        ([[-201, 252, -240], [0, 202, 0], [0, 173, 202]], 255),
+        ([[-202, 252, -240], [0, 202, 0], [0, 173, 202]], 255),
+        ([[-202, 251, -241], [0, 202, 0], [0, 172, 202]], 255),
+    ]
+    mats = {"a": a}
+    for k, (rows, den) in enumerate(rest):
+        mats[f"b{k}"] = ExactMatrix(rows).scale(F(1, den))
+    assert a.den == 254 * 255 and [m.den for m in mats.values()][1:] == [254] * 3 + [255] * 3
+    assert max(_bits(m.ints) for m in mats.values()) == 8
+    family = tuple(mats)
+    total = mats["a"]
+    for key in family[1:]:
+        total = total + mats[key]
+    comm = (a * total - total * a).scale((254 * 255) ** 2)  # [a, t] over D^2
+    assert comm == ExactMatrix([[0, 2**29, -1], [0, 0, 0], [0, 0, 0]])
+    want = [key for key in family if mats[key] * total != total * mats[key]]
+    assert want[0] == "a" and len(want) > 1
+    rule = exactcore._width
+    assert rule(2 * 8 + 8 + 3, 3) == 30
+    assert noncommuting_members(mats, [family]) == [(family, want)]
+    monkeypatch.setattr(exactcore, "_width", lambda bits, terms: rule(bits, terms) - 1)
+    assert noncommuting_members(mats, [family]) == [(family, want[1:])]
 
 
 def test_coordinates_at_the_first_width_that_collides():
@@ -410,6 +473,12 @@ def test_quotient_of_zero_space_is_identity():
     proj, section, _ = quotient_all([], Subspace(3))
     assert len(section) == 3
     assert proj == ExactMatrix.identity(3)
+    # the induced matrices are the generators, as projection · (all columns)
+    rng = random.Random(8)
+    mats = [rand_matrix(rng, 3, 3, den=rng.choice((1, 4))) for _ in range(3)]
+    proj, section, induced = quotient_all(mats, Subspace(3))
+    assert section == [0, 1, 2]
+    assert induced == mats == [proj * m.submatrix(range(3), section) for m in mats]
 
 
 def test_quotient_of_full_space_is_empty():

@@ -1,16 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import add
 
 import pytest
 
+from mcvlie import exactcore
 from mcvlie.arrangement import (
     Arrangement,
     Line,
     braid_arrangement,
     canonicalize,
     codim2_flats,
+    split_parallel,
     y_closure,
 )
 from mcvlie.convolution import haraoka_convolution
@@ -200,18 +203,83 @@ def _broken_braids():
     return [_broken_braid(strands, rng) for strands in (4, 5) for _ in range(12)]
 
 
+RECIPE_LINE = Line.of((1, 2, 3, 5))
+
+
+def _recipe_system(n):
+    """n hyperplanes of Q^4 with 1×1 residues, drawn from one
+    `random.Random(5)` stream: per hyperplane a normal in [-3, 3]^4 and an
+    offset in [-5, 5] (a zero normal or a repeat up to scale is drawn
+    again), then its residue p/q with p in 1..9 and q in 2..9."""
+    rng = random.Random(5)
+    planes, residues = {}, {}
+    while len(planes) < n:
+        normal = [rng.randint(-3, 3) for _ in range(4)]
+        offset = rng.randint(-5, 5)
+        if not any(normal):
+            continue
+        h = canonicalize(f"H{len(planes)}", normal, offset)
+        if h.form in planes:
+            continue
+        planes[h.form] = h
+        residues[h.id] = ExactMatrix([[F(rng.randint(1, 9), rng.randint(2, 9))]])
+    return PfaffianSystem(Arrangement(4, list(planes.values())), 1, residues)
+
+
+def _convolved_recipe(n):
+    """The Haraoka convolution of `_recipe_system(n)` along (1, 2, 3, 5) at
+    λ = 1/3, over its Y-closure: rank n - 1, and most flats are pairs."""
+    return haraoka_convolution(_recipe_system(n), RECIPE_LINE, F(1, 3)).system()
+
+
+def _bumped(system, hid, i, j, by=1):
+    rows = [list(row) for row in system.residue(hid).data]
+    rows[i][j] += by
+    residues = dict(system.residues)
+    residues[hid] = ExactMatrix(rows)
+    return PfaffianSystem(system.arrangement, system.rank, residues)
+
+
+def _coprime_pairs():
+    """Rank-2 and rank-3 systems on braid(4) whose nonzero residues are the
+    two of one pair family {H12, H34}, {H13, H24} or {H14, H23}, over
+    coprime denominators: one a polynomial in the other (they commute) or
+    drawn at random (they mostly do not)."""
+    rng = random.Random(23)
+    arr = braid_arrangement(4)
+    systems = []
+    for k in range(12):
+        rank = 2 + k % 2
+        first, second = (("H12", "H34"), ("H13", "H24"), ("H14", "H23"))[k % 3]
+        den_a, den_b = ((3, 5), (4, 9), (7, 10), (11, 6))[k % 4]
+        a = ExactMatrix([[F(rng.randint(-9, 9), den_a) for _ in range(rank)] for _ in range(rank)])
+        if k % 4 < 2:
+            b = (a * a).scale(F(rng.randint(1, 5), den_b)).add_scaled_identity(F(1, den_b))
+        else:
+            b = ExactMatrix([[F(rng.randint(-9, 9), den_b) for _ in range(rank)] for _ in range(rank)])
+        residues = {hid: ExactMatrix.zeros(rank, rank) for hid in arr.ids()}
+        residues[first], residues[second] = a, b
+        systems.append(PfaffianSystem(arr, rank, residues))
+    return systems
+
+
 def _oracle_corpus():
-    """The broken braids, KZ3 with one entry bumped, and a dense rank-16
-    conjugate of KZ4 with rationals of about 30 digits, intact and with one
-    entry bumped by such a rational."""
-    systems = _broken_braids()
+    """The broken braids; braid(4) pairs over coprime denominators; KZ3 with
+    one entry bumped; the convolved recipe systems for 8-12 hyperplanes,
+    intact and with one entry of a parallel hyperplane's residue bumped;
+    and a dense rank-16 conjugate of KZ4 with rationals of about 30 digits,
+    intact and with one entry bumped by such a rational."""
+    systems = _broken_braids() + _coprime_pairs()
     kz = kz_residues(3)
-    for hid in kz.arrangement.ids():
-        bumped = [list(row) for row in kz.residue(hid).data]
-        bumped[0][1] += 1
-        residues = dict(kz.residues)
-        residues[hid] = ExactMatrix(bumped)
-        systems.append(PfaffianSystem(kz.arrangement, kz.rank, residues))
+    systems.extend(_bumped(kz, hid, 0, 1) for hid in kz.arrangement.ids())
+    rng = random.Random(29)
+    for n in range(8, 13):
+        convolved = _convolved_recipe(n)
+        systems.append(convolved)
+        parallel, _ = split_parallel(convolved.arrangement, RECIPE_LINE)
+        hid = rng.choice(parallel.ids())
+        i, j = rng.randrange(convolved.rank), rng.randrange(convolved.rank)
+        systems.append(_bumped(convolved, hid, i, j))
     rng = random.Random(41)
 
     def digits():
@@ -220,11 +288,7 @@ def _oracle_corpus():
     big = _conjugated(kz_residues(4), rng, digits)
     systems.append(big)
     for hid in ("H12", "H34"):
-        bumped = [list(row) for row in big.residue(hid).data]
-        bumped[3][5] += digits() ** 2
-        residues = dict(big.residues)
-        residues[hid] = ExactMatrix(bumped)
-        systems.append(PfaffianSystem(big.arrangement, big.rank, residues))
+        systems.append(_bumped(big, hid, 3, 5, digits() ** 2))
     return systems
 
 
@@ -311,6 +375,7 @@ def _integrable_corpus():
         (scalar_system(THREE_LINES, {"H1": F(1, 5), "H2": F(1, 2), "H3": F(1, 3)}), (1, 2), F(2, 7)),
     ):
         yield haraoka_convolution(system, Line.of(direction), lam).system()
+    yield _convolved_recipe(10)
 
 
 def test_integrable_systems_make_no_products(products):
@@ -320,7 +385,26 @@ def test_integrable_systems_make_no_products(products):
         assert check_integrability(system) == []
         assert products == []
         checked += 1
-    assert checked == 9
+    assert checked == 10
+
+
+def test_each_nonzero_residue_row_is_packed_at_most_once(monkeypatch):
+    """A pair-heavy system: 675 of the 795 flats of the convolved recipe
+    for 10 hyperplanes are pairs.  One check packs each nonzero row of each
+    residue at most once, whatever the number of families the residue is
+    in, and packs nothing else (the family sums are never packed)."""
+    system = _convolved_recipe(10)
+    flats = codim2_flats(system.arrangement)
+    assert (len(flats), sum(len(f) == 2 for f in flats)) == (795, 675)
+    holders = Counter(id(row) for m in system.residues.values() for row in m.ints if any(row))
+    packed = Counter()
+    original = exactcore._pack
+    monkeypatch.setattr(
+        exactcore, "_pack", lambda row, w: packed.update((id(row),)) or original(row, w)
+    )
+    assert check_integrability(system) == []
+    assert packed and all(count <= holders[key] for key, count in packed.items())
+    assert sum(packed.values()) <= sum(holders.values())
 
 
 def test_each_violation_costs_two_products(products):
@@ -342,8 +426,8 @@ def test_width_needs_the_rank_term():
     # Row 0 of a t - t a is (0, 128, -1), and 128 = 2^7 carries into the
     # next slot at width 7 = bits(7) + bits(7) + 1, where it cancels the -1:
     # without bits(rank) the packed rows agree although a and t do not
-    # commute.  The family has two members, so the second is tested only
-    # after the first has failed.
+    # commute.  The family is a pair, decided by one test of [a, b] = [a, t]
+    # that reports both members.
     a = ((7, 7, 6), (0, 0, 0), (0, 0, 0))
     b = ((-7, 0, -6), (0, 7, -1), (0, 5, 1))
     t = tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(a, b))
