@@ -102,6 +102,32 @@ def _scaled(ints, f: int):
     return ints if f == 1 else tuple(tuple(f * x for x in row) for row in ints)
 
 
+def _product_rows(left, right, cols: int) -> tuple:
+    """The integer rows of left·right, for integer rows `left` and `right`
+    (`cols` columns), with no gcd pass.  A left row with few nonzero
+    entries against the right operand's nonzero rows sums its multiples of
+    those rows instead of taking dot products with the right columns."""
+    live = [k for k, row in enumerate(right) if any(row)]
+    icols = tuple(zip(*right))
+    zero_row = (0,) * cols
+    out = []
+    for row in left:
+        nz = [k for k in live if row[k]]
+        if not nz:
+            out.append(zero_row)
+        elif 2 * len(nz) > len(row):
+            out.append(tuple(sum(map(mul, row, c)) for c in icols))
+        else:
+            k = nz[0]
+            a = row[k]
+            sums = [a * y for y in right[k]]
+            for k in nz[1:]:
+                a = row[k]
+                sums = [x + a * y for x, y in zip(sums, right[k])]
+            out.append(tuple(sums))
+    return tuple(out)
+
+
 def _sum_matrices(mats, rank: int) -> ExactMatrix:
     """The sum of rank×rank matrices in one pass over the lcm of their
     denominators."""
@@ -563,36 +589,16 @@ class ExactMatrix:
         )
 
     def __mul__(self, other):
-        """Matrix product of the integer rows over the product of the
-        denominators.  A left row with few nonzero entries against the
-        right operand's nonzero rows sums its multiples of those rows
-        instead of taking dot products with the right columns."""
+        """Matrix product of the integer rows (`_product_rows`) over the
+        product of the denominators."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise PreconditionError("matrix product: inner dimensions differ")
-        irows = other.ints
-        live = [k for k, row in enumerate(irows) if any(row)]
-        if not live or not other.cols:
+        if not other.cols or other.is_zero():
             return ExactMatrix.zeros(self.rows, other.cols)
-        icols = tuple(zip(*irows))
-        zero_row = (0,) * other.cols
-        out = []
-        for row in self.ints:
-            nz = [k for k in live if row[k]]
-            if not nz:
-                out.append(zero_row)
-            elif 2 * len(nz) > len(row):
-                out.append(tuple(sum(map(mul, row, c)) for c in icols))
-            else:
-                k = nz[0]
-                a = row[k]
-                sums = [a * y for y in irows[k]]
-                for k in nz[1:]:
-                    a = row[k]
-                    sums = [x + a * y for x, y in zip(sums, irows[k])]
-                out.append(tuple(sums))
-        return ExactMatrix._of(tuple(out), self.den * other.den, self.rows, other.cols)
+        out = _product_rows(self.ints, other.ints, other.cols)
+        return ExactMatrix._of(out, self.den * other.den, self.rows, other.cols)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._canonical(
@@ -810,6 +816,11 @@ def _primitive(ints):
 # Canonical subspaces
 
 
+# the widest slot at which `Subspace.invariant_under` packs; above it an
+# unpacked product and `holds` are faster (see its docstring)
+_INVARIANCE_PACKED_MAX_WIDTH = 2000
+
+
 class Subspace:
     """Column span in reduced column echelon form.
 
@@ -872,17 +883,72 @@ class Subspace:
         return self.holds(ExactMatrix([vec]).transpose())
 
     def invariant_under(self, mats) -> bool:
-        """Whether every matrix of `mats` maps the subspace into itself, by
-        one product and one `holds` call: the stacked matrices times the
-        basis, their images then set side by side."""
+        """Whether every matrix of `mats` (square, of the ambient size) maps
+        the subspace into itself, with no product matrix built up to a slot
+        width of `_INVARIANCE_PACKED_MAX_WIDTH` bits.
+
+        Let basis = b/den, with k columns and the rows den·e_t at the pivots
+        p_t.  A matrix g/den_g maps the span into itself exactly when g·b
+        meets `holds`'s identity: sum_t b_it (g b)_(p_t) = den (g b)_i for
+        every row i off the pivots.  den_g cancels, so each matrix is taken
+        by its own integer rows g.  Each nonzero row b_s is packed once per
+        call, from its first nonzero slot f_s, and row r of g b packs as
+        X_r = sum_s g_rs packed(b_s) 2^(w f_s); the identity is tested on
+        the X_r as they stand.
+
+        The width, with B_b and B_g the bit lengths of the largest entries
+        of b and of all the g.  b is in reduced column echelon form, so its
+        column j is nonzero only at p_j and off the pivots: at most
+        n - k + 1 rows.  An entry of g b thus sums at most n - k + 1
+        products g_rs b_sj, and an entry of the left side sums k of those
+        times an entry of b: at most k(n - k + 1) products of three factors,
+        each below 2^(2 B_b + B_g).  den is an entry of b, so the right side
+        sums n - k + 1 such products.  `_width(2 B_b + B_g, k(n - k + 1))`
+        puts both sides strictly between -2^(w-1) and 2^(w-1), where packing
+        is injective, so the packed sides agree exactly when the rows do.
+        The rule has no bit to spare: the two sides' difference can reach
+        2^(w-1), and one bit narrower a planted difference (2^(w-1), -1)
+        packs to 0.
+
+        Wider than `_INVARIANCE_PACKED_MAX_WIDTH`, each matrix's integer
+        product g b, over 1, goes to `holds` instead (its columns lie in the
+        span exactly when those of the matrix times the basis do).  A slot
+        pads each entry of b to about 2 B_b + B_g bits, so on big entries
+        the packed sums multiply more digits than the product does.  On
+        the K checks of `compose-check` on random tuples (Python 3.11,
+        2-core VM), the packed check took 0.38-0.54 of the products' time
+        at 68-623 bits, 0.70-0.95 at 1,081-1,954, 1.09-1.19 at 2,764-3,956
+        and 1.69 at 6,900."""
         n, mats = self.ambient_dim, list(mats)
         if not self.dim or not mats:
             return True
-        stacked = ExactMatrix.vstack(mats) * self.basis
-        rows = stacked.ints
-        images = tuple(tuple(itertools.chain.from_iterable(rows[i::n])) for i in range(n))
-        side = ExactMatrix._canonical(images, stacked.den, n, len(mats) * self.dim)
-        return self.holds(side)
+        if any(m.cols != mats[0].cols for m in mats):
+            raise PreconditionError("vstack: column counts differ")
+        if mats[0].cols != n:
+            raise PreconditionError("matrix product: inner dimensions differ")
+        k = self.dim
+        if k == n:
+            return True
+        b, den = self.basis.ints, self.basis.den
+        gs = [m.ints for m in mats]
+        w = _width(2 * _bits(b) + _bits(itertools.chain.from_iterable(gs)), k * (n - k + 1))
+        if w > _INVARIANCE_PACKED_MAX_WIDTH:
+            return all(
+                self.holds(ExactMatrix._canonical(_product_rows(g, b, k), 1, n, k)) for g in gs
+            )
+        packed = []  # (s, packed b_s from its first nonzero slot f, w·f)
+        for s, row in enumerate(b):
+            f = next((j for j, x in enumerate(row) if x), k)
+            if f < k:
+                packed.append((s, _pack(row[f:], w), w * f))
+        pivot_set = set(self.pivots)
+        off = [(i, b[i]) for i in range(n) if i not in pivot_set]
+        for g in gs:
+            x = [sum(row[s] * v << shift for s, v, shift in packed if row[s]) for row in g]
+            at_pivots = [x[p] for p in self.pivots]
+            if any(_packed_dot(row, at_pivots) != den * x[i] for i, row in off):
+                return False
+        return True
 
     def restrict(self, m: ExactMatrix, which: str, generator=None) -> ExactMatrix:
         """The matrix X of m on the subspace, m · basis = basis · X.  When m
@@ -967,8 +1033,15 @@ def quotient_all(matrices, s: Subspace):
 
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
+    """The span of s1 and s2, by one elimination of the two bases side by
+    side.  When either is 0 the sum is the other operand, which is returned
+    as it is: a Subspace is canonical already, so there is no elimination."""
     if s1.ambient_dim != s2.ambient_dim:
         raise PreconditionError("subspace_sum: ambient dimension mismatch")
+    if not s2.dim:
+        return s1
+    if not s1.dim:
+        return s2
     return Subspace(s1.ambient_dim, basis=ExactMatrix.hstack([s1.basis, s2.basis]))
 
 

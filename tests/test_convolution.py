@@ -1,13 +1,15 @@
+import functools
 import io
 import json
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from mcvlie import convolution
+from mcvlie import convolution, exactcore
 from mcvlie.analysis import composition_harness
 from mcvlie.arrangement import (
     Arrangement,
@@ -41,7 +43,7 @@ from mcvlie.exactcore import (
 from mcvlie.holonomy import PfaffianSystem, check_integrability, residue_sum, zero_extend
 
 from iso_oracle import are_isomorphic
-from linalg_oracle import column_matrix, inverse, solve_right
+from linalg_oracle import column_matrix, inverse, ref_invariant_under, solve_right
 
 F = Fraction
 
@@ -549,7 +551,7 @@ def _first_restrict_failure(k, l, generators):
     return None
 
 
-@pytest.mark.parametrize("k_basis, l_basis, expected", [
+_BATCHED_CASES = [
     # K fails only under the later generator: C_1·e1 = (7/10, 0) stays in it
     ([[1, 0]], [], "kernel-block space K is not invariant; generator 2; "
                    "witness v = (1, 0); A·v = (0, 1/2)"),
@@ -559,12 +561,15 @@ def _first_restrict_failure(k, l, generators):
     # K fails under generator 2, L already under generator 1
     ([[1, 0]], [[0, 1]], "joint kernel L is not invariant; generator 1; "
                          "witness v = (0, 1); A·v = (1/3, 0)"),
-])
+]
+
+
+@pytest.mark.parametrize("k_basis, l_basis, expected", _BATCHED_CASES)
 def test_batched_invariance_reports_the_per_generator_failure(monkeypatch, k_basis, l_basis,
                                                                expected):
-    """The one-product check of K and L falls back to per-generator
-    `restrict`, so the first failure in id order is reported, with its
-    message, generator and witness."""
+    """The check of K and L under all the generators falls back to
+    per-generator `restrict`, so the first failure in id order is
+    reported, with its message, generator and witness."""
     mats = scalars(F(1, 2), F(1, 3))
     k, l = (Subspace(2, basis=column_matrix(b, 2)) for b in (k_basis, l_basis))
     monkeypatch.setattr("mcvlie.convolution.dr_k_l", lambda mats, lam: (k, l))
@@ -609,6 +614,226 @@ def test_invariant_under_agrees_with_restrict():
             except InvarianceError:
                 failing.append(i)
         assert failing == [bad]
+
+
+def _bumped(m, i, j):
+    """m with 1 added to its entry (i, j)."""
+    rows = [list(row) for row in m.data]
+    rows[i][j] += 1
+    return ExactMatrix(rows)
+
+
+def _moved_flag(rng, n, r, count, entry):
+    """`count` random n×n matrices that leave the first r coordinates
+    invariant, and the span of those coordinates, both moved by a random
+    invertible P with entries drawn by `entry`."""
+    p = ExactMatrix([[entry() for _ in range(n)] for _ in range(n)])
+    while not p.is_invertible():
+        p = ExactMatrix([[entry() for _ in range(n)] for _ in range(n)])
+    p_inv = inverse(p)
+    mats = []
+    for _ in range(count):
+        rows = [[F(rng.randint(-3, 3), rng.choice((1, 2, 3, 5))) for _ in range(n)]
+                for _ in range(n)]
+        for i in range(r, n):
+            rows[i][:r] = [F(0)] * r
+        mats.append(p * ExactMatrix(rows) * p_inv)
+    return Subspace(n, basis=p.submatrix(range(n), range(r))), mats
+
+
+def _breaking_bump(rng, span, mats):
+    """The generators with one entry (i, j) of one of them bumped by 1,
+    where some basis vector v has v_j != 0 and e_i lies outside the span:
+    (A + E_ij)v = Av + v_j e_i leaves the span when A keeps it."""
+    n = span.ambient_dim
+    j = rng.choice([j for j in range(n) if any(span.basis.ints[j])])
+    i = rng.choice([i for i in range(n) if not span.contains([int(t == i) for t in range(n)])])
+    g = rng.randrange(len(mats))
+    return mats[:g] + [_bumped(mats[g], i, j)] + mats[g + 1:]
+
+
+@functools.lru_cache(maxsize=None)
+def _invariance_corpus():
+    """(subspace, generators, verdict or None) for the invariance check:
+    - K and L of tuple convolutions at d = 2-6 and of convolutions of
+      middle convolutions (invariant), and the same with one entry bumped;
+    - K and L of Haraoka convolutions of conjugated KZ3 systems;
+    - flags of random generators in a random basis, intact and bumped so
+      that they must fail, with small entries, with slot widths on both
+      sides of the packed limit, and with basis entries of 1,000-4,000
+      bits;
+    - zero generators, zero rows, no generators, dim 0 and dim = ambient."""
+    from test_holonomy import _conjugated, kz_residues
+
+    rng = random.Random(36)
+    cases = []
+    lams = [F(1, 2), F(-1, 3), F(2), F(-2, 5)]
+    for t in range(30):
+        d, n, lam = 2 + t % 5, 2 + t % 2, lams[t % 4]
+        if t % 3 == 0:
+            mats = _sum_with_eigenvalue(rng, n, d, lam)
+        else:
+            mats = [_rank_deficient(rng, d) for _ in range(n)]
+        levels = [mats]
+        if t % 4 == 0:
+            levels.append(list(dr_middle_convolution(mats, F(1, 3)).matrices.values()))
+        for tup in levels:
+            if not tup[0].rows:
+                continue
+            gens = dr_convolution(tup, lam)
+            size = gens[0].rows
+            g, i, j = rng.randrange(len(gens)), rng.randrange(size), rng.randrange(size)
+            bumped = gens[:g] + [_bumped(gens[g], i, j)] + gens[g + 1:]
+            for space in dr_k_l(tup, lam):
+                cases += [(space, gens, True), (space, bumped, None)]
+    line = Line.of((0, 0, 1))
+    for lam in (F(1, 2), F(-2), F(1)):
+        system = _conjugated(kz_residues(3), rng, lambda: F(rng.randint(1, 9), rng.randint(1, 9)))
+        conv = haraoka_convolution(system, line, lam)
+        gens = list(conv.matrices.values())
+        bumped = [_bumped(gens[0], rng.randrange(conv.dim), rng.randrange(conv.dim))] + gens[1:]
+        for space in dr_k_l([system.residue(h) for h in conv.order], lam):
+            cases += [(space, gens, True), (space, bumped, None)]
+
+    for t in range(48):
+        n = rng.randint(2, 6) if t < 24 else rng.randint(3, 4)
+        # P's entries: small, of 12 or 30 digits, then of 90 (bases of 1,000-4,000 bits)
+        top = 4 if t < 24 else 10 ** (90 if t >= 36 else 30 if t % 2 else 12)
+        span, mats = _moved_flag(rng, n, rng.randint(1, n - 1), rng.randint(1, 3),
+                                 lambda: F(rng.randint(-top, top), rng.randint(1, top)))
+        cases += [(span, mats, True), (span, _breaking_bump(rng, span, mats), False)]
+
+    zero = ExactMatrix.zeros(4, 4)
+    line_11 = Subspace(4, basis=column_matrix([[1, 1, 0, 0]], 4))  # rows 2 and 3 zero
+    keeps = ExactMatrix([[1, 1, 5, 0], [1, 1, 0, 2], [0] * 4, [0] * 4])
+    cases += [
+        (line_11, [zero], True),
+        (line_11, [zero, keeps], True),
+        (line_11, [keeps, _bumped(keeps, 2, 0)], False),
+        (line_11, [], True),
+        (Subspace(4), [keeps, _bumped(keeps, 2, 0)], True),
+        (Subspace(4, basis=ExactMatrix.identity(4)), [keeps, _bumped(keeps, 2, 0)], True),
+    ]
+    return tuple(cases)
+
+
+def _entry_bits(span):
+    return max((abs(x) for row in span.basis.ints for x in row), default=0).bit_length()
+
+
+@pytest.mark.parametrize("limit", [None, 0, 10**9], ids=["measured", "products", "packed"])
+def test_invariance_certificate_agrees_with_the_product(monkeypatch, limit):
+    """`invariant_under` against the product form it replaced on the
+    corpus above: at the measured width limit, where both paths run, and
+    with every check forced onto the products or onto the packed rows."""
+    if limit is not None:
+        monkeypatch.setattr(exactcore, "_INVARIANCE_PACKED_MAX_WIDTH", limit)
+    calls = []
+    real = exactcore._product_rows
+    monkeypatch.setattr(exactcore, "_product_rows", lambda *args: calls.append(1) or real(*args))
+    paths = {"packed": 0, "products": 0}
+    verdicts = {True: 0, False: 0}
+    for span, mats, verdict in _invariance_corpus():
+        before = len(calls)
+        got = span.invariant_under(mats)
+        if 0 < span.dim < span.ambient_dim and mats:
+            paths["products" if len(calls) > before else "packed"] += 1
+        assert got == ref_invariant_under(span, mats)
+        if verdict is not None:
+            assert got == verdict
+        verdicts[got] += 1
+    assert min(verdicts.values()) >= 60, verdicts
+    if limit is None:
+        assert min(paths.values()) >= 10, paths
+    else:
+        assert paths["products" if limit else "packed"] == 0, paths
+    big = [_entry_bits(span) for span, _, _ in _invariance_corpus() if _entry_bits(span) > 999]
+    assert len(big) >= 12 and max(big) <= 4000, big
+
+
+def test_tuple_middle_convolution_multiplies_only_in_the_quotient(monkeypatch):
+    """The invariance checks build no product: on seeded compose-check
+    tuples, at each of the three levels, every `__mul__` inside
+    `dr_middle_convolution` comes from `quotient_all`, one per generator
+    when K + L != 0."""
+    callers = []
+    real = ExactMatrix.__mul__
+
+    def spy(self, other):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return real(self, other)
+
+    rng = random.Random(3636)
+    seen = 0
+    for _ in range(12):
+        mats = [ExactMatrix([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+                             for _ in range(3)]) for _ in range(3)]
+        mats[0] = _rank_deficient(rng, 3)
+        mid_mu = dr_middle_convolution(mats, F(1, 3))
+        for tup, lam in ((mats, F(1, 3)), (list(mid_mu.matrices.values()), F(1, 2)),
+                         (mats, F(5, 6))):
+            monkeypatch.setattr(ExactMatrix, "__mul__", spy)
+            callers.clear()
+            mid = dr_middle_convolution(tup, lam)
+            monkeypatch.setattr(ExactMatrix, "__mul__", real)
+            quotient = mid.k_space.dim + mid.l_space.dim > 0
+            assert callers == ["quotient_all"] * (len(tup) if quotient else 0)
+            seen += quotient
+    assert seen >= 12
+
+
+def test_sum_with_a_zero_space_runs_no_elimination(monkeypatch):
+    """When K or L is 0, `subspace_sum` returns the other one itself, and no
+    Subspace is eliminated in the whole middle convolution."""
+    rng = random.Random(3637)
+    span = Subspace(3, basis=column_matrix([[1, 2, 0]], 3))
+    zero = Subspace(3)
+    inits = []
+    real = Subspace.__init__
+
+    def counting(self, *args, **kwargs):
+        inits.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subspace, "__init__", counting)
+    assert subspace_sum(span, zero) is span and subspace_sum(zero, span) is span
+    assert subspace_sum(zero, zero) is zero
+    assert not inits
+    seen = {"zero": 0, "both": 0}
+    for t in range(60):
+        n, d, lam = rng.randint(2, 3), rng.randint(1, 3), [F(1, 2), F(-1, 3), F(2)][t % 3]
+        if t % 3:
+            mats = _sum_with_eigenvalue(rng, n, d, lam)
+            if t % 3 == 2:  # a singular first matrix, the same sum
+                first = _rank_deficient(rng, d)
+                mats[0], mats[-1] = first, mats[-1] + mats[0] - first
+        else:
+            mats = [_rank_deficient(rng, d) for _ in range(n)]
+        inits.clear()
+        mid = dr_middle_convolution(mats, lam)
+        both = mid.k_space.dim > 0 and mid.l_space.dim > 0
+        assert len(inits) == both
+        seen["both" if both else "zero"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_an_always_true_invariance_check_fails_the_invariance_tests(monkeypatch):
+    """The mutant `invariant_under` that always answers True must fail every
+    test of this file that expects an InvarianceError or a False check."""
+    monkeypatch.setattr(Subspace, "invariant_under", lambda self, mats: True)
+    probes = [lambda: test_non_invariant_k_names_its_generator_once(monkeypatch)]
+    probes += [
+        lambda case=case: test_batched_invariance_reports_the_per_generator_failure(
+            monkeypatch, *case)
+        for case in _BATCHED_CASES
+    ]
+    probes.append(test_invariant_under_agrees_with_restrict)
+    for probe in probes:
+        with pytest.raises((AssertionError, pytest.fail.Exception)):
+            probe()
 
 
 def test_three_line_worked_example():

@@ -28,7 +28,7 @@ from mcvlie.exactcore import (
     subspace_sum,
 )
 
-from linalg_oracle import column_matrix
+from linalg_oracle import column_matrix, ref_invariant_under
 
 F = Fraction
 
@@ -323,6 +323,51 @@ def test_family_width_has_no_bit_to_spare(monkeypatch):
     assert noncommuting_members(mats, [family]) == [(family, want)]
     monkeypatch.setattr(exactcore, "_width", lambda bits, terms: rule(bits, terms) - 1)
     assert noncommuting_members(mats, [family]) == [(family, want[1:])]
+
+
+def test_invariance_width_has_no_bit_to_spare(monkeypatch):
+    # b, the basis's integer rows over 255, is (255, 0), (0, 255),
+    # (247, -254), (255, 255): k = 2 of n = 4, so a column has at most
+    # n - k + 1 = 3 nonzeros, and with entries of b and g below 2^8 the
+    # width is _width(2·8 + 8, 2·3) = 28.  Row 3 of g is the sum of rows 0
+    # and 1, so the identity holds at row 3; at row 2 its sides differ by
+    # (2^27, -1).  At 27 bits the 2^27 carries into the next slot and
+    # cancels the -1, and g passes for keeping the span.
+    span = Subspace(4, basis=column_matrix([[1, 0, F(247, 255), 1], [0, 1, F(-254, 255), 1]], 4))
+    assert span.basis.ints == ((255, 0), (0, 255), (247, -254), (255, 255))
+    assert span.basis.den == 255 and span.pivots == (0, 1)
+    g = ExactMatrix([[250, 221, 224, 255], [-120, 27, -249, -255],
+                     [-249, 226, -255, -255], [130, 248, -25, 0]])
+    x = (g * ExactMatrix(span.basis.ints)).ints  # the rows of g·b
+    left = [247 * a - 254 * b for a, b in zip(x[0], x[1])]
+    assert [u - 255 * v for u, v in zip(left, x[2])] == [2**27, -1]
+    assert [255 * (a + b) for a, b in zip(x[0], x[1])] == [255 * v for v in x[3]]
+    rule = exactcore._width
+    assert rule(2 * 8 + 8, 2 * 3) == 28
+    assert not span.invariant_under([g]) and not ref_invariant_under(span, [g])
+    with pytest.raises(InvarianceError):
+        span.restrict(g, "S")
+    monkeypatch.setattr(exactcore, "_width", lambda bits, terms: rule(bits, terms) - 1)
+    assert span.invariant_under([g])
+
+
+def test_invariance_keeps_the_shape_checks():
+    """A generator whose size is not the ambient dimension, and generators
+    of different sizes, raise the messages of the product and the stacking
+    that the check once built; a zero space and the whole space keep every
+    matrix, but the whole space still checks the sizes."""
+    span = Subspace(3, basis=column_matrix([[1, 2, 0]], 3))
+    two, three = ExactMatrix.identity(2), ExactMatrix.identity(3)
+    with pytest.raises(PreconditionError, match="^matrix product: inner dimensions differ$"):
+        span.invariant_under([two])
+    with pytest.raises(PreconditionError, match="^matrix product: inner dimensions differ$"):
+        Subspace(3, basis=three).invariant_under([two, two])
+    for mats in ([three, two], [two, three]):
+        with pytest.raises(PreconditionError, match="^vstack: column counts differ$"):
+            span.invariant_under(mats)
+    assert Subspace(3).invariant_under([two, three])
+    assert Subspace(3, basis=three).invariant_under([three, three])
+    assert span.invariant_under([]) and span.invariant_under([three, ExactMatrix.zeros(3, 3)])
 
 
 def test_coordinates_at_the_first_width_that_collides():
