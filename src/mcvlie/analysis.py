@@ -172,10 +172,17 @@ def check_star_conditions(mats) -> StarReport:
 # Irreducibility
 
 
-def is_irreducible(mats) -> bool:
+def is_irreducible(mats, witnesses=()) -> bool:
     """Absolute irreducibility: the unital algebra A generated by the tuple
     has full dimension d^2 (Burnside).  A 1×1 tuple is irreducible; the zero
     module (d = 0) is not, by the usual convention.
+
+    `witnesses` are `StarWitness`es of `check_star_conditions` on the same
+    tuple.  The vector v of one is a kernel vector of [A_i - c; A_j
+    (j != i)], so A_i·v = c·v and A_j·v = 0, and for d >= 2 span(v) is a
+    proper submodule.  False is returned for the first witness whose span
+    `Subspace.invariant_under` confirms exactly; a vector that is not such
+    an eigenvector decides nothing, and the walk below runs.
 
     Each generator is scaled to an integer matrix first: a word in the
     scaled generators is a nonzero multiple of the same word in the
@@ -220,6 +227,10 @@ def is_irreducible(mats) -> bool:
     d = mats[0].rows
     if d < 2:
         return d == 1
+    for w in witnesses:
+        span = Subspace(d, basis=ExactMatrix([[x] for x in w.vector]))
+        if span.dim == 1 and span.invariant_under(mats):
+            return False
     gens = [a.ints for a in mats]
     g2 = max(1, max(sum(x * x for row in g for x in row) for g in gens))
     b_bits = d * d * d.bit_length() + d * d * (d * d - 1) // 2 * g2.bit_length()  # B < 2^b_bits

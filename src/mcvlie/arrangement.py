@@ -17,6 +17,18 @@ and a hash mod P, and only pairs that land in one bucket are compared
 exactly.  The Y-closure builds equations only for the flats that add a
 hyperplane, whose ids they give.
 
+The flats that add one are read off the families.  With Y the line, y its
+direction and F the family of a codimension-2 flat X: X + Y is X or a
+hyperplane of the arrangement exactly when some member of F is parallel to
+Y (normal·y = 0).  (⇐) Let H ∈ F be parallel.  If y lies in the direction
+of X, X + Y = X.  Otherwise X + Y ⊆ H, since H contains X and is invariant
+under translation by y; both have dimension l − 1, so X + Y = H.  (⇒) If y
+lies in the direction of X, every member of F contains y, so all are
+parallel.  Otherwise X + Y = H' for some hyperplane H' of the arrangement;
+H' contains X, so H' ∈ F, and H' contains y, so H' is parallel.  So only a
+family with no parallel member builds X + Y, which is then a hyperplane not
+yet in the arrangement, and Y-closedness is a scan of the families.
+
 The module computes codimension-2 flats with their maximal families, the
 split into hyperplanes parallel/transverse to a line through the origin, the
 Y-closedness criterion and the Y-closure.
@@ -343,9 +355,22 @@ def split_parallel(arr: Arrangement, line: Line):
         raise PreconditionError("line dimension does not match arrangement")
     par, tra = [], []
     for h in arr.hyperplanes:
-        # the direction has dim entries, so the offset column drops out
-        (tra if sum(map(mul, h.form.ints[0], line.direction)) else par).append(h)
+        (par if _is_parallel(h, line) else tra).append(h)
     return Arrangement(arr.dim, par), Arrangement(arr.dim, tra)
+
+
+def _is_parallel(h: Hyperplane, line: Line) -> bool:
+    """Whether normal·direction = 0; the direction has dim entries, so the
+    offset column drops out."""
+    return not sum(map(mul, h.form.ints[0], line.direction))
+
+
+def _transverse_families(arr: Arrangement, line: Line):
+    """The families of `codim2_flats` with no member parallel to the line,
+    in order, lazily: by the module's lemma, exactly the flats X whose
+    X + Y is a hyperplane missing from arr."""
+    parallel = {h.id for h in arr if _is_parallel(h, line)}
+    return (family for family in codim2_flats(arr) if parallel.isdisjoint(family))
 
 
 def _flat_plus_line(rows, line: Line):
@@ -364,25 +389,37 @@ def _flat_plus_line(rows, line: Line):
 
 def is_y_closed(arr: Arrangement, line: Line) -> bool:
     """Terao's criterion: the line is good iff for every codim-2 flat X the
-    sum X + line is again in the intersection poset."""
+    sum X + line is again in the intersection poset, that is X itself or a
+    hyperplane of arr.  By the module's lemma, that holds for X exactly when
+    X's family has a member parallel to the line, so this scans the
+    families and builds no equation."""
     if len(line.direction) != arr.dim:
         raise PreconditionError("line dimension does not match arrangement")
-    return not _closure_pass(arr, line)
+    return next(_transverse_families(arr, line), None) is None
 
 
 def _closure_pass(arr: Arrangement, line: Line):
     """The hyperplanes X + Y missing from arr, each as (h1, h2, form): the
-    first two members of X's family and the echelon form of X + Y."""
+    first two members of X's family and the echelon form of X + Y.
+
+    A family with a member parallel to the line is skipped unbuilt: X + Y
+    is then X or that member (the module's lemma).  Every other family
+    gives a hyperplane X + Y that is not in arr, so `seen` is the only
+    dedupe, and a form that is None or present raises."""
     additions = []
     seen = set()
     planes = {h.id: h for h in arr}
-    for family in codim2_flats(arr):
+    for family in _transverse_families(arr, line):
         h1, h2 = planes[family[0]], planes[family[1]]
         form = _flat_plus_line((h1.form.ints[0], h2.form.ints[0]), line)
-        if form is None or form in seen or arr.has_key(form):
-            continue
-        seen.add(form)
-        additions.append((h1, h2, form))
+        if form is None or arr.has_key(form):
+            raise InternalInvariantError(
+                f"the family {family} has no member parallel to the line,"
+                " yet X + Y is " + ("X" if form is None else "in the arrangement")
+            )
+        if form not in seen:
+            seen.add(form)
+            additions.append((h1, h2, form))
     return additions
 
 
@@ -391,9 +428,15 @@ def y_closure(arr: Arrangement, line: Line) -> Arrangement:
     hyperplanes, with their ids and in their order, followed by the missing
     hyperplanes X + Y.  Each of those contains the line's direction and gets
     the id `cl:` + the rows of X's echelon equations joined by "|", primed
-    until unused; only these flats build their equations.  A single pass
-    suffices; a second pass over the result certifies that, and finding more
-    is a bug."""
+    until unused; only these flats build their equations.
+
+    A single pass suffices: every hyperplane X + Y contains y, so it is
+    parallel to the line.  A flat of arr had a parallel member already or
+    gains X + Y, and any other flat of the closure lies in an added
+    hyperplane: either way its family has a parallel member.  A
+    second pass over the result certifies that: `codim2_flats` recomputes
+    the closure's families from scratch, and a family with no parallel
+    member (by the module's lemma, a missing X + Y) is a bug."""
     if len(line.direction) != arr.dim:
         raise PreconditionError("line dimension does not match arrangement")
     additions = _closure_pass(arr, line)
@@ -408,8 +451,12 @@ def y_closure(arr: Arrangement, line: Line) -> Arrangement:
         taken.add(hid)
         planes.append(Hyperplane(hid, form))
     closed = Arrangement(arr.dim, planes)
-    if _closure_pass(closed, line):
-        raise InternalInvariantError("Y-closure did not stabilize after one pass")
+    family = next(_transverse_families(closed, line), None)
+    if family is not None:
+        raise InternalInvariantError(
+            f"Y-closure did not stabilize after one pass: the family {family}"
+            " has no member parallel to the line"
+        )
     return closed
 
 

@@ -125,7 +125,7 @@ def _cmd_analyze(args):
     report = analysis.check_star_conditions(mats)
     return {
         "stars": report.to_json(),
-        "irreducible": analysis.is_irreducible(mats),
+        "irreducible": analysis.is_irreducible(mats, report.star_witnesses),
     }, 0
 
 

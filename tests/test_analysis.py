@@ -583,6 +583,77 @@ def test_is_irreducible_checks_shapes_like_the_star_conditions():
                 decide(mats)
 
 
+def _witness_corpus(rng):
+    """The star corpus, planted common eigenvectors (nongeneric tuples),
+    the benchmark's block-triangular shapes and the analyze fixture."""
+    yield from _star_tuples(rng, 280)
+    for n, d in ((2, 2), (3, 3), (2, 4), (2, 3), (3, 2)) * 4:
+        yield _planted(rng, n, d, rng.randrange(n))
+    for n, d in ((2, 3), (3, 4), (2, 5), (3, 2)):
+        yield _reducible(rng, n, d, d // 2, _unit_lu(rng, d, 2, 2))
+    doc = json.loads((DATA / "analyze_reducible.json").read_text())
+    yield [matrix_from_json(m) for m in doc["matrices"]]
+
+
+def test_star_witnesses_give_the_walks_verdict(monkeypatch):
+    spins = _spy(monkeypatch, "_spin")
+    decided = 0
+    for mats in _witness_corpus(random.Random(97)):
+        witnesses = check_star_conditions(mats).star_witnesses
+        spins.clear()
+        verdict, walked = is_irreducible(mats, witnesses), bool(spins)
+        assert verdict == is_irreducible(mats)
+        if witnesses and mats[0].rows >= 2:
+            assert not verdict and not walked  # a witness decides without the walk
+            decided += 1
+    assert decided >= 100
+
+
+def test_a_nongeneric_tuple_runs_no_spin(monkeypatch, capsys, tmp_path):
+    spins = _spy(monkeypatch, "_spin")
+    mats = _planted(random.Random(5), 3, 3, 1)
+    code, doc = _analyze(capsys, tmp_path, mats)
+    assert code == 0 and doc["stars"]["star_witnesses"] and doc["irreducible"] is False
+    assert spins == []
+    assert not is_irreducible(mats) and spins  # the walk agrees
+
+
+def _spans_a_submodule(mats, v) -> bool:
+    """Whether every generator maps the nonzero vector v into its span."""
+    col = ExactMatrix([[x] for x in v])
+    return all(ExactMatrix.hstack([col, m * col]).rank() == 1 for m in mats)
+
+
+def test_a_witness_that_is_no_eigenvector_decides_nothing(monkeypatch):
+    # the rotation has no rational witness and reaches the walk; a vector
+    # whose span is no submodule (a bumped witness, noise, or zero) never
+    # gives False by itself: on a reducible tuple False comes from the walk
+    spins = _spy(monkeypatch, "_spin")
+    rotation = [ExactMatrix([[0, -1], [1, 0]])]
+    assert check_star_conditions(rotation).star_witnesses == ()
+    assert not is_irreducible(rotation) and spins
+    e12, e21 = ExactMatrix([[0, 1], [0, 0]]), ExactMatrix([[0, 0], [1, 0]])
+    for v in ((1, 0), (0, 1), (1, 1), (0, 0)):
+        assert is_irreducible([e12, e21], [StarWitness(0, F(0), tuple(map(F, v)))])
+    rng = random.Random(11)
+    tried = 0
+    for mats in _witness_corpus(random.Random(97)):
+        d = mats[0].rows
+        if d < 2:
+            continue
+        vectors = [tuple(x + (k == j) for k, x in enumerate(w.vector))
+                   for w in check_star_conditions(mats).star_witnesses for j in range(d)]
+        vectors += [tuple(F(rng.randint(-3, 3)) for _ in range(d)), (F(0),) * d]
+        fakes = [StarWitness(0, F(0), v) for v in vectors
+                 if not any(v) or not _spans_a_submodule(mats, v)]
+        spins.clear()
+        verdict = is_irreducible(mats, fakes)
+        assert spins  # the walk ran
+        assert verdict == is_irreducible(mats)
+        tried += len(fakes)
+    assert tried >= 500
+
+
 def test_rank_one_always_irreducible():
     assert is_irreducible(scalars(0))
     assert is_irreducible(scalars(5, -2))

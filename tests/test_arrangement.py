@@ -4,14 +4,17 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from mcvlie import arrangement
 from mcvlie.arrangement import (
     Arrangement,
     Line,
     _flat_from_pair,
     _row_form,
+    _transverse_families,
     braid_arrangement,
     canonicalize,
     codim2_flats,
@@ -20,10 +23,11 @@ from mcvlie.arrangement import (
     y_closure,
 )
 from mcvlie import exactcore
-from mcvlie.errors import InputError, PreconditionError
+from mcvlie.errors import InputError, InternalInvariantError, PreconditionError
 from mcvlie.exactcore import P, ExactMatrix, matrix_to_json
 
 F = Fraction
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def arr2(*planes):
@@ -751,3 +755,171 @@ def test_closure_keeps_the_input_as_an_id_prefix():
         assert split_parallel(Arrangement(dim, added), line)[1].hyperplanes == ()
         grew += bool(added)
     assert grew >= 20
+
+
+# -- the parallel-member criterion against the X + Y reference -----------------
+
+
+def _ref_adds(arr, family, direction):
+    """Whether the Fraction reference finds X + Y, for the flat X of
+    `family`, to be a hyperplane missing from arr."""
+    rows = {h.id: h.form.data[0] for h in arr}
+    row = ref_flat_plus_line(ref_flat_from_pair(rows[family[0]], rows[family[1]]), direction)
+    return row is not None and row not in rows.values()
+
+
+def ref_is_y_closed(arr, direction):
+    """Terao's criterion on the reference flat of every intersecting pair:
+    X + Y is X or a plane."""
+    rows = [h.form.data[0] for h in arr]
+    present = {None, *rows}
+    flats = (ref_flat_from_pair(r1, r2) for r1, r2 in combinations(rows, 2))
+    return all(ref_flat_plus_line(eqs, direction) in present for eqs in flats if eqs is not None)
+
+
+def _parallel_to(direction, normal):
+    """`normal` less its component along `direction`, scaled to integers."""
+    dd = sum(x * x for x in direction)
+    nd = sum(a * b for a, b in zip(normal, direction))
+    return [dd * a - nd * b for a, b in zip(normal, direction)]
+
+
+def _lemma_corpus():
+    """(arrangement, line) pairs: seeded random planes in Q^2-Q^5 along
+    random lines, with about half the planes parallel to the line in every
+    third case, so that lines lie in flats (two parallel planes with
+    independent normals, dim >= 3) and in several planes; then braid(3..6)
+    along random lines, coordinate axes and the all-ones line, which lies
+    in every plane."""
+    rng = random.Random(2037)
+    for k in range(300):
+        dim = 2 + k % 4
+        direction = [rng.randint(-2, 2) for _ in range(dim)]
+        if not any(direction):
+            direction[rng.randrange(dim)] = 1
+        planes, seen = [], set()
+        for _ in range(rng.randint(2, 8)):
+            normal = [rng.randint(-2, 2) for _ in range(dim)]
+            if k % 3 == 1 and rng.random() < 0.5:
+                normal = _parallel_to(direction, normal)
+            if not any(normal):
+                continue
+            h = canonicalize(f"H{len(planes) + 1}", normal, F(rng.randint(-2, 2), rng.randint(1, 2)))
+            if h.form not in seen:
+                seen.add(h.form)
+                planes.append(h)
+        yield Arrangement(dim, planes), Line.of(direction)
+    for n in range(3, 7):
+        lines = [[int(i == j) for i in range(n)] for j in (0, n - 1)] + [[1] * n]
+        lines += [[rng.randint(-2, 2) for _ in range(n)] for _ in range(4)]
+        for direction in lines:
+            if any(direction):
+                yield braid_arrangement(n), Line.of(direction)
+
+
+def test_parallel_member_criterion_agrees_with_the_reference():
+    # family by family, a family has no member parallel to the line exactly
+    # when the reference's X + Y is a missing hyperplane; is_y_closed agrees
+    # with Terao's criterion on the reference flats; both on the inputs and
+    # on their closures
+    kinds = {"transverse": 0, "some parallel": 0, "all parallel": 0}
+    for arr, line in _lemma_corpus():
+        closed = y_closure(arr, line)
+        for a in (arr, closed):
+            transverse = list(_transverse_families(a, line))
+            assert transverse == [f for f in codim2_flats(a) if _ref_adds(a, f, line.direction)]
+            assert is_y_closed(a, line) == ref_is_y_closed(a, line.direction)
+            parallel = set(split_parallel(a, line)[0].ids())
+            for f in codim2_flats(a):
+                kinds[["transverse", "some parallel", "all parallel"][
+                    (len(parallel & set(f)) > 0) + (set(f) <= parallel)]] += 1
+        assert is_y_closed(closed, line)
+    assert min(kinds.values()) >= 300, kinds
+
+
+def _seed_one_jobs():
+    from test_bench_digests import WORKLOADS
+
+    for workload in ("arrangement-sweep", "kz-highrank"):
+        for job in WORKLOADS.build(workload, WORKLOADS.DEFAULT_SEED):
+            if job["argv"][0] in ("closure", "convolve", "mc"):
+                yield workload, job
+
+
+def _flat_plus_line_counts(monkeypatch):
+    """Run the seed-1 closure, convolve and mc jobs through the CLI, with
+    every `_closure_pass` recorded as (workload, arrangement, line, the
+    `_flat_plus_line` calls it made); returns the records and the number of
+    `_flat_plus_line` calls made outside any first pass, per workload."""
+    from test_bench_digests import _stdout
+
+    calls, passes, outside = [0], [], {}
+    real_plus, real_pass = arrangement._flat_plus_line, arrangement._closure_pass
+    workload = None
+
+    def counted(rows, line):
+        calls[0] += 1
+        return real_plus(rows, line)
+
+    def recorded(arr, line):
+        before = calls[0]
+        out = real_pass(arr, line)
+        passes.append((workload, arr, line, calls[0] - before))
+        return out
+
+    monkeypatch.setattr(arrangement, "_flat_plus_line", counted)
+    monkeypatch.setattr(arrangement, "_closure_pass", recorded)
+    for workload, job in _seed_one_jobs():
+        before, first = calls[0], len(passes)
+        _stdout(job)
+        inside = sum(n for *_, n in passes[first:])
+        outside[workload] = outside.get(workload, 0) + calls[0] - before - inside
+    return passes, outside
+
+
+def test_sum_is_built_once_per_transverse_family_and_never_in_the_certificate(monkeypatch):
+    # 145 calls on arrangement-sweep and none on kz-highrank, against 999
+    # and 29 when every family built X + Y in both passes
+    passes, outside = _flat_plus_line_counts(monkeypatch)
+    built = {"arrangement-sweep": 0, "kz-highrank": 0}
+    for workload, arr, line, n in passes:
+        assert n == sum(_ref_adds(arr, f, line.direction) for f in codim2_flats(arr))
+        built[workload] += n
+    assert outside == {"arrangement-sweep": 0, "kz-highrank": 0}
+    assert built == {"arrangement-sweep": 145, "kz-highrank": 0}
+
+
+def test_a_transverse_family_whose_sum_is_present_raises(monkeypatch):
+    # with the parallel test dropped, the family's X + Y is the parallel
+    # member (two axes along an axis) or X itself (braid(3) along (1,1,1))
+    monkeypatch.setattr(arrangement, "_is_parallel", lambda h, line: False)
+    with pytest.raises(InternalInvariantError, match=r"\('H1', 'H2'\) .* in the arrangement"):
+        y_closure(TWO_AXES, Line.of((1, 0)))
+    with pytest.raises(InternalInvariantError, match=r"\('H12', 'H13', 'H23'\) .* X \+ Y is X"):
+        y_closure(braid_arrangement(3), Line.of((1, 1, 1)))
+
+
+def test_closure_that_loses_an_addition_fails_its_certificate(monkeypatch):
+    real = arrangement._closure_pass
+    monkeypatch.setattr(arrangement, "_closure_pass", lambda arr, line: real(arr, line)[:-1])
+    arr = Arrangement.from_json(json.loads((DATA_DIR / "closure_branches.json").read_text()))
+    with pytest.raises(InternalInvariantError, match=r"one pass: the family \('H4', 'H5'\) "):
+        y_closure(arr, Line.of((0, 0, 1)))
+
+
+def test_each_closure_mutant_fails_a_test(monkeypatch):
+    real = arrangement._transverse_families
+
+    def inverted(arr, line):
+        transverse = set(real(arr, line))
+        return (f for f in codim2_flats(arr) if f not in transverse)
+
+    for name, mutant, check in (
+        ("_transverse_families", inverted, test_parallel_member_criterion_agrees_with_the_reference),
+        ("_is_parallel", lambda h, line: False,
+         lambda: test_sum_is_built_once_per_transverse_family_and_never_in_the_certificate(m)),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(arrangement, name, mutant)
+            with pytest.raises((AssertionError, InternalInvariantError)):
+                check()
